@@ -95,7 +95,8 @@ def write_csv(path: Path, header: List[str], rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                             for v in row])
     tmp.replace(path)
 
 
@@ -176,8 +177,7 @@ def holder_sample_pairs(
     cloud, rng: np.random.Generator, n_scales: int = 10, per_scale: int = 8,
     s_min: float = 0.004, s_max: float = 0.8,
 ) -> List[Tuple[complex, complex]]:
-    """Pairs straddling cloud points at log-spaced separations, sharing a small
-    set of midpoints so shortest-path sources can be reused."""
+    """Pairs straddling cloud points at log-spaced separations."""
     pts = cloud.points_complex
     scales = np.exp(np.linspace(math.log(s_min), math.log(s_max), n_scales))
     pairs = []

@@ -129,12 +129,34 @@ def build_grid(
     return PathMetricGrid(lo, hi, n_cols, n_rows, h, metric, graph)
 
 
-def _distances_from(grid: PathMetricGrid, source: int) -> np.ndarray:
-    if source not in grid._dist_cache:
-        grid._dist_cache[source] = dijkstra(
-            grid.graph, directed=False, indices=source
-        )
-    return grid._dist_cache[source]
+def _path_weight(grid: PathMetricGrid, a: int, b: int) -> float:
+    """Weight of one explicit grid path from node a to node b: diagonal steps
+    first, then straight ones.  Any path bounds the shortest distance above."""
+    ja, ia = divmod(a, grid.n_cols)
+    jb, ib = divmod(b, grid.n_cols)
+    di, dj = ib - ia, jb - ja
+    steps = np.arange(max(abs(di), abs(dj)) + 1)
+    i = ia + np.sign(di) * np.minimum(steps, abs(di))
+    j = ja + np.sign(dj) * np.minimum(steps, abs(dj))
+    nodes = j * grid.n_cols + i
+    return float(grid.graph[nodes[:-1], nodes[1:]].sum())
+
+
+def _pair_distance(grid: PathMetricGrid, a: int, b: int) -> np.float64:
+    """Shortest-path distance between nodes a and b, cached per pair.
+
+    Dijkstra stops at the weight of an explicit a-b path (with a relative
+    margin for summation order); every node on a shortest path lies within
+    that limit, so the distance at b is exactly that of an unlimited run.
+    The graph is symmetric, so the directed search gives the same distances.
+    """
+    key = (a, b)
+    if key not in grid._dist_cache:
+        limit = _path_weight(grid, a, b) * (1.0 + 1e-9)
+        grid._dist_cache[key] = dijkstra(
+            grid.graph, directed=True, indices=a, limit=limit
+        )[b]
+    return grid._dist_cache[key]
 
 
 def grid_distance(grid: PathMetricGrid, z0: complex, z1: complex) -> float:
@@ -151,7 +173,7 @@ def grid_distance(grid: PathMetricGrid, z0: complex, z1: complex) -> float:
     else:
         # query from the smaller index so (z0,z1) and (z1,z0) share a cache entry
         a, b = (n0, n1) if n0 <= n1 else (n1, n0)
-        base = float(_distances_from(grid, a)[b])
+        base = float(_pair_distance(grid, a, b))
     snap = (abs(z0 - p0) * grid.local_density(z0)
             + abs(z1 - p1) * grid.local_density(z1))
     return base + snap

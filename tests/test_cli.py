@@ -1,6 +1,7 @@
 """End-to-end command-line contract: reports, gates, config, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -181,6 +182,18 @@ def test_holder_report(tmp_path, capsys):
     assert report["uniform_upper_constant"] > 0
     header = (tmp_path / "holder_pairs.csv").read_text().splitlines()[0]
     assert header == "z0_re,z0_im,z1_re,z1_im,separation,d_rho"
+
+
+def test_holder_pairs_csv_plain_floats(tmp_path):
+    run(["holder", "--c-re", "-2", "--grid-res", "128", "--out", str(tmp_path)])
+    rows = (tmp_path / "holder_pairs.csv").read_text().splitlines()[1:]
+    report = json.loads((tmp_path / "holder.json").read_text())
+    assert len(rows) == report["fit"]["samples"]
+    for row in rows:
+        fields = row.split(",")
+        assert len(fields) == 6
+        assert all(math.isfinite(float(field)) for field in fields)
+        assert float(fields[5]) > 0
 
 
 # -------------------------------------------------------------------- render

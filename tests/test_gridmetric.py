@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 import expmetric as em
-from expmetric.gridmetric import ANISOTROPY_FACTOR, HoelderFit
+from expmetric.gridmetric import ANISOTROPY_FACTOR, HoelderFit, _pair_distance, _path_weight
 from expmetric.metrics import Variant
 
 
@@ -86,6 +87,35 @@ def test_uniform_grid_anisotropy_bound():
         assert L - 2 * grid.h <= d <= ANISOTROPY_FACTOR * L + 2 * grid.h
 
 
+def test_pair_distance_matches_unlimited_dijkstra():
+    # h = 6/127; the Chebyshev cloud {-2, 2} sits near columns 21 and 106, row 63.5
+    grid = em.build_grid(cheb_metric(), (complex(-3, -3), complex(3, 3)), 128)
+    n, m = grid.n_cols, grid.n_cols * grid.n_rows
+
+    def node(i, j):
+        return j * n + i
+
+    pairs = [
+        (node(5, 40), node(120, 40)),       # same row
+        (node(106, 3), node(106, 124)),     # same column, through the cloud point 2
+        (node(10, 20), node(100, 110)),     # exact diagonal
+        (node(110, 10), node(30, 90)),      # exact anti-diagonal
+        (node(0, 0), m - 1),                # opposite corners
+        (node(n - 1, 0), node(0, n - 1)),   # the other two corners
+        (node(105, 63), node(106, 64)),     # one diagonal step beside the cloud point 2
+        (node(33, 33), node(33, 33)),       # n0 == n1
+    ]
+    rng = np.random.default_rng(11)
+    pairs += [tuple(sorted(rng.integers(m, size=2).tolist())) for _ in range(12)]
+    for a, b in pairs:
+        exact = dijkstra(grid.graph, directed=False, indices=a)[b]
+        assert _pair_distance(grid, a, b) == exact
+        # summed in another order than Dijkstra's, an equally short path can
+        # land an ulp below; the 1e-9 margin of the limit covers that
+        assert _path_weight(grid, a, b) >= exact * (1 - 1e-12)
+    assert _pair_distance(grid, node(33, 33), node(33, 33)) == 0.0
+
+
 def test_grid_distance_symmetry_exact():
     grid = em.build_grid(cheb_metric(), (complex(-3, -3), complex(3, 3)), 64)
     rng = np.random.default_rng(1)
@@ -138,7 +168,7 @@ def _log_spaced_pairs(rng, centers, n=60, s_min=0.005, s_max=0.8):
 
 def _node_aligned_pairs(grid, start, count=60):
     """Horizontal pairs sharing a left endpoint on a grid node: no snapping
-    error, and every shortest-path query reuses one cached source."""
+    error at either end."""
     _, p0 = grid.nearest_node(start)
     max_k = int(0.99 / grid.h)
     ks = [max(1, int(round(k))) for k in np.exp(
