@@ -6,14 +6,12 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import EscapeError, InsideJuliaError
-
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
 
 # Iterates beyond this modulus are treated as escaped for potential/distance
 # purposes; large enough that the Boettcher correction is below 1e-10.
@@ -139,9 +137,6 @@ class PostcriticalCloud:
         if len(self.points) == 0:
             raise ValueError("cloud must be non-empty")
         if self._tree is None:
-            # imported here: scipy.spatial adds about 0.1 s to every CLI start
-            from scipy.spatial import cKDTree
-
             self._tree = cKDTree(self.points)
 
     def __len__(self):

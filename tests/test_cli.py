@@ -180,14 +180,9 @@ def test_holder_report(tmp_path, capsys):
     assert 0.0 < report["fit"]["exponent"] <= 1.05
     assert report["lower_bound_audit"]["violations"] == 0
     assert report["uniform_upper_constant"] > 0
-    header = (tmp_path / "holder_pairs.csv").read_text().splitlines()[0]
+    header, *rows = (tmp_path / "holder_pairs.csv").read_text().splitlines()
     assert header == "z0_re,z0_im,z1_re,z1_im,separation,d_rho"
-
-
-def test_holder_pairs_csv_plain_floats(tmp_path):
-    run(["holder", "--c-re", "-2", "--grid-res", "128", "--out", str(tmp_path)])
-    rows = (tmp_path / "holder_pairs.csv").read_text().splitlines()[1:]
-    report = json.loads((tmp_path / "holder.json").read_text())
+    # every field is a plain float, not a NumPy repr such as np.float64(...)
     assert len(rows) == report["fit"]["samples"]
     for row in rows:
         fields = row.split(",")
