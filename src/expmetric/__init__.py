@@ -17,6 +17,7 @@ from .dynamics import (
     green_potential,
     julia_distance_estimate,
     orbit_derivative_magnitude,
+    preimages,
     sample_julia_points,
 )
 from .metrics import (
@@ -42,7 +43,6 @@ from .backward import (
     classify_level,
     conformal_radius_proxy,
     expansion_ratios,
-    preimages,
     pull_back,
     shrink_fit,
 )

@@ -9,7 +9,6 @@ ratios weighted by the singular density are fitted for exponential growth.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass, field
@@ -17,45 +16,30 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .dynamics import PostcriticalCloud, UnicriticalMap, orbit_derivative_magnitude
-from .errors import BranchResolutionError, SamplingResolutionError
+# orbit_derivative_magnitude and preimages are re-exported for callers that
+# look them up here
+from .dynamics import (  # noqa: F401
+    PostcriticalCloud,
+    UnicriticalMap,
+    orbit_derivative_magnitude,
+    preimages,
+)
+from .errors import SamplingResolutionError
 from .metrics import SingularMetric
 
-CONSISTENCY_TOL = 1e-10
 CLOUD_EXCLUSION = 1e-9
+MIN_FIT_LEVELS = 10
+# A phase step of arg(z - c) this close to pi between neighbouring boundary
+# samples puts c within 0.08 chord lengths of the chord between them, which
+# leaves the side on which the boundary passes c undecided; the chords of a
+# 64-gon stand 0.012 chord lengths off its circle.
+MAX_PHASE_STEP = 0.9 * math.pi
 
 
 class CaseLabel(enum.Enum):
     UNIVALENT_NO_P = "univalent-no-p"
     UNIVALENT_MEETS_P = "univalent-meets-p"
     CRITICAL = "critical"
-
-
-def preimages(fmap: UnicriticalMap, z: complex) -> List[complex]:
-    """The d solutions of w^d = z - c: principal root times the d-th roots of
-    unity.  All collapse to 0 at the critical value z = c."""
-    w = z - fmap.c
-    if w == 0:
-        return [0.0 + 0.0j] * fmap.d
-    r = abs(w) ** (1.0 / fmap.d)
-    phi = cmath.phase(w) / fmap.d
-    return [
-        r * cmath.exp(1j * (phi + 2.0 * math.pi * k / fmap.d))
-        for k in range(fmap.d)
-    ]
-
-
-def _nearest_preimage(
-    fmap: UnicriticalMap, z: complex, anchor: complex, strict: bool = True
-) -> complex:
-    cands = preimages(fmap, z)
-    dists = sorted((abs(w - anchor), i) for i, w in enumerate(cands))
-    if (strict and len(dists) > 1
-            and dists[1][0] - dists[0][0] < 1e-12 and dists[0][0] > 1e-9):
-        raise BranchResolutionError(
-            f"ambiguous inverse branch at {z}: two preimages nearly equidistant"
-        )
-    return cands[dists[0][1]]
 
 
 @dataclass
@@ -68,6 +52,10 @@ class BackwardDiskOrbit:
     points: List[complex] = field(default_factory=list)
     branch_choices: List[int] = field(default_factory=list)
     boundary: List[np.ndarray] = field(default_factory=list)
+    # boundary samples minus the level's center, kept apart because the
+    # absolute samples lose all relative precision once the diameter nears
+    # an ulp of the center
+    offsets: List[np.ndarray] = field(default_factory=list)
     diams: List[float] = field(default_factory=list)
     labels: List[Optional[CaseLabel]] = field(default_factory=list)
 
@@ -75,9 +63,10 @@ class BackwardDiskOrbit:
         if not self.points:
             self.points = [complex(self.z0)]
             angles = 2.0 * math.pi * np.arange(self.n_boundary) / self.n_boundary
-            circle = self.z0 + self.epsilon * np.exp(1j * angles)
-            self.boundary = [circle]
-            self.diams = [_polygon_diameter(circle)]
+            offsets = self.epsilon * np.exp(1j * angles)
+            self.boundary = [self.z0 + offsets]
+            self.offsets = [offsets]
+            self.diams = [_polygon_diameter(offsets)]
             self.labels = [None]  # level 0 is the reference disk, not a pullback
 
     @property
@@ -96,27 +85,18 @@ def _polygon_diameter(samples: np.ndarray) -> float:
     return float(d.max())
 
 
+def _phase_steps(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+    """arg v at each sample of a closed polygon, the step from each sample to
+    the next (the closing step last) reduced to [-pi, pi), and the winding
+    number of the polygon around 0, the steps' sum in turns."""
+    phase = np.angle(v)
+    steps = (np.diff(phase, append=phase[:1]) + math.pi) % (2.0 * math.pi) - math.pi
+    return phase, steps, int(round(steps.sum() / (2.0 * math.pi)))
+
+
 def winding_number(polygon: np.ndarray, point: complex) -> int:
     """Winding number of a closed sample polygon around ``point``."""
-    v = polygon - point
-    angles = np.angle(v)
-    d = np.diff(np.concatenate([angles, angles[:1]]))
-    d = (d + math.pi) % (2.0 * math.pi) - math.pi
-    return int(round(d.sum() / (2.0 * math.pi)))
-
-
-def point_in_polygon(polygon: np.ndarray, point: complex) -> bool:
-    """Even-odd (ray casting) test against the closed sample polygon."""
-    x, y = point.real, point.imag
-    px = polygon.real
-    py = polygon.imag
-    qx = np.roll(px, -1)
-    qy = np.roll(py, -1)
-    crosses = (py <= y) != (qy <= y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xint = px + (y - py) * (qx - px) / (qy - py)
-    hits = crosses & (xint > x)
-    return bool(hits.sum() % 2 == 1)
+    return _phase_steps(polygon - point)[2]
 
 
 BranchRule = Union[str, Callable[[List[complex], int], int]]
@@ -139,67 +119,62 @@ def _choose_branch(
     raise ValueError(f"unknown branch rule {rule!r}")
 
 
-def _predicted_lift(
-    fmap: UnicriticalMap, target: complex, prev_target: complex, prev_lift: complex
-) -> complex:
-    """First-order prediction of the continuous lift of ``target`` from the
-    lift of the neighboring sample: an inverse-derivative Euler step.  Breaks
-    ties cleanly where the lifted curve crosses a symmetry axis."""
-    dw = fmap.deriv(prev_lift)
-    step = target - prev_target
-    if abs(dw) > 10.0 * abs(step):
-        return prev_lift + step / dw
-    return prev_lift
-
-
 def _lift_boundary(
-    fmap: UnicriticalMap, prev: np.ndarray, anchor: complex
-) -> Tuple[np.ndarray, bool]:
-    """Continuous lift of the boundary polygon through f^-1, anchored near the
-    new center.  If the lift fails to close after one loop the level is a
-    branched (critical) pullback and the loop is continued for d turns,
-    returning a polygon with d times as many samples."""
-    m = len(prev)
-    pred0 = _predicted_lift(fmap, complex(prev[0]), fmap.evaluate(anchor), anchor)
-    # a tie here only shifts where along the lifted loop we start
-    lifted = [_nearest_preimage(fmap, complex(prev[0]), pred0, strict=False)]
-    for turn in range(fmap.d):
-        for j in range(1, m):
-            pred = _predicted_lift(
-                fmap, complex(prev[j]), complex(prev[j - 1]), lifted[-1]
-            )
-            lifted.append(_nearest_preimage(fmap, complex(prev[j]), pred))
-        pred = _predicted_lift(fmap, complex(prev[0]), complex(prev[m - 1]), lifted[-1])
-        closure = _nearest_preimage(fmap, complex(prev[0]), pred)
-        # distinct preimages of prev[0] sit 2|w|sin(pi/d) apart
-        sep = 2.0 * abs(closure) * math.sin(math.pi / fmap.d)
-        if abs(closure - lifted[0]) < max(1e-12, 0.5 * sep):
-            return np.array(lifted), turn > 0
-        lifted.append(closure)  # closure starts the next turn around the loop
-    raise SamplingResolutionError(
-        "boundary lift failed to close after d turns; raise the sample count"
-    )
+    fmap: UnicriticalMap, prev: np.ndarray, prev_offsets: np.ndarray, center: complex
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Continuous lift of the boundary polygon through f^-1, as absolute
+    samples and as offsets from the new center.
+
+    The phase of prev - c is unwrapped along the polygon; its integer jumps
+    give each sample's sheet, and the winding number W around c sets the
+    number of turns, d / gcd(W, d): one for a univalent level, d for a
+    critical one.  Each sample is lifted by the formula of ``preimages``,
+    starting from the preimage of prev[0] nearest the new center."""
+    d = fmap.d
+    u = prev - fmap.c
+    phase, steps, winding = _phase_steps(u)
+    if not u.all() or np.abs(steps).max() > MAX_PHASE_STEP:
+        raise SamplingResolutionError(
+            "boundary sampled too coarsely around the critical value; "
+            "raise the sample count"
+        )
+    unwrapped = phase[0] + np.concatenate(([0.0], np.cumsum(steps[:-1])))
+    sheets = np.rint((unwrapped - phase) / (2.0 * math.pi)).astype(int)
+    turns = d // math.gcd(winding, d)
+    cands = preimages(fmap, complex(prev[0]))
+    start = min(range(d), key=lambda k: abs(cands[k] - center))
+    branch = (start + sheets + winding * np.arange(turns)[:, None]) % d
+    arg = phase / d + 2.0 * math.pi * branch / d
+    lifted = (np.abs(u) ** (1.0 / d) * np.exp(1j * arg)).ravel()
+    # on the center's sheet w - z_n = (w^d - z_n^d) / sum_j w^j z_n^(d-1-j),
+    # and w^d - z_n^d is the previous offset: exact in relative terms
+    offsets = lifted - center
+    near = np.abs(offsets) < 0.5 * math.sin(math.pi / d) * abs(center)
+    w = lifted[near]
+    offsets[near] = np.tile(prev_offsets, turns)[near] / sum(
+        w**j * center ** (d - 1 - j) for j in range(d))
+    return lifted, offsets
 
 
 def classify_level(
     orbit: BackwardDiskOrbit, n: int, cloud: Optional[PostcriticalCloud] = None
 ) -> CaseLabel:
-    """Pullback case at level n: Critical when the boundary polygon winds
-    around 0, Univalent-MeetsP when a cloud point lies inside, else
-    Univalent-NoP."""
+    """Pullback case at level n: Critical when the level n-1 polygon winds
+    around the critical value (mod d), Univalent-MeetsP when the level n
+    polygon winds around a cloud point, else Univalent-NoP."""
     if n < 1 or n > orbit.depth:
         raise ValueError(f"level {n} not populated")
-    poly = orbit.boundary[n]
-    if winding_number(poly, 0.0 + 0.0j) != 0:
+    fmap = orbit.fmap
+    if winding_number(orbit.boundary[n - 1], fmap.c) % fmap.d:
         return CaseLabel.CRITICAL
+    poly = orbit.boundary[n]
     cloud = cloud or orbit.cloud
     if cloud is not None:
-        lo = complex(poly.real.min(), poly.imag.min())
-        hi = complex(poly.real.max(), poly.imag.max())
-        for p in cloud.points_complex:
-            if lo.real <= p.real <= hi.real and lo.imag <= p.imag <= hi.imag:
-                if point_in_polygon(poly, complex(p)):
-                    return CaseLabel.UNIVALENT_MEETS_P
+        pts = cloud.points_complex
+        in_box = ((poly.real.min() <= pts.real) & (pts.real <= poly.real.max())
+                  & (poly.imag.min() <= pts.imag) & (pts.imag <= poly.imag.max()))
+        if any(winding_number(poly, p) for p in pts[in_box]):
+            return CaseLabel.UNIVALENT_MEETS_P
     return CaseLabel.UNIVALENT_NO_P
 
 
@@ -213,21 +188,25 @@ def pull_back(
     """Extend the orbit by ``steps`` inverse images: center by the branch rule,
     boundary by the continuous lift, plus diameters and case labels."""
     for _ in range(steps):
-        z_prev = orbit.points[-1]
-        cands = preimages(fmap, z_prev)
+        cands = preimages(fmap, orbit.points[-1])
         k = _choose_branch(branch_rule, cands, orbit.depth + 1, rng)
-        z_new = cands[k]
-        lifted, branched = _lift_boundary(fmap, orbit.boundary[-1], z_new)
-        orbit.points.append(z_new)
+        lifted, offsets = _lift_boundary(fmap, orbit.boundary[-1], orbit.offsets[-1], cands[k])
+        orbit.points.append(cands[k])
         orbit.branch_choices.append(k)
         orbit.boundary.append(lifted)
-        orbit.diams.append(_polygon_diameter(lifted))
-        orbit.labels.append(None)
-        orbit.labels[-1] = classify_level(orbit, orbit.depth)
-        if branched and orbit.labels[-1] is not CaseLabel.CRITICAL:
-            # a non-closing lift always winds around the branch point
-            orbit.labels[-1] = CaseLabel.CRITICAL
+        orbit.offsets.append(offsets)
+        orbit.diams.append(_polygon_diameter(offsets))
+        orbit.labels.append(classify_level(orbit, orbit.depth))
     return orbit
+
+
+def _log_derivatives(orbit: BackwardDiskOrbit) -> np.ndarray:
+    """log|(f^n)'(z_n)| for n = 0..depth, by the chain rule along the stored
+    centers: (f^n)'(z_n) = f'(z_n) f'(z_(n-1)) ... f'(z_1)."""
+    d = orbit.fmap.d
+    with np.errstate(divide="ignore"):
+        logs = math.log(d) + (d - 1) * np.log(np.abs(np.asarray(orbit.points[1:], dtype=complex)))
+    return np.concatenate(([0.0], np.cumsum(logs)))
 
 
 @dataclass(frozen=True)
@@ -253,31 +232,24 @@ def expansion_ratios(
     Levels whose center sits within 1e-9 of the cloud are skipped (the density
     would be infinite there; the expansion bound only concerns z not in P(f)).
     """
-    dens0 = metric.density(orbit.points[0])
-    ratios, levels, skipped = [], [], []
-    for n in range(1, orbit.depth + 1):
-        z_n = orbit.points[n]
-        if metric.cloud.dist(z_n) < CLOUD_EXCLUSION:
-            skipped.append(n)
-            continue
-        deriv = orbit_derivative_magnitude(orbit.fmap, z_n, n)
-        ratios.append(deriv * dens0 / metric.density(z_n))
-        levels.append(n)
-    if not ratios:
+    pts = np.asarray(orbit.points, dtype=complex)
+    on_cloud = metric.cloud.dist_many(pts[1:]) < CLOUD_EXCLUSION
+    levels = np.flatnonzero(~on_cloud) + 1
+    if levels.size == 0:
         raise ValueError("all levels skipped; orbit unusable for ratio fitting")
-    ns = np.array(levels, dtype=float)
-    logs = np.log(ratios)
-    if len(ratios) >= 2:
-        slope, intercept = np.polyfit(ns, logs, 1)
+    dens = metric.density_array(pts[np.concatenate(([0], levels))])
+    logs = _log_derivatives(orbit)[levels] + np.log(dens[0]) - np.log(dens[1:])
+    if len(levels) >= 2:
+        slope, intercept = np.polyfit(levels.astype(float), logs, 1)
     else:
         slope, intercept = 0.0, logs[0]
     counts = {lab: 0 for lab in CaseLabel}
     for lab in orbit.labels[1:]:
         counts[lab] += 1
     return ExpansionReport(
-        ratios=ratios,
-        levels=levels,
-        skipped_levels=skipped,
+        ratios=np.exp(logs).tolist(),
+        levels=levels.tolist(),
+        skipped_levels=(np.flatnonzero(on_cloud) + 1).tolist(),
         log_slope=float(slope),
         lam=float(math.exp(slope)),
         constant=float(math.exp(intercept)),
@@ -307,16 +279,15 @@ def conformal_radius_proxy(orbit: BackwardDiskOrbit, n: int) -> RadiusProxy:
     n_crit = orbit.critical_level()
     if n_crit is not None and n > n_crit:
         return RadiusProxy(orbit.diams[n], True)
-    deriv = orbit_derivative_magnitude(orbit.fmap, orbit.points[n], n)
-    return RadiusProxy(orbit.epsilon / deriv, False)
+    return RadiusProxy(orbit.epsilon / math.exp(_log_derivatives(orbit)[n]), False)
 
 
 def shrink_fit(orbit: BackwardDiskOrbit) -> Tuple[float, float]:
     """Fit diam U_n ~ C0 theta^n by least squares on log diameters.
 
     Returns (C0, theta); theta >= 1 is reported as-is, falsifying contraction."""
-    if orbit.depth < 10:
-        raise ValueError("need at least 10 pullback levels")
+    if orbit.depth < MIN_FIT_LEVELS:
+        raise ValueError(f"need at least {MIN_FIT_LEVELS} pullback levels")
     ns = np.arange(orbit.depth + 1, dtype=float)
     logs = np.log(orbit.diams)
     slope, intercept = np.polyfit(ns, logs, 1)
@@ -351,7 +322,7 @@ def case3_bound_check(
     z0 = orbit.points[0]
     z_n = orbit.points[n]
     r_n = orbit.diams[n]  # diameter-based proxy, upper-bound flavor
-    deriv = orbit_derivative_magnitude(fmap, z_n, n)
+    deriv = math.exp(_log_derivatives(orbit)[n])
     lower = orbit.epsilon ** (1.0 / d) * abs(z0 - w0) ** (1.0 - 1.0 / d) / r_n
     sigma_n = metric.density(z_n)
     sigma_0 = metric.density(z0)

@@ -8,6 +8,7 @@ a fixed seed repeated runs produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -20,7 +21,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .backward import BackwardDiskOrbit, expansion_ratios, pull_back, shrink_fit
+from .backward import MIN_FIT_LEVELS, BackwardDiskOrbit, expansion_ratios, pull_back, shrink_fit
 from .dynamics import (
     OrbitKind,
     UnicriticalMap,
@@ -83,8 +84,12 @@ def _report_header(config: ExperimentConfig, cloud=None) -> dict:
 
 def write_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:  # NaN or infinity has no JSON form
+        raise SystemExit(f"refusing to write {path}: {exc}")
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    tmp.write_text(text + "\n")
     tmp.replace(path)
 
 
@@ -185,13 +190,9 @@ def holder_sample_pairs(
         for _ in range(per_scale):
             p = complex(pts[int(rng.integers(len(pts)))])
             phi = rng.uniform(0.0, 2.0 * math.pi)
-            u = cmath_exp(phi)
+            u = cmath.exp(1j * phi)
             pairs.append((p - 0.5 * s * u, p + 0.5 * s * u))
     return pairs
-
-
-def cmath_exp(phi: float) -> complex:
-    return complex(math.cos(phi), math.sin(phi))
 
 
 def cmd_holder(config: ExperimentConfig) -> dict:
@@ -400,7 +401,29 @@ def _config_from_args(args) -> ExperimentConfig:
                 setattr(cfg, key, value)
             else:
                 raise SystemExit(f"config parse error: unknown field {key!r}")
+    _validate(cfg, args.command)
     return cfg
+
+
+def _validate(cfg: ExperimentConfig, command: str) -> None:
+    """Reject malformed or out-of-range settings with a one-line message."""
+    for name in ("d", "orbit_n", "grid_res", "orbits", "depth", "seed"):
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SystemExit(f"invalid config: {name} must be an integer, got {value!r}")
+    eps = cfg.epsilon
+    if eps is not None and (isinstance(eps, bool) or not isinstance(eps, (int, float))
+                            or not 0 < eps < math.inf):
+        raise SystemExit(f"invalid config: epsilon must be a positive number, got {eps!r}")
+    if cfg.d < 2:
+        raise SystemExit(f"invalid config: d must be at least 2, got {cfg.d}")
+    for name in ("orbit_n", "orbits"):
+        if getattr(cfg, name) < 1:
+            raise SystemExit(f"invalid config: {name} must be at least 1, "
+                             f"got {getattr(cfg, name)}")
+    if command == "expansion" and cfg.depth < MIN_FIT_LEVELS:
+        raise SystemExit(f"invalid config: expansion needs depth >= {MIN_FIT_LEVELS} "
+                         f"for the shrink fit, got {cfg.depth}")
 
 
 def _parse_angles(text: str) -> List[float]:

@@ -6,7 +6,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -79,6 +79,20 @@ def critical_orbit(fmap: UnicriticalMap, n: int, r_esc: Optional[float] = None):
             escape_index = k
             break
     return orbit, escape_index
+
+
+def preimages(fmap: UnicriticalMap, z: complex) -> List[complex]:
+    """The d solutions of w^d = z - c: principal root times the d-th roots of
+    unity.  All collapse to 0 at the critical value z = c."""
+    w = z - fmap.c
+    if w == 0:
+        return [0.0 + 0.0j] * fmap.d
+    r = abs(w) ** (1.0 / fmap.d)
+    phi = cmath.phase(w) / fmap.d
+    return [
+        r * cmath.exp(1j * (phi + 2.0 * math.pi * k / fmap.d))
+        for k in range(fmap.d)
+    ]
 
 
 def orbit_derivative_magnitude(fmap: UnicriticalMap, z: complex, n: int) -> float:
@@ -244,10 +258,6 @@ def sample_julia_points(
     for _ in range(count):
         z = beta
         for _ in range(transient + depth):
-            k = int(rng.integers(fmap.d))
-            w = z - fmap.c
-            r = abs(w) ** (1.0 / fmap.d)
-            phi = cmath.phase(w) / fmap.d
-            z = r * cmath.exp(1j * (phi + 2 * math.pi * k / fmap.d))
+            z = preimages(fmap, z)[int(rng.integers(fmap.d))]
         out.append(z)
     return out

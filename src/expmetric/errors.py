@@ -13,10 +13,6 @@ class InsideJuliaError(RuntimeError):
     """A point did not escape within budget; it is inside or on the Julia set."""
 
 
-class BranchResolutionError(RuntimeError):
-    """Two inverse branches were numerically indistinguishable."""
-
-
 class SamplingResolutionError(RuntimeError):
     """Boundary sampling was too coarse to resolve a pulled-back domain."""
 

@@ -9,18 +9,16 @@ import expmetric as em
 from expmetric.backward import (
     BackwardDiskOrbit,
     CaseLabel,
-    _nearest_preimage,
     case3_bound_check,
     classify_level,
     conformal_radius_proxy,
     expansion_ratios,
-    point_in_polygon,
     preimages,
     pull_back,
     shrink_fit,
     winding_number,
 )
-from expmetric.errors import BranchResolutionError
+from expmetric.errors import SamplingResolutionError
 from expmetric.metrics import SingularMetric, Variant
 
 SQRT2 = math.sqrt(2.0)
@@ -72,14 +70,7 @@ def test_preimages_are_actual_preimages():
                 assert abs(fmap.evaluate(w) - z) < 1e-10
 
 
-def test_nearest_preimage_ambiguity_detected():
-    # preimages of 0 under z^2 - 2 are +-sqrt(2); anchor 0 is equidistant
-    with pytest.raises(BranchResolutionError):
-        _nearest_preimage(cheb(), 0, 0)
-    assert _nearest_preimage(cheb(), 0, 1) == pytest.approx(SQRT2)
-
-
-# ------------------------------------------------- winding / point-in-polygon
+# ------------------------------------------------------------------ winding
 
 
 def unit_square(center=0j, half=1.0, n=200):
@@ -101,24 +92,20 @@ def test_winding_number_oracles():
     assert winding_number(sq, 2 + 0j) == 0
     assert winding_number(sq[::-1], 0) == -1
     assert winding_number(unit_square(center=5 + 5j), 0) == 0
+    # the cloud test of classify_level: inside winds once, outside not at all
+    assert winding_number(sq, -0.9 - 0.9j) == 1
+    assert winding_number(sq, 1.5 + 0j) == 0
+    assert winding_number(unit_square(center=3j), 0) == 0
 
 
-def test_point_in_polygon_oracles():
-    sq = unit_square()
-    assert point_in_polygon(sq, 0)
-    assert point_in_polygon(sq, -0.9 - 0.9j)
-    assert not point_in_polygon(sq, 1.5 + 0j)
-    assert not point_in_polygon(unit_square(center=3j), 0)
-
-
-def test_winding_agrees_with_even_odd_on_circle():
+def test_winding_on_circle_matches_unit_disk():
     t = np.exp(2j * np.pi * np.arange(128) / 128)
     rng = np.random.default_rng(1)
     for _ in range(50):
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
         if abs(abs(z) - 1.0) < 0.05:
             continue
-        assert (winding_number(t, z) != 0) == point_in_polygon(t, z)
+        assert winding_number(t, z) == (1 if abs(z) < 1.0 else 0)
 
 
 # ------------------------------------------------------------------ pull_back
@@ -188,6 +175,51 @@ def test_pull_back_diameters_match_boundaries():
     for n, poly in enumerate(orbit.boundary):
         d = np.abs(poly[:, None] - poly[None, :]).max()
         assert orbit.diams[n] == pytest.approx(float(d))
+        assert np.abs(orbit.offsets[n] - (poly - orbit.points[n])).max() < 1e-14
+
+
+def test_pulled_back_diameters_keep_precision_to_depth_50():
+    # diam U_n |(f^n)'(z_n)| stays at its level-1 value up to the distortion
+    # of the pulled-back circle, which shrinks like eps^2: over these orbits
+    # the median drift is 2e-8 at eps = 1e-4 (2e-6 at eps = 1e-3), and the
+    # worst orbit's 3e-4.  Lost precision is of order one instead: at depth
+    # 50 the diameter is about 1e-4 * 2^-50 ~ 1e-19, far below an ulp of the
+    # absolute samples.
+    fmap = cheb()
+    cloud = em.build_postcritical_cloud(fmap, 50)
+    drifts = []
+    for k, z0 in enumerate(em.sample_julia_points(fmap, 20, np.random.default_rng(0))):
+        orbit = BackwardDiskOrbit(fmap, z0, 1e-4, cloud=cloud)
+        pull_back(fmap, orbit, 50, rng=np.random.default_rng([0, k]))
+        if orbit.critical_level() is not None:
+            continue
+        scaled = [orbit.diams[n] / conformal_radius_proxy(orbit, n).value
+                  for n in range(1, 51)]
+        drifts.append(max(abs(s / scaled[0] - 1.0) for s in scaled))
+    assert len(drifts) >= 10
+    assert np.median(drifts) < 1e-6
+    assert max(drifts) < 1e-2
+
+
+def test_coarse_boundary_around_critical_value_rejected():
+    fmap = cheb()
+    # an octagon with the critical value 0.1% of its apothem inside one
+    # edge: seen from c, that edge turns through nearly pi, so the side on
+    # which the circle passes c is not resolved
+    apothem = 0.05 * math.cos(math.pi / 8) * np.exp(1j * math.pi / 8)
+    z0 = fmap.c - 0.999 * apothem
+    orbit = fresh_orbit(fmap, z0, 0.05, n_boundary=8)
+    with pytest.raises(SamplingResolutionError):
+        pull_back(fmap, orbit, 1, branch_rule="fixed-index:0")
+    # 64 samples resolve the same disk, which contains c: a critical level
+    orbit = fresh_orbit(fmap, z0, 0.05)
+    pull_back(fmap, orbit, 1, branch_rule="fixed-index:0")
+    assert orbit.labels[1] is CaseLabel.CRITICAL
+    # a sample on the critical value itself has no phase
+    orbit = fresh_orbit(fmap, 0.5, 0.05)
+    orbit.boundary[0] = np.array([fmap.c, fmap.c + 1, fmap.c + 1j])
+    with pytest.raises(SamplingResolutionError):
+        pull_back(fmap, orbit, 1, branch_rule="fixed-index:0")
 
 
 # ------------------------------------------------------------- case labels
@@ -201,10 +233,12 @@ def critical_orbit_at(fmap, steps=3, seed=5):
 
 
 def test_critical_label_detected_at_level_one():
-    for fmap in (cheb(), map_i()):
+    for fmap in (cheb(), map_i(), em.UnicriticalMap(3, 0.2j)):
         orbit = critical_orbit_at(fmap)
         assert orbit.labels[1] is CaseLabel.CRITICAL
         assert orbit.critical_level() == 1
+        # the lift runs d turns around the branch point
+        assert len(orbit.boundary[1]) == 64 * fmap.d
 
 
 def test_classify_level_univalent_oracles():
@@ -253,6 +287,20 @@ def test_expansion_ratio_first_level_oracle():
     assert rep.levels == [1]
     assert rep.ratios[0] == pytest.approx(2 * math.sqrt(2 - SQRT2), rel=1e-12)
     assert rep.ratios[0] == pytest.approx(1.5307337294603591, abs=1e-12)
+
+
+def test_accumulated_derivative_oracle_at_depth_80():
+    # z^2 maps the unit circle to itself with |f'| = 2, so |(f^n)'(z_n)| = 2^n;
+    # sigma = |z|^(-1/2) is 1 there, so R_n = 2^n as well
+    fmap = em.UnicriticalMap(2, 0)
+    cloud = em.build_postcritical_cloud(fmap, 5)
+    orbit = BackwardDiskOrbit(fmap, complex(math.cos(1.0), math.sin(1.0)), 0.01,
+                              cloud=cloud)
+    pull_back(fmap, orbit, 80, rng=np.random.default_rng(2))
+    rep = expansion_ratios(orbit, SingularMetric.for_degree(cloud, 2, Variant.SIGMA))
+    assert rep.levels == list(range(1, 81))
+    assert rep.ratios == pytest.approx([2.0**n for n in range(1, 81)], rel=1e-12)
+    assert conformal_radius_proxy(orbit, 80).value == pytest.approx(0.01 / 2**80, rel=1e-12)
 
 
 def test_expansion_fit_grows_exponentially():

@@ -123,6 +123,31 @@ def test_config_unknown_field_rejected(tmp_path):
         cli.main(["classify", "--config", str(cfg), "--out", str(tmp_path)])
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["--orbits", "0"], None, "orbits must be at least 1, got 0"),
+    (["--depth", "5"], None, "expansion needs depth >= 10"),
+    (["--epsilon", "-1"], None, "epsilon must be a positive number, got -1.0"),
+    ([], {"d": "3"}, "d must be an integer, got '3'"),
+], ids=["orbits-0", "depth-5", "epsilon-negative", "config-d-string"])
+def test_expansion_rejects_bad_input(tmp_path, argv, config, message):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    with pytest.raises(SystemExit, match=message) as exc:
+        cli.main(["expansion", "--c-re", "-2", *argv, "--out", str(tmp_path)])
+    assert "\n" not in str(exc.value.code)
+    assert not (tmp_path / "expansion.json").exists()
+
+
+def test_write_json_refuses_non_finite(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(SystemExit, match="report.json") as exc:
+        cli.write_json(path, {"theta": float("nan")})
+    assert "\n" not in str(exc.value.code)
+    assert not path.exists()
+
+
 def test_output_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "envout"))
     run(["classify", "--c-re", "-2"], capsys)
@@ -167,6 +192,21 @@ def test_expansion_report_and_csv(tmp_path, capsys):
     assert report["cloud_size"] == 2
     header = (tmp_path / "expansion_ratios.csv").read_text().splitlines()[0]
     assert header == "orbit,level,ratio"
+
+
+def test_expansion_depth_60_writes_strict_json(tmp_path, capsys):
+    # deep orbits: the derivative is accumulated along the stored centers and
+    # the diameters are taken from center-relative offsets, so nothing
+    # overflows or underflows to a non-finite fit
+    run(["expansion", "--c-re", "-2", "--orbits", "50", "--depth", "60",
+         "--seed", "0", "--out", str(tmp_path)], capsys)
+
+    def refuse(token):
+        raise ValueError(f"non-finite token {token}")
+
+    report = json.loads((tmp_path / "expansion.json").read_text(), parse_constant=refuse)
+    assert 0 < report["max_theta"] < 1.0
+    assert report["min_lambda"] > 1.0
 
 
 # -------------------------------------------------------------------- holder
