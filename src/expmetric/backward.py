@@ -149,9 +149,9 @@ def _lift_boundary(
     # on the center's sheet w - z_n = (w^d - z_n^d) / sum_j w^j z_n^(d-1-j),
     # and w^d - z_n^d is the previous offset: exact in relative terms
     offsets = lifted - center
-    near = np.abs(offsets) < 0.5 * math.sin(math.pi / d) * abs(center)
-    w = lifted[near]
-    offsets[near] = np.tile(prev_offsets, turns)[near] / sum(
+    on_sheet = np.abs(offsets) < 0.5 * math.sin(math.pi / d) * abs(center)
+    w = lifted[on_sheet]
+    offsets[on_sheet] = np.tile(prev_offsets, turns)[on_sheet] / sum(
         w**j * center ** (d - 1 - j) for j in range(d))
     return lifted, offsets
 
