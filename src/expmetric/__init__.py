@@ -62,4 +62,5 @@ from .rays import (
     john_report,
     rho_length_of_ray,
     trace_ray,
+    trace_rays,
 )

@@ -22,6 +22,7 @@ from .dynamics import (  # noqa: F401
     PostcriticalCloud,
     UnicriticalMap,
     orbit_derivative_magnitude,
+    preimage_branch,
     preimages,
 )
 from .errors import SamplingResolutionError
@@ -128,7 +129,7 @@ def _lift_boundary(
     The phase of prev - c is unwrapped along the polygon; its integer jumps
     give each sample's sheet, and the winding number W around c sets the
     number of turns, d / gcd(W, d): one for a univalent level, d for a
-    critical one.  Each sample is lifted by the formula of ``preimages``,
+    critical one.  Each sample is lifted by ``preimage_branch``,
     starting from the preimage of prev[0] nearest the new center."""
     d = fmap.d
     u = prev - fmap.c
@@ -144,8 +145,7 @@ def _lift_boundary(
     cands = preimages(fmap, complex(prev[0]))
     start = min(range(d), key=lambda k: abs(cands[k] - center))
     branch = (start + sheets + winding * np.arange(turns)[:, None]) % d
-    arg = phase / d + 2.0 * math.pi * branch / d
-    lifted = (np.abs(u) ** (1.0 / d) * np.exp(1j * arg)).ravel()
+    lifted = preimage_branch(fmap, prev, branch).ravel()
     # on the center's sheet w - z_n = (w^d - z_n^d) / sum_j w^j z_n^(d-1-j),
     # and w^d - z_n^d is the previous offset: exact in relative terms
     offsets = lifted - center

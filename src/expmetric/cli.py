@@ -30,7 +30,7 @@ from .dynamics import (
     julia_distance_estimate,
     sample_julia_points,
 )
-from .errors import RayTracingError
+from .errors import DomainError, RayTracingError
 from .gridmetric import (
     build_grid,
     grid_distance,
@@ -39,7 +39,8 @@ from .gridmetric import (
     verify_lower_bound,
 )
 from .metrics import SingularMetric, Variant
-from .rays import john_constant_along_ray, john_report, rho_length_of_ray, trace_ray
+# trace_ray is not called here but stays importable: bench/tracing.py wraps it by this name
+from .rays import john_constant_along_ray, john_report, rho_length_of_ray, trace_ray, trace_rays  # noqa: F401
 from .render import RenderSpec, density_field, distance_field, escape_time_field, overlay_polyline, to_rgb, write_ppm
 
 OUTPUT_DIR_ENV = "EXPMETRIC_OUT"
@@ -252,12 +253,13 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
     entries = []
     scaling_rows = []
     failures = []
-    for theta in angles:
-        try:
-            ray = trace_ray(fmap, theta, depth)
-        except RayTracingError as exc:
-            failures.append({"theta": theta, "error": str(exc)})
-            continue
+    try:
+        rays = trace_rays(fmap, angles, depth)
+    except RayTracingError as exc:
+        rays = []
+        failures.extend({"theta": theta, "error": str(exc)} for theta in angles)
+    for ray in rays:
+        theta = ray.theta
         for g, z in zip(ray.potentials, ray.polyline):
             poly_rows.append((theta, g, z.real, z.imag))
         if ray.landing is not None:
@@ -266,7 +268,7 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
             for r in RHO_LENGTH_RADII:
                 try:
                     scaling_rows.append((theta, r, rho_length_of_ray(ray, metric, r)))
-                except Exception as exc:  # geometry mismatch for this annulus
+                except (DomainError, RayTracingError) as exc:  # no ray point near the landing
                     failures.append({"theta": theta, "radius": r, "error": str(exc)})
         else:
             failures.append({"theta": theta, "error": "no landing estimate"})
@@ -284,15 +286,8 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
                 {"theta": e.theta, "constant": e.constant} for e in entries
             ],
         }
-    report["landings"] = {
-        repr(theta): ([z.real, z.imag] if z is not None else None)
-        for theta, z in (
-            (e.theta, next(
-                (complex(row[2], row[3]) for row in reversed(poly_rows) if row[0] == e.theta),
-                None))
-            for e in entries
-        )
-    }
+    report["landings"] = {repr(ray.theta): [ray.landing.real, ray.landing.imag]
+                          for ray in rays if ray.landing is not None}
     write_csv(config.out_dir / "rays.csv", ["theta", "potential", "re", "im"], poly_rows)
     write_csv(config.out_dir / "rho_length.csv", ["theta", "radius", "rho_length"],
               scaling_rows)
@@ -314,8 +309,7 @@ def cmd_render(config: ExperimentConfig, spec: RenderSpec) -> Path:
             variant = Variant.RHO if spec.layer == "density-rho" else Variant.SIGMA
             metric = SingularMetric(cloud, 1.0 - 1.0 / fmap.d, variant)
             rgb = to_rgb(density_field(metric, spec), log_scale=True)
-    for theta in spec.ray_angles:
-        ray = trace_ray(fmap, theta, min(config.depth, 60))
+    for ray in trace_rays(fmap, spec.ray_angles, min(config.depth, 60)):
         overlay_polyline(rgb, spec, ray.polyline)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     path = config.out_dir / "render.ppm"
@@ -394,6 +388,10 @@ def _config_from_args(args) -> ExperimentConfig:
                              f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
         for key, value in overrides.items():
             if key == "c":
+                if not (isinstance(value, list) and len(value) == 2
+                        and all(_is_number(v) and math.isfinite(v) for v in value)):
+                    raise SystemExit("invalid config: c must be a list of two numbers "
+                                     f"[re, im], got {value!r}")
                 cfg.c = complex(value[0], value[1])
             elif key == "out_dir":
                 cfg.out_dir = Path(value)
@@ -405,6 +403,10 @@ def _config_from_args(args) -> ExperimentConfig:
     return cfg
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _validate(cfg: ExperimentConfig, command: str) -> None:
     """Reject malformed or out-of-range settings with a one-line message."""
     for name in ("d", "orbit_n", "grid_res", "orbits", "depth", "seed"):
@@ -412,8 +414,7 @@ def _validate(cfg: ExperimentConfig, command: str) -> None:
         if isinstance(value, bool) or not isinstance(value, int):
             raise SystemExit(f"invalid config: {name} must be an integer, got {value!r}")
     eps = cfg.epsilon
-    if eps is not None and (isinstance(eps, bool) or not isinstance(eps, (int, float))
-                            or not 0 < eps < math.inf):
+    if eps is not None and not (_is_number(eps) and 0 < eps < math.inf):
         raise SystemExit(f"invalid config: epsilon must be a positive number, got {eps!r}")
     if cfg.d < 2:
         raise SystemExit(f"invalid config: d must be at least 2, got {cfg.d}")
@@ -421,6 +422,8 @@ def _validate(cfg: ExperimentConfig, command: str) -> None:
         if getattr(cfg, name) < 1:
             raise SystemExit(f"invalid config: {name} must be at least 1, "
                              f"got {getattr(cfg, name)}")
+    if command in ("rays", "render") and cfg.depth < 1:
+        raise SystemExit(f"invalid config: rays need depth >= 1, got {cfg.depth}")
     if command == "expansion" and cfg.depth < MIN_FIT_LEVELS:
         raise SystemExit(f"invalid config: expansion needs depth >= {MIN_FIT_LEVELS} "
                          f"for the shrink fit, got {cfg.depth}")
@@ -453,13 +456,16 @@ def main(argv=None) -> int:
                   file=sys.stderr)
     elif args.command == "render":
         x0, x1, y0, y1 = args.bbox
-        spec = RenderSpec(
-            bbox=(complex(x0, y0), complex(x1, y1)),
-            width=args.width,
-            height=args.height,
-            layer=args.layer,
-            ray_angles=_parse_angles(args.rays),
-        )
+        try:
+            spec = RenderSpec(
+                bbox=(complex(x0, y0), complex(x1, y1)),
+                width=args.width,
+                height=args.height,
+                layer=args.layer,
+                ray_angles=_parse_angles(args.rays),
+            )
+        except ValueError as exc:
+            raise SystemExit(f"invalid render: {exc}")
         path = cmd_render(config, spec)
         print(str(path))
     return 0

@@ -95,6 +95,14 @@ def preimages(fmap: UnicriticalMap, z: complex) -> List[complex]:
     ]
 
 
+def preimage_branch(fmap: UnicriticalMap, z: np.ndarray, branch) -> np.ndarray:
+    """Array form of ``preimages``: root number ``branch`` (0 is the principal
+    root) of w^d = z - c, elementwise, with z and branch broadcast together."""
+    u = np.asarray(z) - fmap.c
+    arg = np.angle(u) / fmap.d + 2.0 * math.pi * branch / fmap.d
+    return np.abs(u) ** (1.0 / fmap.d) * np.exp(1j * arg)
+
+
 def orbit_derivative_magnitude(fmap: UnicriticalMap, z: complex, n: int) -> float:
     """|(f^n)'(z)|, accumulated in log magnitude so deep orbits do not overflow."""
     if n < 0:

@@ -18,4 +18,4 @@ class SamplingResolutionError(RuntimeError):
 
 
 class RayTracingError(RuntimeError):
-    """Newton refinement failed while descending an external ray."""
+    """An external ray could not be traced, or has no landing estimate."""

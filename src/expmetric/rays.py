@@ -1,21 +1,20 @@
-"""External-ray tracing through the escape potential, John-constant
+"""External rays pulled back through the escape potential, John-constant
 estimation along rays, and singular-metric length accounting."""
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from fractions import Fraction
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import UnicriticalMap
+from .dynamics import UnicriticalMap, preimage_branch
 from .errors import DomainError, RayTracingError
 from .metrics import SingularMetric
 
 LANDING_TOL = 1e-6
-NEWTON_MAX_ITER = 120
 
 
 @dataclass(frozen=True)
@@ -37,63 +36,79 @@ def _boettcher_top(fmap: UnicriticalMap) -> float:
     return max(12.0, 25.0 / (fmap.d - 1))
 
 
-def _iterate(fmap: UnicriticalMap, z: complex, k: int):
-    w = z
-    dw = 1.0 + 0.0j
-    for _ in range(k):
-        if abs(w) > 1e120:
-            # overshoot past the target equipotential: the partial values
-            # still point the Newton step back toward the ray
-            break
-        dw = fmap.deriv(w) * dw
-        w = fmap.evaluate(w)
-    return w, dw
+def trace_rays(
+    fmap: UnicriticalMap,
+    thetas: Sequence[float],
+    depth: int,
+    g0: float = 1.0,
+    substeps: int = 4,
+) -> List[ExternalRay]:
+    """Trace the external rays of the angles ``thetas`` (in turns) from
+    potential g0 down to g0/d^depth, one stored point per level.
 
+    Since G(f(z)) = d G(z), the point of potential g on the alpha-ray is a
+    preimage of the point of potential d g on the (d alpha)-ray.  Sub-level t
+    sits at potential g0 d^(-t/substeps).  The top ``substeps`` sub-levels lie
+    where the Boettcher map is the identity, so z = exp(g + 2 pi i alpha)
+    there; below, z[t, alpha] is the branch of f^-1(z[t - substeps, d alpha])
+    nearest z[t - 1, alpha].  The angles alpha -> d alpha mod 1 are followed
+    exactly, as fractions, and all of them are pulled back together, one array
+    step per sub-level.  The landing estimate is the last point when the last
+    two differ by less than LANDING_TOL, else the Aitken limit of the tail.
+    """
+    for theta in thetas:
+        if not 0.0 <= theta < 1.0:
+            raise DomainError(f"angle must lie in [0, 1) turns, got {theta}")
+    if not 1 <= depth <= 60:
+        raise DomainError(f"depth must lie in 1..60, got {depth}")
+    if not thetas:
+        return []
+    d, s = fmap.d, substeps
+    # sub-levels above g0 that put the top s of them in the Boettcher regime
+    above = max(0, math.ceil(s * math.log(_boettcher_top(fmap) / g0, d)))
+    top = above + s - 1  # sub-level of g0; sub-level 0 is the highest
+    n_sub = top + depth * s + 1
+    chain = (n_sub - 1) // s  # pull-backs from the top block to the deepest level
 
-def _ray_point(fmap: UnicriticalMap, g: float, theta: float, seed: complex) -> complex:
-    """The point of potential g on the ray of angle theta, by Newton iteration
-    on f^m(z) = target, where m pushes the potential above the Boettcher
-    regime and the target is the Boettcher-coordinate point there."""
-    g_top = _boettcher_top(fmap)
-    m = 0
-    p = g
-    while p < g_top:
-        p *= fmap.d
-        m += 1
-    angle = (theta * fmap.d**m) % 1.0
-    target = cmath.exp(p + 2j * math.pi * angle)
-    z = seed
-    best_z = seed
-    best_raw = math.inf
-    prev_raw = math.inf
-    bounces = 0
-    for _ in range(NEWTON_MAX_ITER):
-        w, dw = _iterate(fmap, z, m)
-        step = (w - target) / dw
-        raw = abs(step)
-        # damp: potential errors amplify doubly exponentially through f^m
-        cap = 0.5 * max(abs(z), 1e-6)
-        if raw > cap:
-            step *= cap / raw
-        z = z - step
-        # roundoff through f^m limits the attainable residual, so the
-        # tolerance must scale with |z| rather than stay absolute
-        if raw < max(1e-14, 1e-7 * abs(z)):
-            return z
-        if raw < 0.5 * best_raw:
-            best_raw = raw
-            best_z = z
-            bounces = 0
-        elif raw > prev_raw:
-            # the step size grew: roundoff noise, not the monotone
-            # far-field phase where the log residual shrinks by ~1/iter
-            bounces += 1
-            if bounces >= 6 and best_raw < 1e-5 * max(abs(best_z), 1e-12):
-                return best_z
-        prev_raw = raw
-    raise RayTracingError(
-        f"Newton failed at potential {g:.3e}, angle {theta} (depth {m})"
-    )
+    # every angle reached within `chain` steps of alpha -> d alpha, ordered by
+    # the fewest steps from a requested angle: sub-level t needs the first
+    # reach[(n_sub - 1 - t) // s] of them
+    order = {}
+    reach = []
+    fresh = [Fraction(theta) for theta in thetas]
+    for _ in range(chain + 1):
+        fresh = [a for a in dict.fromkeys(fresh) if a not in order]
+        for a in fresh:
+            order[a] = len(order)
+        reach.append(len(order))
+        fresh = [d * a % 1 for a in fresh]
+    angles = list(order)
+    image = np.array([order[d * a % 1] for a in angles[:reach[-2]]], dtype=int)
+
+    potential = g0 * float(d) ** ((top - np.arange(s)) / s)
+    turns = np.array([float(a) for a in angles])
+    z = np.full((n_sub, len(angles)), np.nan, dtype=complex)
+    z[:s] = np.exp(potential[:, None] + 2j * math.pi * turns)
+    if not np.isfinite(z[:s]).all():
+        raise RayTracingError(f"the Boettcher-regime start overflows at degree {d}")
+    branches = np.arange(d)[:, None]
+    for t in range(s, n_sub):
+        n = reach[(n_sub - 1 - t) // s]
+        cands = preimage_branch(fmap, z[t - s, image[:n]], branches)
+        pick = np.argmin(np.abs(cands - z[t - 1, :n]), axis=0)
+        z[t, :n] = cands[pick, np.arange(n)]
+
+    points = z[top::s][:, [order[Fraction(theta)] for theta in thetas]]
+    potentials = [g0 / d**k for k in range(depth + 1)]
+    rays = []
+    for theta, column in zip(thetas, points.T):
+        polyline = column.tolist()
+        if abs(polyline[-1] - polyline[-2]) < LANDING_TOL:
+            landing = polyline[-1]
+        else:
+            landing = _extrapolated_landing(polyline)
+        rays.append(ExternalRay(theta, polyline, list(potentials), landing))
+    return rays
 
 
 def trace_ray(
@@ -103,52 +118,8 @@ def trace_ray(
     g0: float = 1.0,
     substeps: int = 4,
 ) -> ExternalRay:
-    """Trace the external ray of angle ``theta`` (in turns) from potential g0
-    down to g0/d^depth, one stored point per level.
-
-    Each level is reached through ``substeps`` intermediate Newton solves so
-    the seed never jumps far.  The landing estimate is set when the last two
-    points differ by less than 1e-6.
-    """
-    if not 0.0 <= theta < 1.0:
-        raise DomainError(f"angle must lie in [0, 1) turns, got {theta}")
-    if depth > 60:
-        raise DomainError("depth must be <= 60")
-
-    # walk the seed down from the Boettcher regime to potential g0
-    g_top = _boettcher_top(fmap)
-    g = g_top
-    z = cmath.exp(g + 2j * math.pi * theta)
-    while g > g0:
-        g = max(g0, g / fmap.d)
-        z = _ray_point(fmap, g, theta, z)
-
-    polyline = [z]
-    potentials = [g0]
-    shrink = fmap.d ** (-1.0 / substeps)
-    for k in range(1, depth + 1):
-        target_g = g0 / fmap.d**k
-        try:
-            for s in range(1, substeps + 1):
-                g_sub = potentials[-1] * shrink**s if s < substeps else target_g
-                z = _ray_point(fmap, g_sub, theta, z)
-        except RayTracingError:
-            # deep levels near an ill-conditioned landing point (e.g. a ray
-            # landing on the critical point) eventually exceed the reachable
-            # precision; keep the converged prefix, but propagate failures
-            # that happen before the ray is meaningfully resolved
-            if len(polyline) >= 5:
-                break
-            raise
-        polyline.append(z)
-        potentials.append(target_g)
-
-    landing = None
-    if abs(polyline[-1] - polyline[-2]) < LANDING_TOL:
-        landing = polyline[-1]
-    else:
-        landing = _extrapolated_landing(polyline)
-    return ExternalRay(theta, polyline, potentials, landing)
+    """The external ray of angle ``theta``; see ``trace_rays``."""
+    return trace_rays(fmap, [theta], depth, g0, substeps)[0]
 
 
 def _aitken(z0: complex, z1: complex, z2: complex) -> Optional[complex]:
@@ -244,21 +215,18 @@ def rho_length_of_ray(
     inside = np.abs(pts - base) <= radius
     if not inside.any():
         raise DomainError("no ray points inside B(base, 2r)")
-    total = 0.0
-    for a, b, ok_a, ok_b in zip(pts[:-1], pts[1:], inside[:-1], inside[1:]):
-        if not (ok_a or ok_b):
-            continue
-        # clip the segment to the disk boundary where it straddles it
-        if not ok_a:
-            a = _clip_to_circle(a, b, base, radius)
-        elif not ok_b:
-            b = _clip_to_circle(b, a, base, radius)
-        ts = (np.arange(refine) + 0.5) / refine
-        mids = a + (b - a) * ts
-        dens = metric.density_array(mids)
-        seg = abs(b - a) / refine
-        total += float(np.sum(dens[np.isfinite(dens)]) * seg)
-    return total
+    keep = inside[:-1] | inside[1:]
+    a, b = pts[:-1][keep], pts[1:][keep]
+    # clip the segments that straddle the disk boundary
+    for k in np.flatnonzero(~inside[:-1][keep]):
+        a[k] = _clip_to_circle(a[k], b[k], base, radius)
+    for k in np.flatnonzero(~inside[1:][keep]):
+        b[k] = _clip_to_circle(b[k], a[k], base, radius)
+    ts = (np.arange(refine) + 0.5) / refine
+    mids = a[:, None] + (b - a)[:, None] * ts
+    dens = metric.density_array(mids.ravel()).reshape(mids.shape)
+    sums = np.where(np.isfinite(dens), dens, 0.0).sum(axis=1)
+    return float(np.sum(sums * (np.abs(b - a) / refine)))
 
 
 def _clip_to_circle(outside: complex, inside: complex, center: complex, radius: float) -> complex:

@@ -28,6 +28,9 @@ class RenderSpec:
     def __post_init__(self):
         if self.width > MAX_PIXELS_PER_SIDE or self.height > MAX_PIXELS_PER_SIDE:
             raise ValueError("pixel dimensions exceed the 16384 per-side limit")
+        if self.width < 1 or self.height < 1:
+            raise ValueError(f"pixel dimensions must be at least 1, got "
+                             f"{self.width}x{self.height}")
         if self.layer not in LAYERS:
             raise ValueError(f"unknown layer {self.layer!r}; choose from {LAYERS}")
 
@@ -41,17 +44,21 @@ def _pixel_grid(spec: RenderSpec) -> np.ndarray:
 
 
 def escape_time_field(fmap: UnicriticalMap, spec: RenderSpec, max_iter: int = 128) -> np.ndarray:
+    """Per pixel, the k at which |f^(k+1)(z)| first exceeds the escape
+    radius, or max_iter; only the pixels still bounded are iterated."""
     Z = _pixel_grid(spec)
-    counts = np.full(Z.shape, max_iter, dtype=float)
-    alive = np.ones(Z.shape, dtype=bool)
-    W = Z.copy()
+    counts = np.full(Z.size, max_iter, dtype=float)
+    idx = np.arange(Z.size)
+    w = Z.ravel()
     r_esc = fmap.escape_radius()
     for k in range(max_iter):
-        W[alive] = W[alive] ** fmap.d + fmap.c
-        escaped = alive & (np.abs(W) > r_esc)
-        counts[escaped] = k
-        alive &= ~escaped
-    return counts
+        w = w ** fmap.d + fmap.c
+        escaped = np.abs(w) > r_esc
+        counts[idx[escaped]] = k
+        idx, w = idx[~escaped], w[~escaped]
+        if not idx.size:
+            break
+    return counts.reshape(Z.shape)
 
 
 def density_field(metric: SingularMetric, spec: RenderSpec) -> np.ndarray:
@@ -92,11 +99,11 @@ def overlay_polyline(
     for a, b in zip(pts[:-1], pts[1:]):
         n = max(2, int(abs(b - a) / (hi.real - lo.real) * spec.width * 2))
         dense.append(a + (b - a) * np.linspace(0, 1, n))
-    for z in np.concatenate(dense) if dense else pts:
-        i = int(round((z.real - lo.real) / (hi.real - lo.real) * (spec.width - 1)))
-        j = int(round((hi.imag - z.imag) / (hi.imag - lo.imag) * (spec.height - 1)))
-        if 0 <= i < spec.width and 0 <= j < spec.height:
-            rgb[j, i] = color
+    z = np.concatenate(dense) if dense else pts
+    i = np.rint((z.real - lo.real) / (hi.real - lo.real) * (spec.width - 1)).astype(int)
+    j = np.rint((hi.imag - z.imag) / (hi.imag - lo.imag) * (spec.height - 1)).astype(int)
+    on = (0 <= i) & (i < spec.width) & (0 <= j) & (j < spec.height)
+    rgb[j[on], i[on]] = color
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:

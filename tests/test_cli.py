@@ -1,12 +1,14 @@
 """End-to-end command-line contract: reports, gates, config, determinism."""
 
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from expmetric import cli
+from expmetric import backward, cli, gridmetric, metrics, rays
 from expmetric.render import RenderSpec
 
 
@@ -88,6 +90,12 @@ def test_rays_refuses_escaping(tmp_path):
         cli.main(["rays", "--c-re", "1", "--out", str(tmp_path)])
 
 
+def test_rays_rejects_zero_depth(tmp_path):
+    with pytest.raises(SystemExit, match="rays need depth >= 1, got 0") as exc:
+        cli.main(["rays", "--c-re", "-2", "--depth", "0", "--out", str(tmp_path)])
+    assert "\n" not in str(exc.value.code)
+
+
 def test_rays_rejects_invalid_angle(tmp_path):
     with pytest.raises(SystemExit, match="invalid external angle 1.5"):
         cli.main(["rays", "--c-re", "-2", "--angles", "0,1.5",
@@ -114,6 +122,17 @@ def test_config_syntax_error_reports_location(tmp_path):
     cfg.write_text('{\n  "seed": 1,\n}\n')
     with pytest.raises(SystemExit, match=r"line 3, column"):
         cli.main(["classify", "--config", str(cfg), "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("value", [[1], "x", [1, "x"], [True, 0], [0, 1, 2]],
+                         ids=["one-number", "string", "non-number", "bool", "three-numbers"])
+def test_config_malformed_c_rejected(tmp_path, value):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"c": value}))
+    with pytest.raises(SystemExit, match="c must be a list of two numbers") as exc:
+        cli.main(["classify", "--config", str(cfg), "--out", str(tmp_path)])
+    assert "\n" not in str(exc.value.code)
+    assert not (tmp_path / "classify.json").exists()
 
 
 def test_config_unknown_field_rejected(tmp_path):
@@ -269,5 +288,42 @@ def test_render_ray_overlay_marks_white(tmp_path, capsys):
 def test_render_spec_limits():
     with pytest.raises(ValueError, match="16384"):
         RenderSpec((-1 - 1j, 1 + 1j), 20000, 100)
+    with pytest.raises(ValueError, match="at least 1, got 0x100"):
+        RenderSpec((-1 - 1j, 1 + 1j), 0, 100)
     with pytest.raises(ValueError, match="unknown layer"):
         RenderSpec((-1 - 1j, 1 + 1j), 10, 10, layer="potential")
+
+
+@pytest.mark.parametrize("size", [["--width", "0"], ["--height", "-3"]],
+                         ids=["width-0", "height-negative"])
+def test_render_rejects_empty_pixmap(tmp_path, size):
+    with pytest.raises(SystemExit, match="pixel dimensions must be at least 1") as exc:
+        cli.main(["render", "--c-re", "-2", *size, "--out", str(tmp_path)])
+    assert "\n" not in str(exc.value.code)
+    assert not (tmp_path / "render.ppm").exists()
+
+
+# ------------------------------------------------------- benchmark harness
+
+
+def test_bench_tracer_finds_every_wrapped_name():
+    # bench/run.py builds this tracer on every run and wraps the program's
+    # functions by the names their callers use; a renamed one must fail here
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {"cli": cli, "backward": backward, "gridmetric": gridmetric,
+               "metrics": metrics, "rays": rays}
+    before = {name: dict(vars(m)) for name, m in modules.items()}
+    density_array = metrics.SingularMetric.density_array
+    tracer = tracing.Tracer(modules)
+    tracer.install()
+    try:
+        assert cli.trace_ray is not before["cli"]["trace_ray"]
+        assert metrics.SingularMetric.density_array is not density_array
+    finally:
+        tracer.uninstall()
+    for name, m in modules.items():
+        assert all(vars(m)[k] is v for k, v in before[name].items())
+    assert metrics.SingularMetric.density_array is density_array

@@ -1,5 +1,6 @@
 """External-ray tracing, landing, John constants, and rho-lengths."""
 
+import cmath
 import math
 
 import numpy as np
@@ -17,7 +18,9 @@ from expmetric.rays import (
     john_report,
     rho_length_of_ray,
     trace_ray,
+    trace_rays,
 )
+from expmetric.render import RenderSpec, _pixel_grid, escape_time_field
 
 
 def cheb():
@@ -47,6 +50,12 @@ def test_ray_domain_errors():
         trace_ray(cheb(), 0.25, 61)
 
 
+def test_overflowing_boettcher_start_raises():
+    # at degree 100 the top sub-level sits at potential 1000, past exp's range
+    with pytest.warns(RuntimeWarning), pytest.raises(RayTracingError, match="overflows"):
+        trace_rays(em.UnicriticalMap(100, 0), [0.1], 5)
+
+
 def test_landing_oracles_chebyshev():
     ray = trace_ray(cheb(), 0.0, 30)
     assert ray.landing is not None
@@ -56,8 +65,8 @@ def test_landing_oracles_chebyshev():
 
 
 def test_landing_at_critical_point_via_extrapolation():
-    # the 1/4-ray lands on the critical point 0, where Newton conditioning
-    # degrades; the landing comes from the Aitken tail
+    # the 1/4-ray lands on the critical point 0, where the two inverse
+    # branches meet
     ray = trace_ray(cheb(), 0.25, 30)
     assert ray.landing is not None
     assert abs(ray.landing) < 1e-6
@@ -90,6 +99,59 @@ def test_points_sit_on_stated_equipotentials():
         ray = trace_ray(fmap, 0.3, 15)
         for z, g in zip(ray.polyline, ray.potentials):
             assert em.green_potential(fmap, z) == pytest.approx(g, abs=1e-6)
+
+
+def plain_potential(z, c):
+    """G(z) = log|f^n z| / 2^n at the first |f^n z| > 1e10, by plain iteration
+    of z^2 + c, with the change in G that rounding each iterate can make: the
+    gradient |(f^n)'(z)| / (2^n |f^n z|) times the running backward error
+    eps sum_k (|w_k - c| + |c|) / |(f^k)'(z)|, with eps 8 machine epsilons;
+    (0, inf) when z does not escape, as for points that round onto J."""
+    w, dw, back = z, 1.0 + 0j, abs(z)
+    for k in range(4000):
+        if abs(w) > 1e10:
+            grad = abs(dw) / (2.0**k * abs(w))
+            return math.log(abs(w)) / 2.0**k, 8.0 * 2.2e-16 * grad * back
+        dw = 2.0 * w * dw
+        w = w * w + c
+        if dw == 0:
+            break
+        back += (abs(w - c) + abs(c)) / abs(dw)
+    return 0.0, math.inf
+
+
+@pytest.mark.parametrize("c", [-2 + 0j, 1j], ids=["c=-2", "c=i"])
+def test_deep_points_have_their_stated_potentials(c):
+    # every stored point down to level 50 (potential 2^-50) sits on its
+    # equipotential, up to the roundoff plain iteration itself makes
+    rays = trace_rays(em.UnicriticalMap(2, c), [k / 48 for k in range(48)], 50)
+    for ray in rays:
+        assert len(ray.polyline) == 51
+        for z, g in zip(ray.polyline, ray.potentials):
+            recomputed, roundoff = plain_potential(z, c)
+            assert abs(recomputed - g) <= 1e-6 * g + roundoff, (ray.theta, g, z)
+
+
+def test_batched_rays_match_single_rays_bit_for_bit():
+    angles = [k / 48 for k in range(0, 48, 5)] + [0.1, 0.3, 0.1]
+    for fmap in (cheb(), em.UnicriticalMap(2, 1j), em.UnicriticalMap(3, 0.2j)):
+        for ray in trace_rays(fmap, angles, 50):
+            single = trace_ray(fmap, ray.theta, 50)
+            assert ray.polyline == single.polyline
+            assert ray.potentials == single.potentials
+            assert ray.landing == single.landing
+
+
+def test_cubic_ray_follows_exact_angle_orbit():
+    # z^3 has the radial rays exp(g + 2 pi i theta); in floating point
+    # 0.1 * 3^m mod 1 is 0.02 turns off at m = 33 and 0.4 at m = 38, so only
+    # an exact angle orbit keeps the deep points on the 0.1-ray
+    fmap = em.UnicriticalMap(3, 0)
+    ray = trace_ray(fmap, 0.1, 40)
+    for z, g in zip(ray.polyline, ray.potentials):
+        assert abs(cmath.phase(z) - 2 * math.pi * 0.1) < 1e-12
+        assert abs(math.log(abs(z)) - g) < 1e-12
+    assert abs(ray.landing - cmath.exp(0.2j * math.pi)) < 1e-12
 
 
 def test_ray_equivariance_under_f():
@@ -235,3 +297,23 @@ def test_rho_length_requires_landing_or_base():
     ray = ExternalRay(0.0, [3 + 0j, 2.5 + 0j], [1.0, 0.5], None)
     with pytest.raises(RayTracingError):
         rho_length_of_ray(ray, cheb_metric(), 0.1)
+
+
+# ------------------------------------------------------------- escape time
+
+
+@pytest.mark.parametrize("d, c", [(2, -2 + 0j), (2, 1j), (3, 0.2j)],
+                         ids=["c=-2", "c=i", "d=3"])
+def test_escape_time_matches_per_pixel_iteration(d, c):
+    fmap = em.UnicriticalMap(d, c)
+    spec = RenderSpec((-2.5 - 2.5j, 2.5 + 2.5j), 64, 64)
+    r_esc = fmap.escape_radius()
+    want = np.full((64, 64), 128.0)
+    for (j, i), z in np.ndenumerate(_pixel_grid(spec)):
+        w = complex(z)
+        for k in range(128):
+            w = w**d + c
+            if abs(w) > r_esc:
+                want[j, i] = k
+                break
+    assert np.array_equal(escape_time_field(fmap, spec), want)
