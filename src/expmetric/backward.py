@@ -25,7 +25,7 @@ from .dynamics import (  # noqa: F401
     preimage_branch,
     preimages,
 )
-from .errors import SamplingResolutionError
+from .errors import DomainError, SamplingResolutionError
 from .metrics import SingularMetric
 
 CLOUD_EXCLUSION = 1e-9
@@ -82,8 +82,15 @@ class BackwardDiskOrbit:
 
 
 def _polygon_diameter(samples: np.ndarray) -> float:
-    d = np.abs(samples[:, None] - samples[None, :])
-    return float(d.max())
+    """Largest distance between two samples, each pair visited once, in row
+    blocks of at most 4096 pairs.  A full m x m temporary costs 16 m^2 bytes;
+    at 128 samples (256 KiB) it took up to three times as long as the blocks
+    in a process without SciPy loaded, likely allocator behaviour (glibc
+    serves blocks that large by mmap until its threshold adapts)."""
+    m = len(samples)
+    r = max(1, 4096 // m)
+    return float(max(np.abs(samples[i:i + r, None] - samples[None, i:]).max()
+                     for i in range(0, m, r)))
 
 
 def _phase_steps(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -184,9 +191,14 @@ def pull_back(
     steps: int,
     branch_rule: BranchRule = "random-seeded",
     rng: Optional[np.random.Generator] = None,
+    max_critical: Optional[int] = None,
 ) -> BackwardDiskOrbit:
     """Extend the orbit by ``steps`` inverse images: center by the branch rule,
-    boundary by the continuous lift, plus diameters and case labels."""
+    boundary by the continuous lift, plus diameters and case labels.
+
+    With ``max_critical`` set, a critical level beyond that many raises
+    DomainError before any further lift: each critical lift multiplies the
+    boundary samples by d."""
     for _ in range(steps):
         cands = preimages(fmap, orbit.points[-1])
         k = _choose_branch(branch_rule, cands, orbit.depth + 1, rng)
@@ -197,6 +209,12 @@ def pull_back(
         orbit.offsets.append(offsets)
         orbit.diams.append(_polygon_diameter(offsets))
         orbit.labels.append(classify_level(orbit, orbit.depth))
+        n_critical = orbit.labels.count(CaseLabel.CRITICAL)
+        if max_critical is not None and n_critical > max_critical:
+            raise DomainError(
+                f"level {orbit.depth} is critical level {n_critical} of the orbit, "
+                f"past the limit of {max_critical}"
+            )
     return orbit
 
 

@@ -30,7 +30,7 @@ from .dynamics import (
     julia_distance_estimate,
     sample_julia_points,
 )
-from .errors import DomainError, RayTracingError
+from .errors import DomainError, RayTracingError, SamplingResolutionError
 from .gridmetric import (
     build_grid,
     grid_distance,
@@ -149,7 +149,14 @@ def cmd_expansion(config: ExperimentConfig) -> dict:
     for k, z0 in enumerate(bases):
         orbit = BackwardDiskOrbit(fmap, z0, eps, cloud=cloud)
         orbit_rng = np.random.default_rng([config.seed, k])
-        pull_back(fmap, orbit, config.depth, "random-seeded", orbit_rng)
+        try:
+            pull_back(fmap, orbit, config.depth, "random-seeded", orbit_rng, max_critical=1)
+        except (DomainError, SamplingResolutionError) as exc:
+            # the disk is too large: it meets the critical value twice, past
+            # the single critical pass the proof covers, or its boundary is
+            # too coarse to lift
+            raise SystemExit(f"refusing to continue: orbit {k} at epsilon {eps!r}: {exc}; "
+                             "try a smaller --epsilon")
         rep = expansion_ratios(orbit, metric)
         c0, theta = shrink_fit(orbit)
         for lvl, ratio in zip(rep.levels, rep.ratios):
@@ -242,9 +249,6 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
     cls = classify_parameter(fmap, config.orbit_n)
     if cls.kind is OrbitKind.ESCAPING:
         raise SystemExit("refusing to run: critical orbit escapes; no bounded rays")
-    for theta in angles:
-        if not 0.0 <= theta < 1.0:
-            raise SystemExit(f"invalid external angle {theta}: must lie in [0, 1) turns")
     cloud = build_postcritical_cloud(fmap, config.orbit_n)
     metric = SingularMetric.for_degree(cloud, fmap.d, Variant.RHO)
     depth = min(config.depth, 60)
@@ -430,7 +434,18 @@ def _validate(cfg: ExperimentConfig, command: str) -> None:
 
 
 def _parse_angles(text: str) -> List[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    """Comma-separated external angles, each a number in [0, 1) turns."""
+    angles = []
+    for tok in filter(str.strip, text.split(",")):
+        try:
+            theta = float(tok)
+        except ValueError:
+            theta = math.nan
+        if not 0.0 <= theta < 1.0:  # NaN fails too
+            raise SystemExit(f"invalid external angle {tok.strip()}: "
+                             "must be a number in [0, 1) turns")
+        angles.append(theta)
+    return angles
 
 
 def main(argv=None) -> int:

@@ -4,18 +4,23 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import EscapeError, InsideJuliaError
 
 # Iterates beyond this modulus are treated as escaped for potential/distance
 # purposes; large enough that the Boettcher correction is below 1e-10.
 POTENTIAL_ESCAPE_RADIUS = 1e10
+
+# Clouds up to this size are searched point by point; a KD-tree pays off only
+# above it (2.09M queries: 0.05 s direct against 0.57 s tree at 2 points,
+# 0.77 s against 1.19 s at 32).
+DIRECT_SEARCH_MAX = 32
 
 
 @dataclass(frozen=True)
@@ -148,18 +153,27 @@ def classify_parameter(
 @dataclass
 class PostcriticalCloud:
     """Finite approximation of P(f): the first N critical-orbit points,
-    deduplicated at ``tol_dedup``, with a KD-tree for nearest-point queries."""
+    deduplicated at ``tol_dedup``, for nearest-point queries.
+
+    Up to ``DIRECT_SEARCH_MAX`` points the distance is the square root of the
+    least ``dx*dx + dy*dy`` over the points, bit for bit what ``cKDTree.query``
+    returns; larger clouds build that tree on their first query, the only use
+    of SciPy here."""
 
     points: np.ndarray  # shape (m, 2), real/imag columns
     n_iterates: int
     tol_dedup: float
-    _tree: cKDTree = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if len(self.points) == 0:
             raise ValueError("cloud must be non-empty")
-        if self._tree is None:
-            self._tree = cKDTree(self.points)
+
+    @functools.cached_property
+    def _tree(self):
+        if len(self.points) <= DIRECT_SEARCH_MAX:
+            return None
+        from scipy.spatial import cKDTree
+        return cKDTree(self.points)
 
     def __len__(self):
         return len(self.points)
@@ -175,13 +189,28 @@ class PostcriticalCloud:
         return max(abs(a - b) for a in pts for b in pts)
 
     def dist(self, z: complex) -> float:
-        d, _ = self._tree.query([z.real, z.imag])
-        return float(d)
+        if self._tree is not None:
+            d, _ = self._tree.query([z.real, z.imag])
+            return float(d)
+        x, y = float(z.real), float(z.imag)
+        # not abs(z - p): hypot rounds differently from the tree's sum of squares
+        return math.sqrt(min((x - px) * (x - px) + (y - py) * (y - py)
+                             for px, py in self.points.tolist()))
 
     def dist_many(self, zs: np.ndarray) -> np.ndarray:
-        xy = np.column_stack([zs.real, zs.imag])
-        d, _ = self._tree.query(xy)
-        return d
+        if self._tree is not None:
+            d, _ = self._tree.query(np.column_stack([zs.real, zs.imag]))
+            return d
+        x, y = zs.real, zs.imag
+        best = None
+        for px, py in self.points:
+            # dx*dx + dy*dy in place: two temporaries a point, not five
+            sq, dy = x - px, y - py
+            sq *= sq
+            dy *= dy
+            sq += dy
+            best = sq if best is None else np.minimum(best, sq, out=best)
+        return np.sqrt(best, out=best)
 
 
 def build_postcritical_cloud(
@@ -200,10 +229,6 @@ def build_postcritical_cloud(
             kept.append(z)
     points = np.array([[z.real, z.imag] for z in kept])
     return PostcriticalCloud(points, n, tol_dedup)
-
-
-def dist_to_cloud(cloud: PostcriticalCloud, z: complex) -> float:
-    return cloud.dist(z)
 
 
 def green_potential(

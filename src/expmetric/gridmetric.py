@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .metrics import SingularMetric
 
@@ -29,7 +27,7 @@ class PathMetricGrid:
     n_rows: int
     h: float
     metric: Optional[SingularMetric]
-    graph: "coo_matrix" = field(repr=False)
+    graph: "scipy.sparse.csr_matrix" = field(repr=False)
     _dist_cache: dict = field(default_factory=dict, repr=False)
 
     def node_coords(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -69,6 +67,8 @@ def build_grid(
 
     ``metric=None`` builds the Euclidean (density 1) grid.
     """
+    from scipy.sparse import coo_matrix
+
     if resolution < 16:
         raise ValueError("resolution must be >= 16")
     lo, hi = bbox
@@ -127,6 +127,14 @@ def build_grid(
         shape=(n, n),
     ).tocsr()
     return PathMetricGrid(lo, hi, n_cols, n_rows, h, metric, graph)
+
+
+def dijkstra(*args, **kwargs):
+    """``scipy.sparse.csgraph.dijkstra``, imported when called so that only
+    the grid metric loads SciPy; a module global, so callers can wrap it."""
+    from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
+
+    return csgraph_dijkstra(*args, **kwargs)
 
 
 def _path_weight(grid: PathMetricGrid, a: int, b: int) -> float:

@@ -9,6 +9,7 @@ import expmetric as em
 from expmetric.backward import (
     BackwardDiskOrbit,
     CaseLabel,
+    _polygon_diameter,
     case3_bound_check,
     classify_level,
     conformal_radius_proxy,
@@ -18,7 +19,7 @@ from expmetric.backward import (
     shrink_fit,
     winding_number,
 )
-from expmetric.errors import SamplingResolutionError
+from expmetric.errors import DomainError, SamplingResolutionError
 from expmetric.metrics import SingularMetric, Variant
 
 SQRT2 = math.sqrt(2.0)
@@ -227,6 +228,16 @@ def test_coarse_boundary_around_critical_value_rejected():
         pull_back(fmap, orbit, 1, branch_rule="fixed-index:0")
 
 
+@pytest.mark.parametrize("m", [64, 128, 1000])
+def test_polygon_diameter_blocks_match_full_matrix(m):
+    rng = np.random.default_rng(m)
+    samples = rng.normal(size=m) + 1j * rng.normal(size=m)
+    planted = samples.copy()
+    planted[-2:] = 100, -100j  # the farthest pair, both in the last row block
+    for s in (samples, planted):
+        assert _polygon_diameter(s) == np.abs(s[:, None] - s[None, :]).max()
+
+
 # ------------------------------------------------------------- case labels
 
 
@@ -276,6 +287,23 @@ def test_at_most_one_critical_label():
             pull_back(fmap, orbit, 15, rng=np.random.default_rng(seed))
             crit = sum(lab is CaseLabel.CRITICAL for lab in orbit.labels[1:])
             assert crit <= 1
+
+
+def test_second_critical_level_stops_pull_back():
+    # B(0.5, 3) holds the whole Julia set of z^2 - 2; along these branches
+    # its pullbacks meet the critical value again at level 2, and every
+    # further critical lift would double the samples.  Without the limit
+    # the orbit goes on.
+    fmap = cheb()
+    orbit = fresh_orbit(fmap, 0.5, 3.0)
+    with pytest.raises(DomainError, match="level 2 is critical level 2 of the orbit"):
+        pull_back(fmap, orbit, 10, branch_rule="fixed-index:0", max_critical=1)
+    assert orbit.depth == 2
+    assert orbit.labels[1:] == [CaseLabel.CRITICAL, CaseLabel.CRITICAL]
+    assert len(orbit.boundary[-1]) == 64 * 2 * 2
+    orbit = fresh_orbit(fmap, 0.5, 3.0)
+    pull_back(fmap, orbit, 3, branch_rule="fixed-index:0")
+    assert orbit.depth == 3
 
 
 # ------------------------------------------------------------ expansion fit

@@ -3,6 +3,9 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +103,34 @@ def test_rays_rejects_invalid_angle(tmp_path):
     with pytest.raises(SystemExit, match="invalid external angle 1.5"):
         cli.main(["rays", "--c-re", "-2", "--angles", "0,1.5",
                   "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("command", [["rays", "--angles"],
+                                     ["render", "--width", "8", "--height", "8", "--rays"]],
+                         ids=["rays", "render"])
+@pytest.mark.parametrize("angle", ["x", "nan", "1.5", "-0.25", "inf"])
+def test_invalid_angle_is_one_line(tmp_path, command, angle):
+    with pytest.raises(SystemExit, match=f"invalid external angle {angle}: ") as exc:
+        cli.main([*command, f"0.25,{angle}", "--c-re", "-2", "--out", str(tmp_path)])
+    assert "\n" not in str(exc.value.code)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flags, reason", [
+    # the disk holds the whole Julia set of z^2 - 2; this orbit meets the
+    # critical value again at level 2, and without the limit its samples
+    # would double every level until memory runs out
+    (["--c-re", "-2", "--epsilon", "3", "--orbits", "1", "--seed", "4"],
+     "level 2 is critical level 2 of the orbit, past the limit of 1"),
+    (["--c-re", "0", "--c-im", "1", "--epsilon", "1", "--orbits", "2"],
+     "boundary sampled too coarsely"),
+], ids=["second-critical-level", "coarse-boundary"])
+def test_expansion_refuses_oversized_disk(tmp_path, flags, reason):
+    with pytest.raises(SystemExit, match=reason) as exc:
+        cli.main(["expansion", *flags, "--depth", "10", "--out", str(tmp_path)])
+    assert str(exc.value.code).startswith("refusing to continue: orbit ")
+    assert "\n" not in str(exc.value.code)
+    assert not any(tmp_path.iterdir())
 
 
 # -------------------------------------------------------------------- config
@@ -322,8 +353,45 @@ def test_bench_tracer_finds_every_wrapped_name():
     try:
         assert cli.trace_ray is not before["cli"]["trace_ray"]
         assert metrics.SingularMetric.density_array is not density_array
+        # the SciPy search runs behind gridmetric's own dijkstra, so the
+        # tracer's wrapper there must see every search
+        assert gridmetric.dijkstra is not before["gridmetric"]["dijkstra"]
+        grid = gridmetric.build_grid(None, (0j, 1 + 1j), 16)
+        assert gridmetric.grid_distance(grid, 0j, 1 + 1j) == pytest.approx(math.sqrt(2))
+        assert tracer.counts["gridmetric.dijkstra_sources"] == 1
+        assert [(s[0], s[3]) for s in tracer.spans] == [
+            ("gridmetric.grid_distance", -1), ("gridmetric.dijkstra", 0)]
     finally:
         tracer.uninstall()
     for name, m in modules.items():
         assert all(vars(m)[k] is v for k, v in before[name].items())
     assert metrics.SingularMetric.density_array is density_array
+
+
+def test_scipy_loads_only_for_holder(tmp_path):
+    # SciPy takes most of the package's import time, and only the grid
+    # metric (and clouds past DIRECT_SEARCH_MAX points) needs it
+    script = f"""
+import sys
+from expmetric import cli
+
+def run(*argv):
+    assert cli.main([*argv, "--out", {str(tmp_path)!r}]) == 0
+
+run("classify", "--c-re", "-2")
+run("classify", "--c-re", "0.25", "--orbit-n", "200")  # a 200-point cloud
+run("expansion", "--c-re", "-2", "--orbits", "2", "--depth", "10")
+run("rays", "--c-re", "0", "--c-im", "1", "--angles", "0,0.5", "--depth", "8")
+run("render", "--width", "16", "--height", "16", "--rays", "0.25", "--depth", "8")
+run("render", "--layer", "density-rho", "--width", "16", "--height", "16")
+print("scipy modules:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+run("holder", "--c-re", "-2", "--grid-res", "64")
+print("scipy modules:", "scipy" in sys.modules)
+"""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert [line for line in out if line.startswith("scipy")] == [
+        "scipy modules: []", "scipy modules: True"]

@@ -149,10 +149,10 @@ def test_cloud_forward_near_invariance():
 
 def test_dist_to_cloud_oracles():
     cloud = em.build_postcritical_cloud(em.UnicriticalMap(2, -2), 50)
-    assert em.dist_to_cloud(cloud, 0) == pytest.approx(2.0)
-    assert em.dist_to_cloud(cloud, 2) == pytest.approx(0.0, abs=1e-15)
+    assert cloud.dist(0) == pytest.approx(2.0)
+    assert cloud.dist(2) == pytest.approx(0.0, abs=1e-15)
     cloud_i = em.build_postcritical_cloud(em.UnicriticalMap(2, 1j), 50)
-    assert em.dist_to_cloud(cloud_i, 0) == pytest.approx(1.0)
+    assert cloud_i.dist(0) == pytest.approx(1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -177,6 +177,24 @@ def test_cloud_monotone_refinement():
     for _ in range(50):
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         assert large.dist(z) <= small.dist(z) + 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 32, 33])
+def test_cloud_search_matches_kdtree_bitwise(m):
+    # direct search up to DIRECT_SEARCH_MAX points, the tree above: both must
+    # give exactly the tree's distances, or reports would move by an ulp
+    from scipy.spatial import cKDTree
+
+    rng = np.random.default_rng(m)
+    pts = rng.uniform(-2, 2, (m, 2))
+    cloud = em.PostcriticalCloud(pts, m, 1e-9)
+    assert (cloud._tree is None) == (m <= em.dynamics.DIRECT_SEARCH_MAX)
+    zs = rng.uniform(-3, 3, 5000) + 1j * rng.uniform(-3, 3, 5000)
+    zs[:m] = pts[:, 0] + 1j * pts[:, 1]  # queries on the cloud itself
+    expected, _ = cKDTree(pts).query(np.column_stack([zs.real, zs.imag]))
+    got = cloud.dist_many(zs)
+    assert np.array_equal(got, expected)
+    assert all(cloud.dist(z) == d for z, d in zip(zs[:500].tolist(), got[:500]))
 
 
 def test_dist_many_matches_scalar():
