@@ -25,7 +25,7 @@ from .dynamics import (  # noqa: F401
     preimage_branch,
     preimages,
 )
-from .errors import DomainError, SamplingResolutionError
+from .errors import SamplingResolutionError
 from .metrics import SingularMetric
 
 CLOUD_EXCLUSION = 1e-9
@@ -191,14 +191,9 @@ def pull_back(
     steps: int,
     branch_rule: BranchRule = "random-seeded",
     rng: Optional[np.random.Generator] = None,
-    max_critical: Optional[int] = None,
 ) -> BackwardDiskOrbit:
     """Extend the orbit by ``steps`` inverse images: center by the branch rule,
-    boundary by the continuous lift, plus diameters and case labels.
-
-    With ``max_critical`` set, a critical level beyond that many raises
-    DomainError before any further lift: each critical lift multiplies the
-    boundary samples by d."""
+    boundary by the continuous lift, plus diameters and case labels."""
     for _ in range(steps):
         cands = preimages(fmap, orbit.points[-1])
         k = _choose_branch(branch_rule, cands, orbit.depth + 1, rng)
@@ -209,12 +204,6 @@ def pull_back(
         orbit.offsets.append(offsets)
         orbit.diams.append(_polygon_diameter(offsets))
         orbit.labels.append(classify_level(orbit, orbit.depth))
-        n_critical = orbit.labels.count(CaseLabel.CRITICAL)
-        if max_critical is not None and n_critical > max_critical:
-            raise DomainError(
-                f"level {orbit.depth} is critical level {n_critical} of the orbit, "
-                f"past the limit of {max_critical}"
-            )
     return orbit
 
 

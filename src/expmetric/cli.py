@@ -21,7 +21,14 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .backward import MIN_FIT_LEVELS, BackwardDiskOrbit, expansion_ratios, pull_back, shrink_fit
+from .backward import (
+    MIN_FIT_LEVELS,
+    BackwardDiskOrbit,
+    CaseLabel,
+    expansion_ratios,
+    pull_back,
+    shrink_fit,
+)
 from .dynamics import (
     OrbitKind,
     UnicriticalMap,
@@ -149,13 +156,21 @@ def cmd_expansion(config: ExperimentConfig) -> dict:
     for k, z0 in enumerate(bases):
         orbit = BackwardDiskOrbit(fmap, z0, eps, cloud=cloud)
         orbit_rng = np.random.default_rng([config.seed, k])
+        # one level at a time, so that a disk too large for the proof stops
+        # before its next lift: one that meets the critical value twice is past
+        # the single critical pass, and each critical lift multiplies its
+        # samples by d
+        why = None
         try:
-            pull_back(fmap, orbit, config.depth, "random-seeded", orbit_rng, max_critical=1)
-        except (DomainError, SamplingResolutionError) as exc:
-            # the disk is too large: it meets the critical value twice, past
-            # the single critical pass the proof covers, or its boundary is
-            # too coarse to lift
-            raise SystemExit(f"refusing to continue: orbit {k} at epsilon {eps!r}: {exc}; "
+            for _ in range(config.depth):
+                pull_back(fmap, orbit, 1, "random-seeded", orbit_rng)
+                if orbit.labels.count(CaseLabel.CRITICAL) > 1:
+                    why = f"level {orbit.depth} is its second critical level"
+                    break
+        except SamplingResolutionError as exc:
+            why = str(exc)
+        if why:
+            raise SystemExit(f"refusing to continue: orbit {k} at epsilon {eps!r}: {why}; "
                              "try a smaller --epsilon")
         rep = expansion_ratios(orbit, metric)
         c0, theta = shrink_fit(orbit)

@@ -300,15 +300,25 @@ def test_criterion_5_pullback_shrinking(runs):
                  f"stub theta {theta_stub:.4f}; {secs:.1f}s")
 
 
-def test_criterion_6_single_critical_pass(runs):
+def test_criterion_6_single_critical_pass(runs, tmp_path):
     multi = []
     for name in ("expansion-cheb", "expansion-i"):
         for summary in _report(runs, name)["orbits"]:
             if summary["case_counts"]["critical"] > 1:
                 multi.append((name, summary["orbit"]))
-    assert _line(6, "single critical pass", not multi,
+    # the command itself refuses an orbit's second critical level: a disk
+    # holding the whole Julia set of z^2 - 2 meets the critical value twice
+    refusal = ""
+    try:
+        with redirect_stdout(io.StringIO()):
+            cli.main(["expansion", "--c-re", "-2", "--epsilon", "3", "--orbits", "1",
+                      "--depth", "10", "--seed", "4", "--out", str(tmp_path)])
+    except SystemExit as exc:
+        refusal = str(exc.code)
+    refused = "second critical level" in refusal and "\n" not in refusal
+    assert _line(6, "single critical pass", not multi and refused,
                  f"{len(multi)} orbits with two critical labels "
-                 "across 100 orbits")
+                 f"across 100 orbits; epsilon 3 {'refused' if refused else 'NOT refused'}")
 
 
 def test_criterion_7_hoelder_equivalence():

@@ -19,7 +19,7 @@ from expmetric.backward import (
     shrink_fit,
     winding_number,
 )
-from expmetric.errors import DomainError, SamplingResolutionError
+from expmetric.errors import SamplingResolutionError
 from expmetric.metrics import SingularMetric, Variant
 
 SQRT2 = math.sqrt(2.0)
@@ -287,23 +287,6 @@ def test_at_most_one_critical_label():
             pull_back(fmap, orbit, 15, rng=np.random.default_rng(seed))
             crit = sum(lab is CaseLabel.CRITICAL for lab in orbit.labels[1:])
             assert crit <= 1
-
-
-def test_second_critical_level_stops_pull_back():
-    # B(0.5, 3) holds the whole Julia set of z^2 - 2; along these branches
-    # its pullbacks meet the critical value again at level 2, and every
-    # further critical lift would double the samples.  Without the limit
-    # the orbit goes on.
-    fmap = cheb()
-    orbit = fresh_orbit(fmap, 0.5, 3.0)
-    with pytest.raises(DomainError, match="level 2 is critical level 2 of the orbit"):
-        pull_back(fmap, orbit, 10, branch_rule="fixed-index:0", max_critical=1)
-    assert orbit.depth == 2
-    assert orbit.labels[1:] == [CaseLabel.CRITICAL, CaseLabel.CRITICAL]
-    assert len(orbit.boundary[-1]) == 64 * 2 * 2
-    orbit = fresh_orbit(fmap, 0.5, 3.0)
-    pull_back(fmap, orbit, 3, branch_rule="fixed-index:0")
-    assert orbit.depth == 3
 
 
 # ------------------------------------------------------------ expansion fit

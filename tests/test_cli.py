@@ -121,7 +121,7 @@ def test_invalid_angle_is_one_line(tmp_path, command, angle):
     # critical value again at level 2, and without the limit its samples
     # would double every level until memory runs out
     (["--c-re", "-2", "--epsilon", "3", "--orbits", "1", "--seed", "4"],
-     "level 2 is critical level 2 of the orbit, past the limit of 1"),
+     "level 2 is its second critical level"),
     (["--c-re", "0", "--c-im", "1", "--epsilon", "1", "--orbits", "2"],
      "boundary sampled too coarsely"),
 ], ids=["second-critical-level", "coarse-boundary"])
@@ -131,6 +131,24 @@ def test_expansion_refuses_oversized_disk(tmp_path, flags, reason):
     assert str(exc.value.code).startswith("refusing to continue: orbit ")
     assert "\n" not in str(exc.value.code)
     assert not any(tmp_path.iterdir())
+
+
+def test_second_critical_level_stops_before_next_lift(tmp_path, monkeypatch):
+    orbits = []
+
+    def recording(fmap, orbit, *args):
+        orbits.append(orbit)
+        return backward.pull_back(fmap, orbit, *args)
+
+    monkeypatch.setattr(cli, "pull_back", recording)
+    with pytest.raises(SystemExit, match="level 2 is its second critical level"):
+        cli.main(["expansion", "--c-re", "-2", "--epsilon", "3", "--orbits", "1",
+                  "--depth", "10", "--seed", "4", "--out", str(tmp_path)])
+    orbit = orbits[-1]
+    assert len(orbits) == orbit.depth == 2
+    assert orbit.labels[1:] == [backward.CaseLabel.CRITICAL] * 2
+    # each critical lift doubled the samples; a third lift never ran
+    assert len(orbit.boundary[-1]) == 4 * len(orbit.boundary[0])
 
 
 # -------------------------------------------------------------------- config
