@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -24,12 +24,15 @@ from .dynamics import (  # noqa: F401
     orbit_derivative_magnitude,
     preimage_branch,
     preimages,
+    set_diameter,
 )
 from .errors import SamplingResolutionError
 from .metrics import SingularMetric
 
 CLOUD_EXCLUSION = 1e-9
 MIN_FIT_LEVELS = 10
+# Samples on the boundary circle of the level-0 disk.
+BOUNDARY_SAMPLES = 64
 # A phase step of arg(z - c) this close to pi between neighbouring boundary
 # samples puts c within 0.08 chord lengths of the chord between them, which
 # leaves the side on which the boundary passes c undecided; the chords of a
@@ -49,9 +52,7 @@ class BackwardDiskOrbit:
     z0: complex
     epsilon: float
     cloud: Optional[PostcriticalCloud] = None
-    n_boundary: int = 64
     points: List[complex] = field(default_factory=list)
-    branch_choices: List[int] = field(default_factory=list)
     boundary: List[np.ndarray] = field(default_factory=list)
     # boundary samples minus the level's center, kept apart because the
     # absolute samples lose all relative precision once the diameter nears
@@ -63,11 +64,11 @@ class BackwardDiskOrbit:
     def __post_init__(self):
         if not self.points:
             self.points = [complex(self.z0)]
-            angles = 2.0 * math.pi * np.arange(self.n_boundary) / self.n_boundary
+            angles = 2.0 * math.pi * np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
             offsets = self.epsilon * np.exp(1j * angles)
             self.boundary = [self.z0 + offsets]
             self.offsets = [offsets]
-            self.diams = [_polygon_diameter(offsets)]
+            self.diams = [set_diameter(offsets)]
             self.labels = [None]  # level 0 is the reference disk, not a pullback
 
     @property
@@ -79,18 +80,6 @@ class BackwardDiskOrbit:
             if lab is CaseLabel.CRITICAL:
                 return n
         return None
-
-
-def _polygon_diameter(samples: np.ndarray) -> float:
-    """Largest distance between two samples, each pair visited once, in row
-    blocks of at most 4096 pairs.  A full m x m temporary costs 16 m^2 bytes;
-    at 128 samples (256 KiB) it took up to three times as long as the blocks
-    in a process without SciPy loaded, likely allocator behaviour (glibc
-    serves blocks that large by mmap until its threshold adapts)."""
-    m = len(samples)
-    r = max(1, 4096 // m)
-    return float(max(np.abs(samples[i:i + r, None] - samples[None, i:]).max()
-                     for i in range(0, m, r)))
 
 
 def _phase_steps(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -105,26 +94,6 @@ def _phase_steps(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
 def winding_number(polygon: np.ndarray, point: complex) -> int:
     """Winding number of a closed sample polygon around ``point``."""
     return _phase_steps(polygon - point)[2]
-
-
-BranchRule = Union[str, Callable[[List[complex], int], int]]
-
-
-def _choose_branch(
-    rule: BranchRule, cands: List[complex], level: int, rng: Optional[np.random.Generator]
-) -> int:
-    if callable(rule):
-        return rule(cands, level)
-    if rule == "random-seeded":
-        if rng is None:
-            raise ValueError("random-seeded branch rule requires an rng")
-        return int(rng.integers(len(cands)))
-    if rule.startswith("fixed-index"):
-        parts = rule.split(":")
-        return int(parts[1]) if len(parts) > 1 else 0
-    if rule == "toward-critical":
-        return min(range(len(cands)), key=lambda i: abs(cands[i]))
-    raise ValueError(f"unknown branch rule {rule!r}")
 
 
 def _lift_boundary(
@@ -143,8 +112,7 @@ def _lift_boundary(
     phase, steps, winding = _phase_steps(u)
     if not u.all() or np.abs(steps).max() > MAX_PHASE_STEP:
         raise SamplingResolutionError(
-            "boundary sampled too coarsely around the critical value; "
-            "raise the sample count"
+            "boundary sampled too coarsely around the critical value"
         )
     unwrapped = phase[0] + np.concatenate(([0.0], np.cumsum(steps[:-1])))
     sheets = np.rint((unwrapped - phase) / (2.0 * math.pi)).astype(int)
@@ -163,9 +131,7 @@ def _lift_boundary(
     return lifted, offsets
 
 
-def classify_level(
-    orbit: BackwardDiskOrbit, n: int, cloud: Optional[PostcriticalCloud] = None
-) -> CaseLabel:
+def classify_level(orbit: BackwardDiskOrbit, n: int) -> CaseLabel:
     """Pullback case at level n: Critical when the level n-1 polygon winds
     around the critical value (mod d), Univalent-MeetsP when the level n
     polygon winds around a cloud point, else Univalent-NoP."""
@@ -175,9 +141,8 @@ def classify_level(
     if winding_number(orbit.boundary[n - 1], fmap.c) % fmap.d:
         return CaseLabel.CRITICAL
     poly = orbit.boundary[n]
-    cloud = cloud or orbit.cloud
-    if cloud is not None:
-        pts = cloud.points_complex
+    if orbit.cloud is not None:
+        pts = orbit.cloud.points_complex
         in_box = ((poly.real.min() <= pts.real) & (pts.real <= poly.real.max())
                   & (poly.imag.min() <= pts.imag) & (pts.imag <= poly.imag.max()))
         if any(winding_number(poly, p) for p in pts[in_box]):
@@ -189,20 +154,23 @@ def pull_back(
     fmap: UnicriticalMap,
     orbit: BackwardDiskOrbit,
     steps: int,
-    branch_rule: BranchRule = "random-seeded",
-    rng: Optional[np.random.Generator] = None,
+    branch: Union[int, np.random.Generator],
 ) -> BackwardDiskOrbit:
-    """Extend the orbit by ``steps`` inverse images: center by the branch rule,
-    boundary by the continuous lift, plus diameters and case labels."""
+    """Extend the orbit by ``steps`` inverse images: the center by root number
+    ``branch`` of ``preimages``, or by one drawn from ``branch`` at each level
+    when it is a generator; the boundary by the continuous lift; plus
+    diameters and case labels."""
+    random = isinstance(branch, np.random.Generator)
+    if not random and not 0 <= branch < fmap.d:
+        raise ValueError(f"branch must lie in 0..{fmap.d - 1}, got {branch!r}")
     for _ in range(steps):
         cands = preimages(fmap, orbit.points[-1])
-        k = _choose_branch(branch_rule, cands, orbit.depth + 1, rng)
+        k = int(branch.integers(fmap.d)) if random else branch
         lifted, offsets = _lift_boundary(fmap, orbit.boundary[-1], orbit.offsets[-1], cands[k])
         orbit.points.append(cands[k])
-        orbit.branch_choices.append(k)
         orbit.boundary.append(lifted)
         orbit.offsets.append(offsets)
-        orbit.diams.append(_polygon_diameter(offsets))
+        orbit.diams.append(set_diameter(offsets))
         orbit.labels.append(classify_level(orbit, orbit.depth))
     return orbit
 
@@ -221,13 +189,9 @@ class ExpansionReport:
     ratios: List[float]
     levels: List[int]
     skipped_levels: List[int]
-    log_slope: float
     lam: float
     constant: float
     case_counts: dict
-
-    def predicted(self, n: int) -> float:
-        return self.constant * self.lam**n
 
 
 def expansion_ratios(
@@ -257,7 +221,6 @@ def expansion_ratios(
         ratios=np.exp(logs).tolist(),
         levels=levels.tolist(),
         skipped_levels=(np.flatnonzero(on_cloud) + 1).tolist(),
-        log_slope=float(slope),
         lam=float(math.exp(slope)),
         constant=float(math.exp(intercept)),
         case_counts={lab.value: v for lab, v in counts.items()},

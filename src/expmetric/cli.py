@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -39,6 +39,7 @@ from .dynamics import (
 )
 from .errors import DomainError, RayTracingError, SamplingResolutionError
 from .gridmetric import (
+    MIN_RESOLUTION,
     build_grid,
     grid_distance,
     holder_fit,
@@ -47,7 +48,7 @@ from .gridmetric import (
 )
 from .metrics import SingularMetric, Variant
 # trace_ray is not called here but stays importable: bench/tracing.py wraps it by this name
-from .rays import john_constant_along_ray, john_report, rho_length_of_ray, trace_ray, trace_rays  # noqa: F401
+from .rays import MAX_RAY_DEPTH, john_constant_along_ray, john_report, rho_length_of_ray, trace_ray, trace_rays  # noqa: F401
 from .render import RenderSpec, density_field, distance_field, escape_time_field, overlay_polyline, to_rgb, write_ppm
 
 OUTPUT_DIR_ENV = "EXPMETRIC_OUT"
@@ -163,7 +164,7 @@ def cmd_expansion(config: ExperimentConfig) -> dict:
         why = None
         try:
             for _ in range(config.depth):
-                pull_back(fmap, orbit, 1, "random-seeded", orbit_rng)
+                pull_back(fmap, orbit, 1, orbit_rng)
                 if orbit.labels.count(CaseLabel.CRITICAL) > 1:
                     why = f"level {orbit.depth} is its second critical level"
                     break
@@ -201,16 +202,21 @@ def cmd_expansion(config: ExperimentConfig) -> dict:
     return report
 
 
-def holder_sample_pairs(
-    cloud, rng: np.random.Generator, n_scales: int = 10, per_scale: int = 8,
-    s_min: float = 0.004, s_max: float = 0.8,
-) -> List[Tuple[complex, complex]]:
+# holder's pairs: PAIRS_PER_SCALE at each of HOLDER_SCALES log-spaced
+# separations from HOLDER_SEPARATIONS[0] to HOLDER_SEPARATIONS[1]
+HOLDER_SCALES = 10
+PAIRS_PER_SCALE = 8
+HOLDER_SEPARATIONS = (0.004, 0.8)
+
+
+def holder_sample_pairs(cloud, rng: np.random.Generator) -> List[Tuple[complex, complex]]:
     """Pairs straddling cloud points at log-spaced separations."""
     pts = cloud.points_complex
-    scales = np.exp(np.linspace(math.log(s_min), math.log(s_max), n_scales))
+    s_min, s_max = HOLDER_SEPARATIONS
+    scales = np.exp(np.linspace(math.log(s_min), math.log(s_max), HOLDER_SCALES))
     pairs = []
     for s in scales:
-        for _ in range(per_scale):
+        for _ in range(PAIRS_PER_SCALE):
             p = complex(pts[int(rng.integers(len(pts)))])
             phi = rng.uniform(0.0, 2.0 * math.pi)
             u = cmath.exp(1j * phi)
@@ -266,14 +272,13 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
         raise SystemExit("refusing to run: critical orbit escapes; no bounded rays")
     cloud = build_postcritical_cloud(fmap, config.orbit_n)
     metric = SingularMetric.for_degree(cloud, fmap.d, Variant.RHO)
-    depth = min(config.depth, 60)
 
     poly_rows = []
     entries = []
     scaling_rows = []
     failures = []
     try:
-        rays = trace_rays(fmap, angles, depth)
+        rays = trace_rays(fmap, angles, config.depth)
     except RayTracingError as exc:
         rays = []
         failures.extend({"theta": theta, "error": str(exc)} for theta in angles)
@@ -293,7 +298,7 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
             failures.append({"theta": theta, "error": "no landing estimate"})
 
     report = _report_header(config, cloud)
-    report["depth"] = depth
+    report["depth"] = config.depth
     report["failures"] = failures
     if entries:
         jr = john_report(entries)
@@ -326,9 +331,9 @@ def cmd_render(config: ExperimentConfig, spec: RenderSpec) -> Path:
             rgb = to_rgb(distance_field(metric, spec))
         else:
             variant = Variant.RHO if spec.layer == "density-rho" else Variant.SIGMA
-            metric = SingularMetric(cloud, 1.0 - 1.0 / fmap.d, variant)
+            metric = SingularMetric.for_degree(cloud, fmap.d, variant)
             rgb = to_rgb(density_field(metric, spec), log_scale=True)
-    for ray in trace_rays(fmap, spec.ray_angles, min(config.depth, 60)):
+    for ray in trace_rays(fmap, spec.ray_angles, config.depth):
         overlay_polyline(rgb, spec, ray.polyline)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     path = config.out_dir / "render.ppm"
@@ -405,16 +410,27 @@ def _config_from_args(args) -> ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise SystemExit(f"config parse error in {args.config}: "
                              f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or a huge integer
+            raise SystemExit(f"config parse error in {args.config}: {exc}")
+        if not isinstance(overrides, dict):
+            raise SystemExit(f"config parse error in {args.config}: "
+                             f"expected a JSON object, got {type(overrides).__name__}")
+        names = {f.name for f in fields(cfg)}
         for key, value in overrides.items():
             if key == "c":
                 if not (isinstance(value, list) and len(value) == 2
-                        and all(_is_number(v) and math.isfinite(v) for v in value)):
+                        and all(_is_number(v) for v in value)):
                     raise SystemExit("invalid config: c must be a list of two numbers "
                                      f"[re, im], got {value!r}")
-                cfg.c = complex(value[0], value[1])
+                try:
+                    cfg.c = complex(value[0], value[1])
+                except OverflowError:  # an integer beyond the float range
+                    raise SystemExit(f"invalid config: c must be finite, got {value!r}")
             elif key == "out_dir":
+                if not isinstance(value, str):
+                    raise SystemExit(f"invalid config: out_dir must be a string, got {value!r}")
                 cfg.out_dir = Path(value)
-            elif hasattr(cfg, key):
+            elif key in names:
                 setattr(cfg, key, value)
             else:
                 raise SystemExit(f"config parse error: unknown field {key!r}")
@@ -432,6 +448,9 @@ def _validate(cfg: ExperimentConfig, command: str) -> None:
         value = getattr(cfg, name)
         if isinstance(value, bool) or not isinstance(value, int):
             raise SystemExit(f"invalid config: {name} must be an integer, got {value!r}")
+    if not (math.isfinite(cfg.c.real) and math.isfinite(cfg.c.imag)):
+        raise SystemExit("invalid config: c must be finite, got "
+                         f"[{cfg.c.real!r}, {cfg.c.imag!r}]")
     eps = cfg.epsilon
     if eps is not None and not (_is_number(eps) and 0 < eps < math.inf):
         raise SystemExit(f"invalid config: epsilon must be a positive number, got {eps!r}")
@@ -441,8 +460,14 @@ def _validate(cfg: ExperimentConfig, command: str) -> None:
         if getattr(cfg, name) < 1:
             raise SystemExit(f"invalid config: {name} must be at least 1, "
                              f"got {getattr(cfg, name)}")
-    if command in ("rays", "render") and cfg.depth < 1:
-        raise SystemExit(f"invalid config: rays need depth >= 1, got {cfg.depth}")
+    if cfg.seed < 0:
+        raise SystemExit(f"invalid config: seed must be at least 0, got {cfg.seed}")
+    if command == "holder" and cfg.grid_res < MIN_RESOLUTION:
+        raise SystemExit(f"invalid config: holder needs grid_res >= {MIN_RESOLUTION}, "
+                         f"got {cfg.grid_res}")
+    if command in ("rays", "render") and not 1 <= cfg.depth <= MAX_RAY_DEPTH:
+        bound = ">= 1" if cfg.depth < 1 else f"<= {MAX_RAY_DEPTH}"
+        raise SystemExit(f"invalid config: rays need depth {bound}, got {cfg.depth}")
     if command == "expansion" and cfg.depth < MIN_FIT_LEVELS:
         raise SystemExit(f"invalid config: expansion needs depth >= {MIN_FIT_LEVELS} "
                          f"for the shrink fit, got {cfg.depth}")

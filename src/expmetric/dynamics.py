@@ -16,6 +16,15 @@ from .errors import EscapeError, InsideJuliaError
 # Iterates beyond this modulus are treated as escaped for potential/distance
 # purposes; large enough that the Boettcher correction is below 1e-10.
 POTENTIAL_ESCAPE_RADIUS = 1e10
+# Iterates the potential and the Julia distance estimate take to escape.
+POTENTIAL_MAX_ITER = 400
+# A critical orbit whose least modulus is at most this is recurrent, at most
+# twice this undetermined.
+RECURRENCE_DELTA = 1e-3
+# Critical-orbit points closer than this to a kept one are not kept again.
+CLOUD_DEDUP_TOL = 1e-9
+# Backward steps from the repelling fixed point to each sampled Julia point.
+JULIA_SAMPLE_STEPS = 36
 
 # Clouds up to this size are searched point by point, larger ones by a KD-tree.
 # Per query, with SciPy already loaded, the tree wins between 32 and 64 points;
@@ -66,21 +75,24 @@ class OrbitClassification:
             raise ValueError("escape_index must be present iff kind is ESCAPING")
 
 
-def critical_orbit(fmap: UnicriticalMap, n: int, r_esc: Optional[float] = None):
+def critical_orbit(fmap: UnicriticalMap, n: int):
     """Forward orbit [f(0), ..., f^N(0)] of the critical point.
 
     Stops early when the modulus exceeds the escape radius; the escape index
-    (1-based, position in the returned list) is returned alongside.
+    (1-based, position in the returned list) is returned alongside.  An
+    iterate that overflows has escaped and is recorded as infinite.
     """
     if n < 1:
         raise ValueError("need at least one iterate")
-    if r_esc is None:
-        r_esc = fmap.escape_radius()
+    r_esc = fmap.escape_radius()
     orbit = []
     z = 0.0 + 0.0j
     escape_index = None
     for k in range(1, n + 1):
-        z = fmap.evaluate(z)
+        try:
+            z = fmap.evaluate(z)
+        except OverflowError:
+            z = complex(math.inf, 0.0)
         orbit.append(z)
         if abs(z) > r_esc:
             escape_index = k
@@ -126,26 +138,20 @@ def orbit_derivative_magnitude(fmap: UnicriticalMap, z: complex, n: int) -> floa
     return math.exp(log_sum)
 
 
-def classify_parameter(
-    fmap: UnicriticalMap,
-    n: int = 100_000,
-    r_esc: Optional[float] = None,
-    delta_rec: float = 1e-3,
-) -> OrbitClassification:
+def classify_parameter(fmap: UnicriticalMap, n: int = 100_000) -> OrbitClassification:
     """Heuristic verdict on the critical orbit: escape, or bounded with/without
     observed recurrence.  The non-recurrence gap is the min of |f^n(0)| over the
     computed orbit; verdicts are configuration-dependent, never certificates.
     """
-    if n < 1 or delta_rec <= 0:
-        raise ValueError("need n >= 1 and delta_rec > 0")
-    orbit, escape_index = critical_orbit(fmap, n, r_esc)
-    if escape_index is not None:
-        gap = min(abs(z) for z in orbit)
-        return OrbitClassification(OrbitKind.ESCAPING, gap, len(orbit), escape_index)
+    if n < 1:
+        raise ValueError("need n >= 1")
+    orbit, escape_index = critical_orbit(fmap, n)
     gap = min(abs(z) for z in orbit)
-    if gap > 2 * delta_rec:
+    if escape_index is not None:
+        return OrbitClassification(OrbitKind.ESCAPING, gap, len(orbit), escape_index)
+    if gap > 2 * RECURRENCE_DELTA:
         kind = OrbitKind.BOUNDED_NONRECURRENT
-    elif gap > delta_rec:
+    elif gap > RECURRENCE_DELTA:
         kind = OrbitKind.UNDETERMINED
     else:
         kind = OrbitKind.BOUNDED_RECURRENT
@@ -155,7 +161,7 @@ def classify_parameter(
 @dataclass
 class PostcriticalCloud:
     """Finite approximation of P(f): the first N critical-orbit points,
-    deduplicated at ``tol_dedup``, for nearest-point queries.
+    deduplicated at ``CLOUD_DEDUP_TOL``, for nearest-point queries.
 
     Up to ``DIRECT_SEARCH_MAX`` points the distance is the square root of the
     least ``dx*dx + dy*dy`` over the points, bit for bit what ``cKDTree.query``
@@ -163,8 +169,6 @@ class PostcriticalCloud:
     of SciPy here."""
 
     points: np.ndarray  # shape (m, 2), real/imag columns
-    n_iterates: int
-    tol_dedup: float
 
     def __post_init__(self):
         if len(self.points) == 0:
@@ -185,10 +189,7 @@ class PostcriticalCloud:
         return self.points[:, 0] + 1j * self.points[:, 1]
 
     def diameter(self) -> float:
-        pts = self.points_complex
-        if len(pts) == 1:
-            return 0.0
-        return max(abs(a - b) for a in pts for b in pts)
+        return set_diameter(self.points_complex)
 
     def dist(self, z: complex) -> float:
         return float(self.dist_many(np.array([complex(z)]))[0])
@@ -210,36 +211,45 @@ class PostcriticalCloud:
         return np.sqrt(best, out=best)
 
 
-def build_postcritical_cloud(
-    fmap: UnicriticalMap, n: int = 2000, tol_dedup: float = 1e-9
-) -> PostcriticalCloud:
-    if tol_dedup <= 0:
-        raise ValueError("tol_dedup must be positive")
+def set_diameter(samples: np.ndarray) -> float:
+    """Largest distance between two samples, each pair visited once, in row
+    blocks of at most 4096 pairs.  A full m x m temporary costs 16 m^2 bytes;
+    at 128 samples (256 KiB) it took up to three times as long as the blocks
+    in a process without SciPy loaded, likely allocator behaviour (glibc
+    serves blocks that large by mmap until its threshold adapts)."""
+    m = len(samples)
+    r = max(1, 4096 // m)
+    return float(max(np.abs(samples[i:i + r, None] - samples[None, i:]).max()
+                     for i in range(0, m, r)))
+
+
+def build_postcritical_cloud(fmap: UnicriticalMap, n: int = 2000) -> PostcriticalCloud:
+    """The critical orbit's points, each kept unless it lies within
+    ``CLOUD_DEDUP_TOL`` of a point kept before it.  An exact repeat lies at
+    distance 0 from its first occurrence, or from the point that one was
+    dropped for, so repeats are skipped before any distance is taken."""
     orbit, escape_index = critical_orbit(fmap, n)
     if escape_index is not None:
         raise EscapeError(
             "critical orbit escapes; the postcritical set is unbounded"
         )
-    kept = []
-    for z in orbit:
-        if all(abs(z - w) > tol_dedup for w in kept):
-            kept.append(z)
-    points = np.array([[z.real, z.imag] for z in kept])
-    return PostcriticalCloud(points, n, tol_dedup)
+    kept = np.empty(len(orbit), dtype=complex)
+    m = 0
+    for z in dict.fromkeys(orbit):
+        if m == 0 or np.abs(kept[:m] - z).min() > CLOUD_DEDUP_TOL:
+            kept[m] = z
+            m += 1
+    return PostcriticalCloud(np.column_stack([kept[:m].real, kept[:m].imag]))
 
 
-def green_potential(
-    fmap: UnicriticalMap,
-    z: complex,
-    n_max: int = 400,
-    r_esc: float = POTENTIAL_ESCAPE_RADIUS,
-) -> float:
+def green_potential(fmap: UnicriticalMap, z: complex) -> float:
     """Escape-rate potential G(z) = log|f^n(z)| / d^n at the first escape past
-    r_esc; 0 when the orbit stays bounded within the budget."""
+    ``POTENTIAL_ESCAPE_RADIUS``; 0 when the orbit stays bounded within the
+    budget."""
     w = complex(z)
-    for k in range(n_max + 1):
+    for k in range(POTENTIAL_MAX_ITER + 1):
         mag = abs(w)
-        if mag > r_esc:
+        if mag > POTENTIAL_ESCAPE_RADIUS:
             return math.log(mag) / fmap.d ** k
         if not math.isfinite(mag):
             # overflow: iterate before it was already past any finite radius
@@ -248,12 +258,7 @@ def green_potential(
     return 0.0
 
 
-def julia_distance_estimate(
-    fmap: UnicriticalMap,
-    z: complex,
-    n_max: int = 400,
-    r_esc: float = POTENTIAL_ESCAPE_RADIUS,
-) -> float:
+def julia_distance_estimate(fmap: UnicriticalMap, z: complex) -> float:
     """Potential-theoretic estimate of dist(z, J) = sinh(G)/|grad G|.
 
     Accurate only up to a bounded multiplicative factor (factor-of-4 class near
@@ -261,25 +266,19 @@ def julia_distance_estimate(
     """
     w = complex(z)
     dw = 1.0 + 0.0j
-    for k in range(n_max + 1):
+    for k in range(POTENTIAL_MAX_ITER + 1):
         mag = abs(w)
-        if mag > r_esc:
+        if mag > POTENTIAL_ESCAPE_RADIUS:
             g = math.log(mag) / fmap.d ** k
             # |grad G| in log space to dodge overflow of |dw|
             log_grad = math.log(abs(dw)) - math.log(mag) - k * math.log(fmap.d)
             return math.sinh(g) * math.exp(-log_grad)
         dw = fmap.deriv(w) * dw
         w = fmap.evaluate(w)
-    raise InsideJuliaError(f"{z} did not escape within {n_max} iterates")
+    raise InsideJuliaError(f"{z} did not escape within {POTENTIAL_MAX_ITER} iterates")
 
 
-def sample_julia_points(
-    fmap: UnicriticalMap,
-    count: int,
-    rng: np.random.Generator,
-    depth: int = 24,
-    transient: int = 12,
-) -> list:
+def sample_julia_points(fmap: UnicriticalMap, count: int, rng: np.random.Generator) -> list:
     """Points near J(f) via random backward iteration from the repelling fixed
     point of largest modulus.  Backward orbits equidistribute on the Julia set."""
     roots = np.roots([1.0] + [0.0] * (fmap.d - 2) + [-1.0, fmap.c])
@@ -287,7 +286,7 @@ def sample_julia_points(
     out = []
     for _ in range(count):
         z = beta
-        for _ in range(transient + depth):
+        for _ in range(JULIA_SAMPLE_STEPS):
             z = preimages(fmap, z)[int(rng.integers(fmap.d))]
         out.append(z)
     return out

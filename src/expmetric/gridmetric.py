@@ -17,6 +17,7 @@ from .metrics import SingularMetric
 
 # Octile metrics overestimate straight-line length by at most this factor
 ANISOTROPY_FACTOR = 1.082
+MIN_RESOLUTION = 16
 
 
 @dataclass
@@ -29,11 +30,6 @@ class PathMetricGrid:
     metric: Optional[SingularMetric]
     graph: "scipy.sparse.csr_matrix" = field(repr=False)
     _dist_cache: dict = field(default_factory=dict, repr=False)
-
-    def node_coords(self) -> Tuple[np.ndarray, np.ndarray]:
-        xs = self.lo.real + self.h * np.arange(self.n_cols)
-        ys = self.lo.imag + self.h * np.arange(self.n_rows)
-        return xs, ys
 
     def nearest_node(self, z: complex) -> Tuple[int, complex]:
         i = int(round((z.real - self.lo.real) / self.h))
@@ -69,8 +65,8 @@ def build_grid(
     """
     from scipy.sparse import coo_matrix
 
-    if resolution < 16:
-        raise ValueError("resolution must be >= 16")
+    if resolution < MIN_RESOLUTION:
+        raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
     lo, hi = bbox
     width = hi.real - lo.real
     height = hi.imag - lo.imag

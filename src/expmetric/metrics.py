@@ -151,9 +151,6 @@ class KoebeBounds:
         if not 0.0 < self.lower <= self.upper or self.quarter_radius <= 0.0:
             raise ValueError("inconsistent Koebe bounds")
 
-    def contains_ratio(self, ratio: float, slack: float = 0.0) -> bool:
-        return self.lower * (1.0 - slack) <= ratio <= self.upper * (1.0 + slack)
-
 
 def koebe_bounds(deriv_mag: float, r: float, s: float) -> KoebeBounds:
     if deriv_mag <= 0.0:

@@ -15,12 +15,19 @@ from .errors import DomainError, RayTracingError
 from .metrics import SingularMetric
 
 LANDING_TOL = 1e-6
+# Potential of a ray's first stored point; deeper levels divide it by d.
+TOP_POTENTIAL = 1.0
+# Pull-back sub-levels per level.
+SUBSTEPS = 4
+MAX_RAY_DEPTH = 60
+# Midpoint-rule subdivisions of each polyline segment in rho_length_of_ray.
+RHO_LENGTH_REFINE = 8
 
 
 @dataclass(frozen=True)
 class ExternalRay:
     theta: float
-    polyline: List[complex]  # from potential G0 down toward the Julia set
+    polyline: List[complex]  # from TOP_POTENTIAL down toward the Julia set
     potentials: List[float]
     landing: Optional[complex]
 
@@ -36,21 +43,16 @@ def _boettcher_top(fmap: UnicriticalMap) -> float:
     return max(12.0, 25.0 / (fmap.d - 1))
 
 
-def trace_rays(
-    fmap: UnicriticalMap,
-    thetas: Sequence[float],
-    depth: int,
-    g0: float = 1.0,
-    substeps: int = 4,
-) -> List[ExternalRay]:
+def trace_rays(fmap: UnicriticalMap, thetas: Sequence[float], depth: int) -> List[ExternalRay]:
     """Trace the external rays of the angles ``thetas`` (in turns) from
-    potential g0 down to g0/d^depth, one stored point per level.
+    potential g0 = TOP_POTENTIAL down to g0/d^depth, one stored point per
+    level.
 
     Since G(f(z)) = d G(z), the point of potential g on the alpha-ray is a
     preimage of the point of potential d g on the (d alpha)-ray.  Sub-level t
-    sits at potential g0 d^(-t/substeps).  The top ``substeps`` sub-levels lie
+    sits at potential g0 d^(-t/s), s = SUBSTEPS.  The top s sub-levels lie
     where the Boettcher map is the identity, so z = exp(g + 2 pi i alpha)
-    there; below, z[t, alpha] is the branch of f^-1(z[t - substeps, d alpha])
+    there; below, z[t, alpha] is the branch of f^-1(z[t - s, d alpha])
     nearest z[t - 1, alpha].  The angles alpha -> d alpha mod 1 are followed
     exactly, as fractions, and all of them are pulled back together, one array
     step per sub-level.  The landing estimate is the last point when the last
@@ -59,11 +61,11 @@ def trace_rays(
     for theta in thetas:
         if not 0.0 <= theta < 1.0:
             raise DomainError(f"angle must lie in [0, 1) turns, got {theta}")
-    if not 1 <= depth <= 60:
-        raise DomainError(f"depth must lie in 1..60, got {depth}")
+    if not 1 <= depth <= MAX_RAY_DEPTH:
+        raise DomainError(f"depth must lie in 1..{MAX_RAY_DEPTH}, got {depth}")
     if not thetas:
         return []
-    d, s = fmap.d, substeps
+    d, s, g0 = fmap.d, SUBSTEPS, TOP_POTENTIAL
     # sub-levels above g0 that put the top s of them in the Boettcher regime
     above = max(0, math.ceil(s * math.log(_boettcher_top(fmap) / g0, d)))
     top = above + s - 1  # sub-level of g0; sub-level 0 is the highest
@@ -111,15 +113,9 @@ def trace_rays(
     return rays
 
 
-def trace_ray(
-    fmap: UnicriticalMap,
-    theta: float,
-    depth: int,
-    g0: float = 1.0,
-    substeps: int = 4,
-) -> ExternalRay:
+def trace_ray(fmap: UnicriticalMap, theta: float, depth: int) -> ExternalRay:
     """The external ray of angle ``theta``; see ``trace_rays``."""
-    return trace_rays(fmap, [theta], depth, g0, substeps)[0]
+    return trace_rays(fmap, [theta], depth)[0]
 
 
 def _aitken(z0: complex, z1: complex, z2: complex) -> Optional[complex]:
@@ -192,24 +188,17 @@ def john_report(entries: List[JohnRayEntry]) -> JohnReport:
     return JohnReport(min(1.0, worst.constant), worst.worst_point, len(entries), list(entries))
 
 
-def rho_length_of_ray(
-    ray: ExternalRay,
-    metric: SingularMetric,
-    from_radius: float,
-    base: Optional[complex] = None,
-    refine: int = 8,
-) -> float:
+def rho_length_of_ray(ray: ExternalRay, metric: SingularMetric, from_radius: float) -> float:
     """Midpoint-rule rho-length of the part of the ray inside B(base, 2r),
-    where base defaults to the landing estimate.
+    where base is the landing estimate.
 
-    Each polyline segment is subdivided ``refine`` times; the density is
-    integrable (alpha < 1) so the sum converges under refinement even when the
-    landing point lies on the singular set.
+    Each polyline segment is subdivided ``RHO_LENGTH_REFINE`` times; the
+    density is integrable (alpha < 1) so the sum converges under refinement
+    even when the landing point lies on the singular set.
     """
-    if base is None:
-        if ray.landing is None:
-            raise RayTracingError("ray has no landing estimate to use as base")
-        base = ray.landing
+    if ray.landing is None:
+        raise RayTracingError("ray has no landing estimate to use as base")
+    base = ray.landing
     radius = 2.0 * from_radius
     pts = np.array(ray.polyline)
     inside = np.abs(pts - base) <= radius
@@ -222,11 +211,11 @@ def rho_length_of_ray(
         a[k] = _clip_to_circle(a[k], b[k], base, radius)
     for k in np.flatnonzero(~inside[1:][keep]):
         b[k] = _clip_to_circle(b[k], a[k], base, radius)
-    ts = (np.arange(refine) + 0.5) / refine
+    ts = (np.arange(RHO_LENGTH_REFINE) + 0.5) / RHO_LENGTH_REFINE
     mids = a[:, None] + (b - a)[:, None] * ts
     dens = metric.density_array(mids.ravel()).reshape(mids.shape)
     sums = np.where(np.isfinite(dens), dens, 0.0).sum(axis=1)
-    return float(np.sum(sums * (np.abs(b - a) / refine)))
+    return float(np.sum(sums * (np.abs(b - a) / RHO_LENGTH_REFINE)))
 
 
 def _clip_to_circle(outside: complex, inside: complex, center: complex, radius: float) -> complex:

@@ -3,7 +3,6 @@ with optional external-ray overlays, written as binary P6 pixmaps."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -13,6 +12,8 @@ from .dynamics import UnicriticalMap
 from .metrics import SingularMetric
 
 MAX_PIXELS_PER_SIDE = 16384
+# Iterates after which a pixel counts as bounded in the escape-time layer.
+ESCAPE_MAX_ITER = 128
 
 LAYERS = ("escape-time", "density-rho", "density-sigma", "distance-to-P")
 
@@ -43,15 +44,15 @@ def _pixel_grid(spec: RenderSpec) -> np.ndarray:
     return X + 1j * Y
 
 
-def escape_time_field(fmap: UnicriticalMap, spec: RenderSpec, max_iter: int = 128) -> np.ndarray:
+def escape_time_field(fmap: UnicriticalMap, spec: RenderSpec) -> np.ndarray:
     """Per pixel, the k at which |f^(k+1)(z)| first exceeds the escape
-    radius, or max_iter; only the pixels still bounded are iterated."""
+    radius, or ESCAPE_MAX_ITER; only the pixels still bounded are iterated."""
     Z = _pixel_grid(spec)
-    counts = np.full(Z.size, max_iter, dtype=float)
+    counts = np.full(Z.size, ESCAPE_MAX_ITER, dtype=float)
     idx = np.arange(Z.size)
     w = Z.ravel()
     r_esc = fmap.escape_radius()
-    for k in range(max_iter):
+    for k in range(ESCAPE_MAX_ITER):
         w = w ** fmap.d + fmap.c
         escaped = np.abs(w) > r_esc
         counts[idx[escaped]] = k
@@ -89,10 +90,8 @@ def to_rgb(field: np.ndarray, log_scale: bool = False) -> np.ndarray:
     return rgb
 
 
-def overlay_polyline(
-    rgb: np.ndarray, spec: RenderSpec, polyline, color=(255, 255, 255)
-) -> None:
-    """Mark the pixels nearest each densified polyline point."""
+def overlay_polyline(rgb: np.ndarray, spec: RenderSpec, polyline) -> None:
+    """Mark the pixels nearest each densified polyline point in white."""
     lo, hi = spec.bbox
     pts = np.array(polyline)
     dense = []
@@ -103,7 +102,7 @@ def overlay_polyline(
     i = np.rint((z.real - lo.real) / (hi.real - lo.real) * (spec.width - 1)).astype(int)
     j = np.rint((hi.imag - z.imag) / (hi.imag - lo.imag) * (spec.height - 1)).astype(int)
     on = (0 <= i) & (i < spec.width) & (0 <= j) & (j < spec.height)
-    rgb[j[on], i[on]] = color
+    rgb[j[on], i[on]] = 255
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:

@@ -261,7 +261,7 @@ def test_criterion_4_metric_expansion(runs):
     fmap = em.UnicriticalMap(2, -2)
     cloud = em.build_postcritical_cloud(fmap, 50)
     orbit = BackwardDiskOrbit(fmap, 0.0, 0.1, cloud=cloud)
-    pull_back(fmap, orbit, 1, branch_rule="fixed-index:0")
+    pull_back(fmap, orbit, 1, 0)
     spot = expansion_ratios(
         orbit, SingularMetric.for_degree(cloud, 2, Variant.SIGMA)).ratios[0]
     spot_ok = abs(spot - 2.0 * math.sqrt(2.0 - SQRT2)) < 1e-12
@@ -289,7 +289,7 @@ def test_criterion_5_pullback_shrinking(runs):
     fmap = em.UnicriticalMap(2, 0)
     orbit = BackwardDiskOrbit(fmap, 1.0, 0.05,
                               cloud=em.build_postcritical_cloud(fmap, 5))
-    pull_back(fmap, orbit, 12, branch_rule="fixed-index:0")
+    pull_back(fmap, orbit, 12, 0)
     _, theta_stub = shrink_fit(orbit)
     stub_ok = abs(theta_stub - 0.5) <= 0.05
     secs = (runs["expansion-cheb"]["seconds"] + runs["expansion-i"]["seconds"]

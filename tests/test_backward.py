@@ -9,7 +9,6 @@ import expmetric as em
 from expmetric.backward import (
     BackwardDiskOrbit,
     CaseLabel,
-    _polygon_diameter,
     case3_bound_check,
     classify_level,
     conformal_radius_proxy,
@@ -19,6 +18,7 @@ from expmetric.backward import (
     shrink_fit,
     winding_number,
 )
+from expmetric.dynamics import set_diameter
 from expmetric.errors import SamplingResolutionError
 from expmetric.metrics import SingularMetric, Variant
 
@@ -33,9 +33,9 @@ def map_i():
     return em.UnicriticalMap(2, 1j)
 
 
-def fresh_orbit(fmap, z0, eps, cloud_n=50, n_boundary=64):
+def fresh_orbit(fmap, z0, eps, cloud_n=50):
     cloud = em.build_postcritical_cloud(fmap, cloud_n)
-    return BackwardDiskOrbit(fmap, z0, eps, cloud=cloud, n_boundary=n_boundary)
+    return BackwardDiskOrbit(fmap, z0, eps, cloud=cloud)
 
 
 # ---------------------------------------------------------------- preimages
@@ -119,7 +119,7 @@ def test_winding_on_circle_matches_unit_disk():
 
 def test_pull_back_zero_steps_is_identity():
     orbit = fresh_orbit(cheb(), 0.5, 0.05)
-    pull_back(cheb(), orbit, 0)
+    pull_back(cheb(), orbit, 0, 0)
     assert orbit.depth == 0
     assert orbit.points == [0.5 + 0j]
     assert orbit.labels == [None]
@@ -127,35 +127,36 @@ def test_pull_back_zero_steps_is_identity():
 
 def test_pull_back_fixed_index_oracle():
     orbit = fresh_orbit(cheb(), 0, 0.1)
-    pull_back(cheb(), orbit, 1, branch_rule="fixed-index:0")
+    pull_back(cheb(), orbit, 1, 0)
     assert orbit.points[1] == pytest.approx(SQRT2)
     orbit = fresh_orbit(cheb(), 0, 0.1)
-    pull_back(cheb(), orbit, 1, branch_rule="fixed-index:1")
+    pull_back(cheb(), orbit, 1, 1)
     assert orbit.points[1] == pytest.approx(-SQRT2)
 
 
-def test_pull_back_callable_rule():
+@pytest.mark.parametrize("branch", [-1, 2])
+def test_pull_back_out_of_range_branch_rejected(branch):
     orbit = fresh_orbit(cheb(), 0, 0.1)
-    pull_back(cheb(), orbit, 1, branch_rule=lambda cands, level: 1)
-    assert orbit.points[1] == pytest.approx(-SQRT2)
+    with pytest.raises(ValueError, match=f"branch must lie in 0..1, got {branch}"):
+        pull_back(cheb(), orbit, 1, branch)
+    assert orbit.depth == 0
 
 
-def test_pull_back_random_seeded_needs_rng():
-    orbit = fresh_orbit(cheb(), 0, 0.1)
-    with pytest.raises(ValueError):
-        pull_back(cheb(), orbit, 1, branch_rule="random-seeded", rng=None)
-
-
-def test_pull_back_unknown_rule_rejected():
-    orbit = fresh_orbit(cheb(), 0, 0.1)
-    with pytest.raises(ValueError):
-        pull_back(cheb(), orbit, 1, branch_rule="sideways")
+def test_pull_back_draws_one_branch_a_level():
+    # a generator picks root number rng.integers(d) at each level
+    fmap = em.UnicriticalMap(3, 0.2j)
+    drawn = fresh_orbit(fmap, 0.4 + 0.3j, 0.02)
+    pull_back(fmap, drawn, 6, np.random.default_rng(9))
+    fixed = fresh_orbit(fmap, 0.4 + 0.3j, 0.02)
+    for k in np.random.default_rng(9).integers(3, size=6):
+        pull_back(fmap, fixed, 1, int(k))
+    assert drawn.points == fixed.points
 
 
 def test_pull_back_center_consistency():
     for fmap in (cheb(), map_i()):
         orbit = fresh_orbit(fmap, 0.4 + 0.3j, 0.02)
-        pull_back(fmap, orbit, 10, rng=np.random.default_rng(3))
+        pull_back(fmap, orbit, 10, np.random.default_rng(3))
         assert orbit.depth == 10
         for n in range(1, 11):
             back = fmap.evaluate(orbit.points[n])
@@ -165,7 +166,7 @@ def test_pull_back_center_consistency():
 def test_pull_back_boundary_consistency():
     fmap = map_i()
     orbit = fresh_orbit(fmap, 0.4 + 0.3j, 0.02)
-    pull_back(fmap, orbit, 8, rng=np.random.default_rng(4))
+    pull_back(fmap, orbit, 8, np.random.default_rng(4))
     for n in range(1, 9):
         prev = orbit.boundary[n - 1]
         cur = orbit.boundary[n]
@@ -177,7 +178,7 @@ def test_pull_back_boundary_consistency():
 def test_pull_back_diameters_match_boundaries():
     fmap = cheb()
     orbit = fresh_orbit(fmap, 0.4, 0.03)
-    pull_back(fmap, orbit, 6, rng=np.random.default_rng(5))
+    pull_back(fmap, orbit, 6, np.random.default_rng(5))
     for n, poly in enumerate(orbit.boundary):
         d = np.abs(poly[:, None] - poly[None, :]).max()
         assert orbit.diams[n] == pytest.approx(float(d))
@@ -196,7 +197,7 @@ def test_pulled_back_diameters_keep_precision_to_depth_50():
     drifts = []
     for k, z0 in enumerate(em.sample_julia_points(fmap, 20, np.random.default_rng(0))):
         orbit = BackwardDiskOrbit(fmap, z0, 1e-4, cloud=cloud)
-        pull_back(fmap, orbit, 50, rng=np.random.default_rng([0, k]))
+        pull_back(fmap, orbit, 50, np.random.default_rng([0, k]))
         if orbit.critical_level() is not None:
             continue
         scaled = [orbit.diams[n] / conformal_radius_proxy(orbit, n).value
@@ -214,18 +215,21 @@ def test_coarse_boundary_around_critical_value_rejected():
     # which the circle passes c is not resolved
     apothem = 0.05 * math.cos(math.pi / 8) * np.exp(1j * math.pi / 8)
     z0 = fmap.c - 0.999 * apothem
-    orbit = fresh_orbit(fmap, z0, 0.05, n_boundary=8)
+    orbit = fresh_orbit(fmap, z0, 0.05)
+    octagon = 0.05 * np.exp(2j * math.pi * np.arange(8) / 8)
+    orbit.boundary[0] = z0 + octagon
+    orbit.offsets[0] = octagon
     with pytest.raises(SamplingResolutionError):
-        pull_back(fmap, orbit, 1, branch_rule="fixed-index:0")
+        pull_back(fmap, orbit, 1, 0)
     # 64 samples resolve the same disk, which contains c: a critical level
     orbit = fresh_orbit(fmap, z0, 0.05)
-    pull_back(fmap, orbit, 1, branch_rule="fixed-index:0")
+    pull_back(fmap, orbit, 1, 0)
     assert orbit.labels[1] is CaseLabel.CRITICAL
     # a sample on the critical value itself has no phase
     orbit = fresh_orbit(fmap, 0.5, 0.05)
     orbit.boundary[0] = np.array([fmap.c, fmap.c + 1, fmap.c + 1j])
     with pytest.raises(SamplingResolutionError):
-        pull_back(fmap, orbit, 1, branch_rule="fixed-index:0")
+        pull_back(fmap, orbit, 1, 0)
 
 
 @pytest.mark.parametrize("m", [64, 128, 1000])
@@ -235,7 +239,7 @@ def test_polygon_diameter_blocks_match_full_matrix(m):
     planted = samples.copy()
     planted[-2:] = 100, -100j  # the farthest pair, both in the last row block
     for s in (samples, planted):
-        assert _polygon_diameter(s) == np.abs(s[:, None] - s[None, :]).max()
+        assert set_diameter(s) == np.abs(s[:, None] - s[None, :]).max()
 
 
 # ------------------------------------------------------------- case labels
@@ -245,7 +249,7 @@ def critical_orbit_at(fmap, steps=3, seed=5):
     # B(c + 0.02, 0.05) contains the critical value c, so the first pullback
     # winds around the critical point
     orbit = fresh_orbit(fmap, fmap.c + 0.02, 0.05)
-    return pull_back(fmap, orbit, steps, rng=np.random.default_rng(seed))
+    return pull_back(fmap, orbit, steps, np.random.default_rng(seed))
 
 
 def test_critical_label_detected_at_level_one():
@@ -263,17 +267,17 @@ def test_classify_level_univalent_oracles():
     # instead check the level-1 pullback of B(2, 0.3), whose preimage disk
     # around +-2 contains the cloud point with the matching sign
     orbit = fresh_orbit(fmap, 2 + 0.001j, 0.3)
-    pull_back(fmap, orbit, 1, branch_rule="fixed-index:0")
+    pull_back(fmap, orbit, 1, 0)
     assert orbit.labels[1] is CaseLabel.UNIVALENT_MEETS_P
     # far from cloud and critical point: plain univalent
     orbit = fresh_orbit(fmap, 0.5 + 0.5j, 0.01)
-    pull_back(fmap, orbit, 1, branch_rule="fixed-index:0")
+    pull_back(fmap, orbit, 1, 0)
     assert orbit.labels[1] is CaseLabel.UNIVALENT_NO_P
 
 
 def test_classify_level_bad_levels_rejected():
     orbit = fresh_orbit(cheb(), 0.5, 0.01)
-    pull_back(cheb(), orbit, 2, branch_rule="fixed-index:0")
+    pull_back(cheb(), orbit, 2, 0)
     with pytest.raises(ValueError):
         classify_level(orbit, 0)
     with pytest.raises(ValueError):
@@ -284,7 +288,7 @@ def test_at_most_one_critical_label():
     for fmap in (cheb(), map_i()):
         for seed in range(12):
             orbit = fresh_orbit(fmap, fmap.c + 0.02, 0.05)
-            pull_back(fmap, orbit, 15, rng=np.random.default_rng(seed))
+            pull_back(fmap, orbit, 15, np.random.default_rng(seed))
             crit = sum(lab is CaseLabel.CRITICAL for lab in orbit.labels[1:])
             assert crit <= 1
 
@@ -298,7 +302,7 @@ def test_expansion_ratio_first_level_oracle():
     cloud = em.build_postcritical_cloud(fmap, 50)
     metric = SingularMetric.for_degree(cloud, 2, Variant.SIGMA)
     orbit = fresh_orbit(fmap, 0, 0.1)
-    pull_back(fmap, orbit, 1, branch_rule="fixed-index:0")
+    pull_back(fmap, orbit, 1, 0)
     rep = expansion_ratios(orbit, metric)
     assert rep.levels == [1]
     assert rep.ratios[0] == pytest.approx(2 * math.sqrt(2 - SQRT2), rel=1e-12)
@@ -312,7 +316,7 @@ def test_accumulated_derivative_oracle_at_depth_80():
     cloud = em.build_postcritical_cloud(fmap, 5)
     orbit = BackwardDiskOrbit(fmap, complex(math.cos(1.0), math.sin(1.0)), 0.01,
                               cloud=cloud)
-    pull_back(fmap, orbit, 80, rng=np.random.default_rng(2))
+    pull_back(fmap, orbit, 80, np.random.default_rng(2))
     rep = expansion_ratios(orbit, SingularMetric.for_degree(cloud, 2, Variant.SIGMA))
     assert rep.levels == list(range(1, 81))
     assert rep.ratios == pytest.approx([2.0**n for n in range(1, 81)], rel=1e-12)
@@ -324,11 +328,9 @@ def test_expansion_fit_grows_exponentially():
     cloud = em.build_postcritical_cloud(fmap, 50)
     metric = SingularMetric.for_degree(cloud, 2, Variant.SIGMA)
     orbit = fresh_orbit(fmap, 0, 0.05)
-    pull_back(fmap, orbit, 20, rng=np.random.default_rng(11))
+    pull_back(fmap, orbit, 20, np.random.default_rng(11))
     rep = expansion_ratios(orbit, metric)
     assert rep.lam > 1.0
-    assert rep.log_slope == pytest.approx(math.log(rep.lam))
-    assert rep.predicted(0) == pytest.approx(rep.constant)
     assert sum(rep.case_counts.values()) == orbit.depth
     assert len(rep.levels) + len(rep.skipped_levels) == orbit.depth
 
@@ -363,7 +365,7 @@ def test_expansion_all_levels_skipped_rejected():
 def test_conformal_radius_proxy_oracles():
     fmap = cheb()
     orbit = fresh_orbit(fmap, 0, 0.1)
-    pull_back(fmap, orbit, 2, branch_rule="fixed-index:0")
+    pull_back(fmap, orbit, 2, 0)
     r0 = conformal_radius_proxy(orbit, 0)
     assert r0.value == 0.1 and not r0.from_diameter
     r1 = conformal_radius_proxy(orbit, 1)
@@ -390,7 +392,7 @@ def test_conformal_radius_proxy_past_critical():
 def test_shrink_fit_square_map_halves_diameters():
     fmap = em.UnicriticalMap(2, 0)
     orbit = fresh_orbit(fmap, 1, 0.05, cloud_n=5)
-    pull_back(fmap, orbit, 12, branch_rule="fixed-index:0")
+    pull_back(fmap, orbit, 12, 0)
     c0, theta = shrink_fit(orbit)
     assert theta == pytest.approx(0.5, abs=0.05)
     assert c0 == pytest.approx(2 * 0.05, rel=0.2)
@@ -408,7 +410,7 @@ def test_shrink_fit_flags_noncontraction():
 
 def test_shrink_fit_needs_depth():
     orbit = fresh_orbit(cheb(), 0.5, 0.05)
-    pull_back(cheb(), orbit, 5, branch_rule="fixed-index:0")
+    pull_back(cheb(), orbit, 5, 0)
     with pytest.raises(ValueError):
         shrink_fit(orbit)
 
@@ -434,7 +436,7 @@ def test_case3_requires_critical_level():
     cloud = em.build_postcritical_cloud(fmap, 50)
     metric = SingularMetric.for_degree(cloud, 2, Variant.SIGMA)
     orbit = fresh_orbit(fmap, 0.5 + 0.5j, 0.01)
-    pull_back(fmap, orbit, 3, branch_rule="fixed-index:0")
+    pull_back(fmap, orbit, 3, 0)
     with pytest.raises(ValueError):
         case3_bound_check(orbit, metric)
 

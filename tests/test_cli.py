@@ -10,7 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import expmetric as em
 from expmetric import backward, cli, gridmetric, metrics, rays
 from expmetric.render import RenderSpec
 
@@ -52,6 +55,13 @@ def test_classify_escaping(tmp_path, capsys):
     assert printed["escape_index"] is not None
     report = json.loads((tmp_path / "classify.json").read_text())
     assert "cloud_diameter" not in report
+
+
+def test_classify_overflowing_orbit_escapes(tmp_path, capsys):
+    # (-2)^1000000 overflows: the second iterate has escaped
+    out = run(["classify", "--d", "1000000", "--c-re", "-2", "--out", str(tmp_path)], capsys)
+    assert json.loads(out) == {"escape_index": 2, "iterates_used": 2, "kind": "escaping",
+                               "recurrence_gap": 2.0}
 
 
 def test_classify_recurrent_and_c_i(tmp_path, capsys):
@@ -196,7 +206,17 @@ def test_config_unknown_field_rejected(tmp_path):
     (["--depth", "5"], None, "expansion needs depth >= 10"),
     (["--epsilon", "-1"], None, "epsilon must be a positive number, got -1.0"),
     ([], {"d": "3"}, "d must be an integer, got '3'"),
-], ids=["orbits-0", "depth-5", "epsilon-negative", "config-d-string"])
+    (["--seed", "-1"], None, "seed must be at least 0, got -1"),
+    (["--c-re", "nan"], None, r"c must be finite, got \[nan, 0.0\]"),
+    (["--c-im", "inf"], None, r"c must be finite, got \[-2.0, inf\]"),
+    ([], {"c": [0, math.inf]}, r"c must be finite, got \[0.0, inf\]"),
+    ([], {"c": [10**400, 0]}, "c must be finite, got "),
+    ([], {"out_dir": 5}, "out_dir must be a string, got 5"),
+    ([], {"fmap": 1}, "unknown field 'fmap'"),
+    ([], [1, 2], "expected a JSON object, got list"),
+], ids=["orbits-0", "depth-5", "epsilon-negative", "config-d-string", "seed-negative",
+        "c-re-nan", "c-im-inf", "config-c-inf", "config-c-huge-int", "config-out-dir-number",
+        "config-method-name", "config-not-object"])
 def test_expansion_rejects_bad_input(tmp_path, argv, config, message):
     if config is not None:
         cfg = tmp_path / "cfg.json"
@@ -206,6 +226,61 @@ def test_expansion_rejects_bad_input(tmp_path, argv, config, message):
         cli.main(["expansion", "--c-re", "-2", *argv, "--out", str(tmp_path)])
     assert "\n" not in str(exc.value.code)
     assert not (tmp_path / "expansion.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["holder", "--grid-res", "8"], "holder needs grid_res >= 16, got 8"),
+    (["rays", "--depth", "61"], "rays need depth <= 60, got 61"),
+    (["render", "--depth", "61", "--width", "8", "--height", "8"],
+     "rays need depth <= 60, got 61"),
+    (["classify", "--config", "missing.json"], "config parse error in missing.json: "),
+], ids=["holder-grid-res-8", "rays-depth-61", "render-depth-61", "config-missing"])
+def test_commands_reject_bad_input(tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit, match=message) as exc:
+        cli.main([*argv, "--c-re", "-2", "--out", str(tmp_path / "out")])
+    assert "\n" not in str(exc.value.code)
+    assert not (tmp_path / "out").exists()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_FIELD_VALUES = {
+    "d": st.integers(-3, 5), "c": st.lists(st.floats() | st.integers(), max_size=3),
+    "orbit_n": st.integers(-3, 5), "epsilon": st.floats(), "grid_res": st.integers(-3, 40),
+    "orbits": st.integers(-3, 5), "depth": st.integers(-3, 70), "seed": st.integers(-3, 5),
+    "out_dir": st.text(max_size=8),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(["classify", "expansion", "holder", "rays", "render"]),
+    config=st.dictionaries(
+        st.sampled_from(list(_FIELD_VALUES)),
+        st.one_of(_JSON, *_FIELD_VALUES.values()),
+        max_size=4,
+    ).flatmap(lambda cfg: st.just(cfg) if cfg else _JSON),
+)
+def test_config_values_parse_or_exit_with_one_line(tmp_path_factory, command, config):
+    # any JSON value of any field either validates or ends in one line
+    path = tmp_path_factory.getbasetemp() / "property-config.json"
+    path.write_text(json.dumps(config))
+    args = cli._build_parser().parse_args([command, "--config", str(path)])
+    try:
+        cfg = cli._config_from_args(args)
+    except SystemExit as exc:
+        message = str(exc.code)
+        assert message and "\n" not in message
+    else:
+        assert isinstance(cfg, cli.ExperimentConfig)
+        assert all(type(getattr(cfg, name)) is int
+                   for name in ("d", "orbit_n", "grid_res", "orbits", "depth", "seed"))
+        assert math.isfinite(cfg.c.real) and math.isfinite(cfg.c.imag)
 
 
 def test_write_json_refuses_non_finite(tmp_path):
@@ -379,6 +454,20 @@ def test_bench_tracer_finds_every_wrapped_name():
         assert tracer.counts["gridmetric.dijkstra_sources"] == 1
         assert [(s[0], s[3]) for s in tracer.spans] == [
             ("gridmetric.grid_distance", -1), ("gridmetric.dijkstra", 0)]
+        # the hooks read pull_back's orbit and steps and holder_fit's pairs by
+        # position, so a reordered signature must fail here too
+        fmap = em.UnicriticalMap(2, -2)
+        orbit = backward.BackwardDiskOrbit(fmap, 0.5 + 0.5j, 0.01)
+        cli.pull_back(fmap, orbit, 2, 0)
+        assert tracer.counts["backward.levels"] == 2
+        assert tracer.counts["backward.lift_samples"] == 2 * backward.BOUNDARY_SAMPLES
+        assert tracer.counts["backward.critical_levels"] == 0
+        # pairs along the bottom row, 1 to 100 spacings apart, lie on nodes
+        grid = gridmetric.build_grid(None, (0j, 1 + 1j), 128)
+        pairs = [(0j, complex(k * grid.h, 0.0)) for k in range(1, 101)]
+        fit = cli.holder_fit(grid, pairs)
+        assert fit.exponent == pytest.approx(1.0)
+        assert tracer.counts["gridmetric.pairs"] == len(pairs)
     finally:
         tracer.uninstall()
     for name, m in modules.items():

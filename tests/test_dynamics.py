@@ -86,10 +86,13 @@ def test_critical_orbit_escape_flag():
     assert esc is not None
     assert len(orbit) == esc
     assert abs(orbit[-1]) > em.UnicriticalMap(2, 1).escape_radius()
+    # (-2)^1000000 overflows a double: that iterate has escaped
+    orbit, esc = em.critical_orbit(em.UnicriticalMap(1_000_000, -2), 10)
+    assert orbit == [-2, complex(math.inf, 0)] and esc == 2
 
 
 def test_classify_parameter_oracles():
-    cls = em.classify_parameter(em.UnicriticalMap(2, -2), 100, delta_rec=0.5)
+    cls = em.classify_parameter(em.UnicriticalMap(2, -2), 100)
     assert cls.kind is em.OrbitKind.BOUNDED_NONRECURRENT
     assert cls.recurrence_gap == pytest.approx(2.0)
 
@@ -101,18 +104,23 @@ def test_classify_parameter_oracles():
     assert cls.kind is em.OrbitKind.BOUNDED_RECURRENT
     assert cls.recurrence_gap == 0.0
 
+    # the orbit of a small real c > 0 climbs from c to a fixed point, so the
+    # gap is c itself, here below RECURRENCE_DELTA = 1e-3
+    cls = em.classify_parameter(em.UnicriticalMap(2, 0.0005), 2000)
+    assert cls.kind is em.OrbitKind.BOUNDED_RECURRENT
+    assert cls.recurrence_gap == 0.0005
+
 
 def test_classify_parameter_undetermined_band():
-    # gap 2 falls in (delta, 2*delta] for delta = 1.5
-    cls = em.classify_parameter(em.UnicriticalMap(2, -2), 50, delta_rec=1.5)
+    # gap 0.0015 (c itself) falls in (delta, 2*delta] for delta = 1e-3
+    cls = em.classify_parameter(em.UnicriticalMap(2, 0.0015), 2000)
     assert cls.kind is em.OrbitKind.UNDETERMINED
+    assert cls.recurrence_gap == 0.0015
 
 
 def test_classify_parameter_usage_errors():
     with pytest.raises(ValueError):
         em.classify_parameter(em.UnicriticalMap(2, -2), 0)
-    with pytest.raises(ValueError):
-        em.classify_parameter(em.UnicriticalMap(2, -2), 10, delta_rec=0.0)
 
 
 def test_classification_escape_index_consistency():
@@ -144,7 +152,7 @@ def test_cloud_forward_near_invariance():
     pts = cloud.points_complex
     for p in pts:
         image = m.evaluate(p)
-        assert min(abs(image - q) for q in pts) <= cloud.tol_dedup
+        assert min(abs(image - q) for q in pts) <= em.dynamics.CLOUD_DEDUP_TOL
 
 
 def test_dist_to_cloud_oracles():
@@ -187,7 +195,7 @@ def test_cloud_search_matches_kdtree_bitwise(m):
 
     rng = np.random.default_rng(m)
     pts = rng.uniform(-2, 2, (m, 2))
-    cloud = em.PostcriticalCloud(pts, m, 1e-9)
+    cloud = em.PostcriticalCloud(pts)
     assert (cloud._tree is None) == (m <= em.dynamics.DIRECT_SEARCH_MAX)
     zs = rng.uniform(-3, 3, 5000) + 1j * rng.uniform(-3, 3, 5000)
     zs[:m] = pts[:, 0] + 1j * pts[:, 1]  # queries on the cloud itself
@@ -207,6 +215,21 @@ def test_cloud_diameter():
     cloud = em.build_postcritical_cloud(em.UnicriticalMap(2, -2), 50)
     assert cloud.diameter() == pytest.approx(4.0)
     assert em.build_postcritical_cloud(em.UnicriticalMap(2, 0), 5).diameter() == 0.0
+
+
+def test_cloud_matches_reference_loop():
+    # c = 1/4 (parabolic): the 2000-iterate orbit creeps toward 1/2 and keeps
+    # 2000 points; the kept points and the diameter must be the bits of the
+    # plain greedy loop over all pairs
+    fmap = em.UnicriticalMap(2, 0.25)
+    orbit, _ = em.critical_orbit(fmap, 2000)
+    kept = []
+    for z in orbit:
+        if all(abs(z - w) > em.dynamics.CLOUD_DEDUP_TOL for w in kept):
+            kept.append(z)
+    cloud = em.build_postcritical_cloud(fmap, 2000)
+    assert cloud.points_complex.tolist() == kept
+    assert cloud.diameter() == max(abs(a - b) for a in kept for b in kept)
 
 
 def test_green_potential_oracles():

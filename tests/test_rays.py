@@ -87,7 +87,7 @@ def test_cubic_ray_lands():
 
 
 def test_potential_schedule():
-    ray = trace_ray(cheb(), 0.0, 20, g0=1.0)
+    ray = trace_ray(cheb(), 0.0, 20)
     assert ray.potentials[0] == pytest.approx(1.0)
     for k, g in enumerate(ray.potentials):
         assert g == pytest.approx(1.0 / 2**k, abs=1e-8)
@@ -243,7 +243,7 @@ def test_rho_length_matches_direct_quadrature():
     ray = trace_ray(cheb(), 0.1, 25)
     metric = cheb_metric()
     r = 0.2
-    got = rho_length_of_ray(ray, metric, r, refine=8)
+    got = rho_length_of_ray(ray, metric, r)
     # independent midpoint sum over the clipped polyline
     base = ray.landing
     total = 0.0
@@ -288,9 +288,10 @@ def test_rho_length_scaling_exponent():
 
 
 def test_rho_length_rejects_faraway_base():
-    ray = trace_ray(cheb(), 0.0, 20)
+    # a landing far from every point of the polyline leaves no point in B(base, 2r)
+    ray = ExternalRay(0.0, [3 + 0j, 2.5 + 0j], [1.0, 0.5], 100 + 100j)
     with pytest.raises(DomainError):
-        rho_length_of_ray(ray, cheb_metric(), 0.05, base=100 + 100j)
+        rho_length_of_ray(ray, cheb_metric(), 0.05)
 
 
 def test_rho_length_requires_landing_or_base():
