@@ -43,6 +43,7 @@ from .backward import (
     conformal_radius_proxy,
     expansion_ratios,
     pull_back,
+    pull_back_orbits,
     shrink_fit,
 )
 from .gridmetric import (

@@ -38,6 +38,7 @@ BOUNDARY_SAMPLES = 64
 # leaves the side on which the boundary passes c undecided; the chords of a
 # 64-gon stand 0.012 chord lengths off its circle.
 MAX_PHASE_STEP = 0.9 * math.pi
+SAMPLED_TOO_COARSELY = "boundary sampled too coarsely around the critical value"
 
 
 class CaseLabel(enum.Enum):
@@ -53,6 +54,8 @@ class BackwardDiskOrbit:
     epsilon: float
     cloud: Optional[PostcriticalCloud] = None
     points: List[complex] = field(default_factory=list)
+    # the polygons of the last len(boundary) levels: all of them after
+    # pull_back, the current one after pull_back_orbits
     boundary: List[np.ndarray] = field(default_factory=list)
     # boundary samples minus the level's center, kept apart because the
     # absolute samples lose all relative precision once the diameter nears
@@ -68,7 +71,7 @@ class BackwardDiskOrbit:
             offsets = self.epsilon * np.exp(1j * angles)
             self.boundary = [self.z0 + offsets]
             self.offsets = [offsets]
-            self.diams = [set_diameter(offsets)]
+            self.diams = [float(set_diameter(offsets))]
             self.labels = [None]  # level 0 is the reference disk, not a pullback
 
     @property
@@ -82,72 +85,109 @@ class BackwardDiskOrbit:
         return None
 
 
-def _phase_steps(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
-    """arg v at each sample of a closed polygon, the step from each sample to
-    the next (the closing step last) reduced to [-pi, pi), and the winding
-    number of the polygon around 0, the steps' sum in turns."""
+def _phase_steps(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """arg v at each sample of closed polygons along the last axis, the step
+    from each sample to the next (the closing step last) reduced to [-pi, pi),
+    and the winding number of each polygon around 0, its steps' sum in turns."""
     phase = np.angle(v)
-    steps = (np.diff(phase, append=phase[:1]) + math.pi) % (2.0 * math.pi) - math.pi
-    return phase, steps, int(round(steps.sum() / (2.0 * math.pi)))
+    steps = (np.diff(phase, append=phase[..., :1]) + math.pi) % (2.0 * math.pi) - math.pi
+    return phase, steps, np.rint(steps.sum(axis=-1) / (2.0 * math.pi)).astype(int)
 
 
 def winding_number(polygon: np.ndarray, point: complex) -> int:
     """Winding number of a closed sample polygon around ``point``."""
-    return _phase_steps(polygon - point)[2]
+    return int(_phase_steps(polygon - point)[2])
 
 
-def _lift_boundary(
-    fmap: UnicriticalMap, prev: np.ndarray, prev_offsets: np.ndarray, center: complex
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Continuous lift of the boundary polygon through f^-1, as absolute
-    samples and as offsets from the new center.
+def _labels(fmap: UnicriticalMap, cloud: Optional[PostcriticalCloud],
+            prev_windings: np.ndarray, polys: np.ndarray) -> List[CaseLabel]:
+    """Pullback case of each row of ``polys``, one orbit's level n polygon a
+    row: Critical when its level n-1 polygon winds around the critical value
+    (mod d), as ``prev_windings`` says, Univalent-MeetsP when the level n
+    polygon winds around a cloud point, else Univalent-NoP."""
+    critical = prev_windings % fmap.d != 0
+    meets = np.zeros(len(polys), dtype=bool)
+    if cloud is not None:
+        pts = cloud.points_complex
+        re, im = polys.real, polys.imag
+        in_box = (~critical[:, None]
+                  & (re.min(axis=1)[:, None] <= pts.real) & (pts.real <= re.max(axis=1)[:, None])
+                  & (im.min(axis=1)[:, None] <= pts.imag) & (pts.imag <= im.max(axis=1)[:, None]))
+        for p in np.flatnonzero(in_box.any(axis=0)):
+            rows = np.flatnonzero(in_box[:, p] & ~meets)
+            meets[rows] = _phase_steps(polys[rows] - pts[p])[2] != 0
+    return [CaseLabel.CRITICAL if crit else CaseLabel.UNIVALENT_MEETS_P if meet
+            else CaseLabel.UNIVALENT_NO_P for crit, meet in zip(critical, meets)]
 
-    The phase of prev - c is unwrapped along the polygon; its integer jumps
+
+def _extend(fmap: UnicriticalMap, orbits: List[BackwardDiskOrbit], roots: List[int]) -> List[int]:
+    """Pull orbits whose current polygons share one sample count and one cloud
+    back one level together: each centre by its root number of ``preimages``,
+    each boundary by the continuous lift.  Appends each orbit's centre,
+    polygon, offsets, diameter and case label, and returns the positions of
+    the orbits left as they were because their boundary is sampled too
+    coarsely around the critical value.
+
+    The phase of prev - c is unwrapped along each polygon; its integer jumps
     give each sample's sheet, and the winding number W around c sets the
     number of turns, d / gcd(W, d): one for a univalent level, d for a
-    critical one.  Each sample is lifted by ``preimage_branch``,
-    starting from the preimage of prev[0] nearest the new center."""
+    critical one.  Each sample is lifted by ``preimage_branch``, starting from
+    the preimage of the polygon's first sample nearest the new center."""
     d = fmap.d
+    centers = [preimages(fmap, orbit.points[-1])[k] for orbit, k in zip(orbits, roots)]
+    prev = np.stack([orbit.boundary[-1] for orbit in orbits])
+    prev_offsets = np.stack([orbit.offsets[-1] for orbit in orbits])
     u = prev - fmap.c
     phase, steps, winding = _phase_steps(u)
-    if not u.all() or np.abs(steps).max() > MAX_PHASE_STEP:
-        raise SamplingResolutionError(
-            "boundary sampled too coarsely around the critical value"
-        )
-    unwrapped = phase[0] + np.concatenate(([0.0], np.cumsum(steps[:-1])))
+    coarse = ~u.all(axis=1) | (np.abs(steps).max(axis=1) > MAX_PHASE_STEP)
+    # cumulative sums run along each row, in the order of a single polygon's
+    unwrapped = phase[:, :1] + np.concatenate(
+        (np.zeros((len(u), 1)), np.cumsum(steps[:, :-1], axis=1)), axis=1)
     sheets = np.rint((unwrapped - phase) / (2.0 * math.pi)).astype(int)
-    turns = d // math.gcd(winding, d)
-    cands = preimages(fmap, complex(prev[0]))
-    start = min(range(d), key=lambda k: abs(cands[k] - center))
-    branch = (start + sheets + winding * np.arange(turns)[:, None]) % d
-    lifted = preimage_branch(fmap, prev, branch).ravel()
-    # on the center's sheet w - z_n = (w^d - z_n^d) / sum_j w^j z_n^(d-1-j),
-    # and w^d - z_n^d is the previous offset: exact in relative terms
-    offsets = lifted - center
-    on_sheet = np.abs(offsets) < 0.5 * math.sin(math.pi / d) * abs(center)
-    w = lifted[on_sheet]
-    offsets[on_sheet] = np.tile(prev_offsets, turns)[on_sheet] / sum(
-        w**j * center ** (d - 1 - j) for j in range(d))
-    return lifted, offsets
+    turns = d // np.gcd(winding, d)
+    for t in set(turns[~coarse].tolist()):
+        rows = np.flatnonzero((turns == t) & ~coarse)
+        start = []
+        for i in rows:
+            cands = preimages(fmap, complex(prev[i, 0]))
+            start.append(min(range(d), key=lambda k: abs(cands[k] - centers[i])))
+        branch = (np.array(start)[:, None, None] + sheets[rows, None, :]
+                  + winding[rows, None, None] * np.arange(t)[:, None]) % d
+        lifted = preimage_branch(fmap, prev[rows, None, :], branch).reshape(len(rows), -1)
+        # on the center's sheet w - z_n = (w^d - z_n^d) / sum_j w^j z_n^(d-1-j),
+        # and w^d - z_n^d is the previous offset: exact in relative terms; the
+        # powers of z_n stay Python complex powers, which NumPy's need not match
+        offsets = lifted - np.array([centers[i] for i in rows])[:, None]
+        radius = np.array([0.5 * math.sin(math.pi / d) * abs(centers[i]) for i in rows])
+        on_sheet = np.abs(offsets) < radius[:, None]
+        row_of = np.nonzero(on_sheet)[0]
+        w = lifted[on_sheet]
+        offsets[on_sheet] = np.tile(prev_offsets[rows], (1, t))[on_sheet] / sum(
+            w**j * np.array([centers[i] ** (d - 1 - j) for i in rows])[row_of]
+            for j in range(d))
+        diams = set_diameter(offsets)
+        labels = _labels(fmap, orbits[0].cloud, winding[rows], lifted)
+        for r, i in enumerate(rows):
+            orbit = orbits[i]
+            orbit.points.append(centers[i])
+            orbit.boundary.append(lifted[r])
+            orbit.offsets.append(offsets[r])
+            orbit.diams.append(float(diams[r]))
+            orbit.labels.append(labels[r])
+    return np.flatnonzero(coarse).tolist()
 
 
 def classify_level(orbit: BackwardDiskOrbit, n: int) -> CaseLabel:
     """Pullback case at level n: Critical when the level n-1 polygon winds
     around the critical value (mod d), Univalent-MeetsP when the level n
-    polygon winds around a cloud point, else Univalent-NoP."""
-    if n < 1 or n > orbit.depth:
+    polygon winds around a cloud point, else Univalent-NoP.  The orbit must
+    keep the polygons of both levels."""
+    first = orbit.depth + 1 - len(orbit.boundary)  # the first level with a kept polygon
+    if not first < n <= orbit.depth:
         raise ValueError(f"level {n} not populated")
-    fmap = orbit.fmap
-    if winding_number(orbit.boundary[n - 1], fmap.c) % fmap.d:
-        return CaseLabel.CRITICAL
-    poly = orbit.boundary[n]
-    if orbit.cloud is not None:
-        pts = orbit.cloud.points_complex
-        in_box = ((poly.real.min() <= pts.real) & (pts.real <= poly.real.max())
-                  & (poly.imag.min() <= pts.imag) & (pts.imag <= poly.imag.max()))
-        if any(winding_number(poly, p) for p in pts[in_box]):
-            return CaseLabel.UNIVALENT_MEETS_P
-    return CaseLabel.UNIVALENT_NO_P
+    winding = _phase_steps(orbit.boundary[n - 1 - first] - orbit.fmap.c)[2]
+    return _labels(orbit.fmap, orbit.cloud, winding[None],
+                   orbit.boundary[n - first][None])[0]
 
 
 def pull_back(
@@ -159,20 +199,56 @@ def pull_back(
     """Extend the orbit by ``steps`` inverse images: the center by root number
     ``branch`` of ``preimages``, or by one drawn from ``branch`` at each level
     when it is a generator; the boundary by the continuous lift; plus
-    diameters and case labels."""
+    diameters and case labels.  Every level's polygon is kept."""
     random = isinstance(branch, np.random.Generator)
     if not random and not 0 <= branch < fmap.d:
         raise ValueError(f"branch must lie in 0..{fmap.d - 1}, got {branch!r}")
     for _ in range(steps):
-        cands = preimages(fmap, orbit.points[-1])
-        k = int(branch.integers(fmap.d)) if random else branch
-        lifted, offsets = _lift_boundary(fmap, orbit.boundary[-1], orbit.offsets[-1], cands[k])
-        orbit.points.append(cands[k])
-        orbit.boundary.append(lifted)
-        orbit.offsets.append(offsets)
-        orbit.diams.append(set_diameter(offsets))
-        orbit.labels.append(classify_level(orbit, orbit.depth))
+        if _extend(fmap, [orbit], [int(branch.integers(fmap.d)) if random else branch]):
+            raise SamplingResolutionError(SAMPLED_TOO_COARSELY)
     return orbit
+
+
+def pull_back_orbits(
+    fmap: UnicriticalMap,
+    orbits: List[BackwardDiskOrbit],
+    steps: int,
+    rngs: List[np.random.Generator],
+) -> Optional[Tuple[int, str]]:
+    """Extend every orbit by ``steps`` levels, all of them one level at a time:
+    orbit i draws its root at each level from ``rngs[i]``, and orbits whose
+    current polygons share a sample count and a cloud are lifted together.
+    Each orbit keeps only its current polygon in ``boundary`` and
+    ``offsets``; centres, diameters and labels keep every level.
+
+    An orbit whose boundary is too coarse to lift, or which reaches a second
+    critical level, is past the single critical pass the expansion proof
+    allows, and each further critical lift would multiply its samples by d:
+    it stops at once, and so does every orbit after the lowest-numbered one
+    stopped.  Returns that orbit's index and the reason, or None when every
+    orbit reached the depth."""
+    refusal = None
+    live = list(range(len(orbits)))
+    for _ in range(steps):
+        groups = {}
+        for i in live:
+            key = (len(orbits[i].boundary[-1]), id(orbits[i].cloud))
+            groups.setdefault(key, []).append(i)
+        stopped = {}
+        for group in groups.values():
+            roots = [int(rngs[i].integers(fmap.d)) for i in group]
+            for pos in _extend(fmap, [orbits[i] for i in group], roots):
+                stopped[group[pos]] = SAMPLED_TOO_COARSELY
+        for i in live:
+            orbit = orbits[i]
+            if (i not in stopped and orbit.labels[-1] is CaseLabel.CRITICAL
+                    and orbit.labels.count(CaseLabel.CRITICAL) > 1):
+                stopped[i] = f"level {orbit.depth} is its second critical level"
+            del orbit.boundary[:-1], orbit.offsets[:-1]
+        if stopped and (refusal is None or min(stopped) < refusal[0]):
+            refusal = min(stopped), stopped[min(stopped)]
+        live = [i for i in live if i not in stopped and (refusal is None or i < refusal[0])]
+    return refusal
 
 
 def _log_derivatives(orbit: BackwardDiskOrbit) -> np.ndarray:

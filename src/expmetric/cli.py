@@ -24,9 +24,9 @@ from . import __version__
 from .backward import (
     MIN_FIT_LEVELS,
     BackwardDiskOrbit,
-    CaseLabel,
     expansion_ratios,
-    pull_back,
+    pull_back,  # noqa: F401  not called here; bench/tracing.py wraps it by this name
+    pull_back_orbits,
     shrink_fit,
 )
 from .dynamics import (
@@ -37,7 +37,7 @@ from .dynamics import (
     julia_distance_estimate,
     sample_julia_points,
 )
-from .errors import DomainError, RayTracingError, SamplingResolutionError
+from .errors import DomainError, RayTracingError
 from .gridmetric import (
     MIN_RESOLUTION,
     build_grid,
@@ -151,28 +151,17 @@ def cmd_expansion(config: ExperimentConfig) -> dict:
     rng = np.random.default_rng(config.seed)
     bases = sample_julia_points(fmap, config.orbits, rng)
 
+    orbits = [BackwardDiskOrbit(fmap, z0, eps, cloud=cloud) for z0 in bases]
+    rngs = [np.random.default_rng([config.seed, k]) for k in range(len(orbits))]
+    refusal = pull_back_orbits(fmap, orbits, config.depth, rngs)
+    if refusal:
+        k, why = refusal
+        raise SystemExit(f"refusing to continue: orbit {k} at epsilon {eps!r}: {why}; "
+                         "try a smaller --epsilon")
     rows = []
     summaries = []
     case_totals = {}
-    for k, z0 in enumerate(bases):
-        orbit = BackwardDiskOrbit(fmap, z0, eps, cloud=cloud)
-        orbit_rng = np.random.default_rng([config.seed, k])
-        # one level at a time, so that a disk too large for the proof stops
-        # before its next lift: one that meets the critical value twice is past
-        # the single critical pass, and each critical lift multiplies its
-        # samples by d
-        why = None
-        try:
-            for _ in range(config.depth):
-                pull_back(fmap, orbit, 1, orbit_rng)
-                if orbit.labels.count(CaseLabel.CRITICAL) > 1:
-                    why = f"level {orbit.depth} is its second critical level"
-                    break
-        except SamplingResolutionError as exc:
-            why = str(exc)
-        if why:
-            raise SystemExit(f"refusing to continue: orbit {k} at epsilon {eps!r}: {why}; "
-                             "try a smaller --epsilon")
+    for k, (z0, orbit) in enumerate(zip(bases, orbits)):
         rep = expansion_ratios(orbit, metric)
         c0, theta = shrink_fit(orbit)
         for lvl, ratio in zip(rep.levels, rep.ratios):

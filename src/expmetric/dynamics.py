@@ -25,6 +25,9 @@ RECURRENCE_DELTA = 1e-3
 CLOUD_DEDUP_TOL = 1e-9
 # Backward steps from the repelling fixed point to each sampled Julia point.
 JULIA_SAMPLE_STEPS = 36
+# Polygons whose pair distances set_diameter holds at once: four 64-gons take
+# 256 KiB of complex differences, all 50 of an expansion level 3.1 MiB.
+DIAMETER_POLYGONS = 4
 
 # Clouds up to this size are searched point by point, larger ones by a KD-tree.
 # Per query, with SciPy already loaded, the tree wins between 32 and 64 points;
@@ -189,7 +192,7 @@ class PostcriticalCloud:
         return self.points[:, 0] + 1j * self.points[:, 1]
 
     def diameter(self) -> float:
-        return set_diameter(self.points_complex)
+        return float(set_diameter(self.points_complex))
 
     def dist(self, z: complex) -> float:
         return float(self.dist_many(np.array([complex(z)]))[0])
@@ -211,16 +214,24 @@ class PostcriticalCloud:
         return np.sqrt(best, out=best)
 
 
-def set_diameter(samples: np.ndarray) -> float:
-    """Largest distance between two samples, each pair visited once, in row
-    blocks of at most 4096 pairs.  A full m x m temporary costs 16 m^2 bytes;
-    at 128 samples (256 KiB) it took up to three times as long as the blocks
-    in a process without SciPy loaded, likely allocator behaviour (glibc
-    serves blocks that large by mmap until its threshold adapts)."""
-    m = len(samples)
+def set_diameter(samples: np.ndarray) -> np.ndarray:
+    """Largest distance between two samples along the last axis, one for each
+    polygon of a (..., m) array, each pair visited once, in blocks of at most
+    4096 pairs for each of at most ``DIAMETER_POLYGONS`` polygons.  A full
+    m x m temporary costs 16 m^2 bytes a polygon; at 128 samples (256 KiB) it
+    took up to three times as long as the blocks in a process without SciPy
+    loaded, likely allocator behaviour (glibc serves blocks that large by mmap
+    until its threshold adapts)."""
+    m = samples.shape[-1]
     r = max(1, 4096 // m)
-    return float(max(np.abs(samples[i:i + r, None] - samples[None, i:]).max()
-                     for i in range(0, m, r)))
+    polygons = samples.reshape(-1, m)
+    out = np.empty(len(polygons))
+    for j in range(0, len(polygons), DIAMETER_POLYGONS):
+        rows = polygons[j:j + DIAMETER_POLYGONS]
+        out[j:j + DIAMETER_POLYGONS] = np.maximum.reduce(
+            [np.abs(rows[:, i:i + r, None] - rows[:, None, i:]).max(axis=(1, 2))
+             for i in range(0, m, r)])
+    return out.reshape(samples.shape[:-1])
 
 
 def build_postcritical_cloud(fmap: UnicriticalMap, n: int = 2000) -> PostcriticalCloud:

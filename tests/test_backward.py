@@ -14,7 +14,9 @@ from expmetric.backward import (
     conformal_radius_proxy,
     expansion_ratios,
     preimages,
+    SAMPLED_TOO_COARSELY,
     pull_back,
+    pull_back_orbits,
     shrink_fit,
     winding_number,
 )
@@ -232,6 +234,75 @@ def test_coarse_boundary_around_critical_value_rejected():
         pull_back(fmap, orbit, 1, 0)
 
 
+@pytest.mark.parametrize("fmap", [cheb(), map_i(), em.UnicriticalMap(3, 0.2j)],
+                         ids=["c=-2", "c=i", "d=3"])
+def test_pull_back_orbits_matches_one_orbit_at_a_time(fmap):
+    cloud = em.build_postcritical_cloud(fmap, 50)
+    rng = np.random.default_rng(7)
+    # small Julia disks stay univalent; disks at the critical value are
+    # critical at level 1 and carry d * 64 samples beside the 64-gons from
+    # then on; larger Julia disks meet the critical value later, and disks at
+    # cloud points meet the cloud
+    disks = [(z, 1e-3) for z in em.sample_julia_points(fmap, 6, rng)]
+    disks += [(fmap.c + 0.001, 0.003), (fmap.c - 0.001j, 0.003)]
+    disks += [(z, 0.2) for z in em.sample_julia_points(fmap, 8, rng)]
+    disks += [(p + 1e-5, 1e-4) for p in cloud.points_complex[1:3]]
+    depth = 25
+
+    def rngs():
+        return [np.random.default_rng([7, k]) for k in range(len(disks))]
+
+    batch = [BackwardDiskOrbit(fmap, z, eps, cloud=cloud) for z, eps in disks]
+    assert pull_back_orbits(fmap, batch, depth, rngs()) is None
+    for orbit, (z, eps), branch in zip(batch, disks, rngs()):
+        ref = pull_back(fmap, BackwardDiskOrbit(fmap, z, eps, cloud=cloud), depth, branch)
+        assert orbit.points == ref.points
+        assert orbit.diams == ref.diams
+        assert orbit.labels == ref.labels
+        # only the current polygon is kept, bit for bit the one-orbit lift's
+        assert len(orbit.boundary) == len(orbit.offsets) == 1
+        assert orbit.boundary[0].tobytes() == ref.boundary[-1].tobytes()
+        assert orbit.offsets[0].tobytes() == ref.offsets[-1].tobytes()
+        # the labeller serves classify_level too, on one orbit
+        assert [classify_level(ref, n) for n in range(1, depth + 1)] == ref.labels[1:]
+    assert {len(orbit.boundary[0]) for orbit in batch} == {64, 64 * fmap.d}
+    assert {lab for orbit in batch for lab in orbit.labels[1:]} == set(CaseLabel)
+
+
+def test_pull_back_orbits_refuses_the_lowest_numbered_orbit():
+    fmap = cheb()
+    cloud = em.build_postcritical_cloud(fmap, 50)
+    # a disk holding the whole Julia set meets the critical value again at
+    # level 2 (as in test_coarse_boundary_around_critical_value_rejected, an
+    # octagon around c is too coarse to lift at level 1)
+    [z_big] = em.sample_julia_points(fmap, 1, np.random.default_rng(4))
+    apothem = 0.05 * math.cos(math.pi / 8) * np.exp(1j * math.pi / 8)
+    z_coarse = fmap.c - 0.999 * apothem
+    octagon = 0.05 * np.exp(2j * math.pi * np.arange(8) / 8)
+
+    def orbits(order):
+        made = {"big": BackwardDiskOrbit(fmap, z_big, 3.0, cloud=cloud),
+                "coarse": BackwardDiskOrbit(fmap, z_coarse, 0.05, cloud=cloud),
+                "small": BackwardDiskOrbit(fmap, 0.5 + 0.5j, 1e-3, cloud=cloud)}
+        made["coarse"].boundary[0] = z_coarse + octagon
+        made["coarse"].offsets[0] = octagon
+        return [made[name] for name in order]
+
+    def rngs():
+        return [np.random.default_rng([4, k]) for k in range(3)]
+
+    # the later orbit is refused first, but the message names the lower one
+    batch = orbits(["big", "coarse", "small"])
+    assert pull_back_orbits(fmap, batch, 10, rngs()) == (
+        0, "level 2 is its second critical level")
+    # each orbit stopped as soon as it, or a lower-numbered one, was refused
+    assert [orbit.depth for orbit in batch] == [2, 0, 1]
+    assert len(batch[0].boundary[0]) == 4 * 64
+    batch = orbits(["coarse", "big", "small"])
+    assert pull_back_orbits(fmap, batch, 10, rngs()) == (0, SAMPLED_TOO_COARSELY)
+    assert [orbit.depth for orbit in batch] == [0, 1, 1]
+
+
 @pytest.mark.parametrize("m", [64, 128, 1000])
 def test_polygon_diameter_blocks_match_full_matrix(m):
     rng = np.random.default_rng(m)
@@ -240,6 +311,10 @@ def test_polygon_diameter_blocks_match_full_matrix(m):
     planted[-2:] = 100, -100j  # the farthest pair, both in the last row block
     for s in (samples, planted):
         assert set_diameter(s) == np.abs(s[:, None] - s[None, :]).max()
+    # a stack of polygons, more than are taken at once, gives one diameter each
+    stack = np.stack([samples, planted, 2 * planted, samples[::-1], samples + 1])
+    assert set_diameter(stack).tolist() == [
+        np.abs(s[:, None] - s[None, :]).max() for s in stack]
 
 
 # ------------------------------------------------------------- case labels

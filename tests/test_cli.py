@@ -1,11 +1,14 @@
 """End-to-end command-line contract: reports, gates, config, determinism."""
 
 import importlib.util
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -144,21 +147,64 @@ def test_expansion_refuses_oversized_disk(tmp_path, flags, reason):
 
 
 def test_second_critical_level_stops_before_next_lift(tmp_path, monkeypatch):
-    orbits = []
+    calls = []
+    lifts = []
+    extend = backward._extend
 
-    def recording(fmap, orbit, *args):
-        orbits.append(orbit)
-        return backward.pull_back(fmap, orbit, *args)
+    def recording(fmap, orbits, *args):
+        calls.append(orbits)
+        return backward.pull_back_orbits(fmap, orbits, *args)
 
-    monkeypatch.setattr(cli, "pull_back", recording)
+    def counting(fmap, orbits, roots):
+        lifts.append(len(orbits))
+        return extend(fmap, orbits, roots)
+
+    monkeypatch.setattr(cli, "pull_back_orbits", recording)
+    monkeypatch.setattr(backward, "_extend", counting)
     with pytest.raises(SystemExit, match="level 2 is its second critical level"):
         cli.main(["expansion", "--c-re", "-2", "--epsilon", "3", "--orbits", "1",
                   "--depth", "10", "--seed", "4", "--out", str(tmp_path)])
-    orbit = orbits[-1]
-    assert len(orbits) == orbit.depth == 2
+    [[orbit]] = calls
+    assert orbit.depth == 2
     assert orbit.labels[1:] == [backward.CaseLabel.CRITICAL] * 2
     # each critical lift doubled the samples; a third lift never ran
-    assert len(orbit.boundary[-1]) == 4 * len(orbit.boundary[0])
+    assert len(orbit.boundary[-1]) == 4 * backward.BOUNDARY_SAMPLES
+    assert lifts == [1, 1]
+
+
+@pytest.mark.parametrize("flags, reason", [
+    # orbit 7 meets the critical value a second time at level 2, orbit 0 at 9
+    (["--epsilon", "1.2", "--seed", "11"],
+     "orbit 0 at epsilon 1.2: level 9 is its second critical level"),
+    # orbit 1's boundary is too coarse to lift at level 1, orbit 0 stops at 2
+    (["--epsilon", "0.9", "--seed", "4"],
+     "orbit 0 at epsilon 0.9: level 2 is its second critical level"),
+], ids=["later-second-critical", "later-coarse"])
+def test_expansion_refusal_names_the_lowest_orbit(tmp_path, flags, reason):
+    # all orbits advance one level at a time, so a higher-numbered orbit can
+    # be refused first; the message still names the lowest-numbered one
+    with pytest.raises(SystemExit, match=reason):
+        cli.main(["expansion", "--c-re", "0", "--c-im", "1", "--orbits", "8", *flags,
+                  "--depth", "10", "--out", str(tmp_path)])
+    assert not any(tmp_path.iterdir())
+
+
+def test_expansion_peak_traced_memory(tmp_path):
+    # the level loop keeps only each orbit's current polygon and takes
+    # diameters a few orbits at a time: 1.4 MB at this size, where keeping
+    # every level's polygons peaks at 9.0 MB and taking a whole level's
+    # diameters at once at 4.9 MB.  A small run first pays the lazy imports
+    # and first-call allocations outside the traced one.
+    argv = ["expansion", "--c-re", "-2", "--seed", "0", "--out", str(tmp_path)]
+    with redirect_stdout(io.StringIO()):
+        cli.main([*argv, "--orbits", "2", "--depth", "10"])
+        tracemalloc.start()
+        try:
+            cli.main([*argv, "--orbits", "50", "--depth", "50"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 3e6
 
 
 # -------------------------------------------------------------------- config
