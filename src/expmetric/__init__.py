@@ -16,7 +16,6 @@ from .dynamics import (
     green_potential,
     julia_distance_estimate,
     orbit_derivative_magnitude,
-    preimages,
     sample_julia_points,
 )
 from .metrics import (

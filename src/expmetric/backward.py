@@ -16,14 +16,12 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-# orbit_derivative_magnitude and preimages are re-exported for callers that
-# look them up here
+# orbit_derivative_magnitude is re-exported for callers that look it up here
 from .dynamics import (  # noqa: F401
     PostcriticalCloud,
     UnicriticalMap,
     orbit_derivative_magnitude,
     preimage_branch,
-    preimages,
     set_diameter,
 )
 from .errors import SamplingResolutionError
@@ -122,11 +120,11 @@ def _labels(fmap: UnicriticalMap, cloud: Optional[PostcriticalCloud],
 
 def _extend(fmap: UnicriticalMap, orbits: List[BackwardDiskOrbit], roots: List[int]) -> List[int]:
     """Pull orbits whose current polygons share one sample count and one cloud
-    back one level together: each centre by its root number of ``preimages``,
-    each boundary by the continuous lift.  Appends each orbit's centre,
-    polygon, offsets, diameter and case label, and returns the positions of
-    the orbits left as they were because their boundary is sampled too
-    coarsely around the critical value.
+    back one level together: each centre by its root number of
+    ``preimage_branch``, each boundary by the continuous lift.  Appends each
+    orbit's centre, polygon, offsets, diameter and case label, and returns the
+    positions of the orbits left as they were because their boundary is
+    sampled too coarsely around the critical value.
 
     The phase of prev - c is unwrapped along each polygon; its integer jumps
     give each sample's sheet, and the winding number W around c sets the
@@ -134,7 +132,8 @@ def _extend(fmap: UnicriticalMap, orbits: List[BackwardDiskOrbit], roots: List[i
     critical one.  Each sample is lifted by ``preimage_branch``, starting from
     the preimage of the polygon's first sample nearest the new center."""
     d = fmap.d
-    centers = [preimages(fmap, orbit.points[-1])[k] for orbit, k in zip(orbits, roots)]
+    centers = preimage_branch(fmap, np.array([orbit.points[-1] for orbit in orbits]),
+                              np.array(roots))
     prev = np.stack([orbit.boundary[-1] for orbit in orbits])
     prev_offsets = np.stack([orbit.offsets[-1] for orbit in orbits])
     u = prev - fmap.c
@@ -147,29 +146,24 @@ def _extend(fmap: UnicriticalMap, orbits: List[BackwardDiskOrbit], roots: List[i
     turns = d // np.gcd(winding, d)
     for t in set(turns[~coarse].tolist()):
         rows = np.flatnonzero((turns == t) & ~coarse)
-        start = []
-        for i in rows:
-            cands = preimages(fmap, complex(prev[i, 0]))
-            start.append(min(range(d), key=lambda k: abs(cands[k] - centers[i])))
-        branch = (np.array(start)[:, None, None] + sheets[rows, None, :]
+        z_n = centers[rows, None]
+        start = np.abs(preimage_branch(fmap, prev[rows, :1], np.arange(d)) - z_n).argmin(axis=1)
+        branch = (start[:, None, None] + sheets[rows, None, :]
                   + winding[rows, None, None] * np.arange(t)[:, None]) % d
         lifted = preimage_branch(fmap, prev[rows, None, :], branch).reshape(len(rows), -1)
         # on the center's sheet w - z_n = (w^d - z_n^d) / sum_j w^j z_n^(d-1-j),
-        # and w^d - z_n^d is the previous offset: exact in relative terms; the
-        # powers of z_n stay Python complex powers, which NumPy's need not match
-        offsets = lifted - np.array([centers[i] for i in rows])[:, None]
-        radius = np.array([0.5 * math.sin(math.pi / d) * abs(centers[i]) for i in rows])
-        on_sheet = np.abs(offsets) < radius[:, None]
-        row_of = np.nonzero(on_sheet)[0]
+        # and w^d - z_n^d is the previous offset: exact in relative terms
+        offsets = lifted - z_n
+        on_sheet = np.abs(offsets) < 0.5 * math.sin(math.pi / d) * np.abs(z_n)
         w = lifted[on_sheet]
+        z = np.broadcast_to(z_n, lifted.shape)[on_sheet]
         offsets[on_sheet] = np.tile(prev_offsets[rows], (1, t))[on_sheet] / sum(
-            w**j * np.array([centers[i] ** (d - 1 - j) for i in rows])[row_of]
-            for j in range(d))
+            w**j * z ** (d - 1 - j) for j in range(d))
         diams = set_diameter(offsets)
         labels = _labels(fmap, orbits[0].cloud, winding[rows], lifted)
         for r, i in enumerate(rows):
             orbit = orbits[i]
-            orbit.points.append(centers[i])
+            orbit.points.append(complex(centers[i]))
             orbit.boundary.append(lifted[r])
             orbit.offsets.append(offsets[r])
             orbit.diams.append(float(diams[r]))
@@ -197,8 +191,8 @@ def pull_back(
     branch: Union[int, np.random.Generator],
 ) -> BackwardDiskOrbit:
     """Extend the orbit by ``steps`` inverse images: the center by root number
-    ``branch`` of ``preimages``, or by one drawn from ``branch`` at each level
-    when it is a generator; the boundary by the continuous lift; plus
+    ``branch`` of ``preimage_branch``, or by one drawn from ``branch`` at each
+    level when it is a generator; the boundary by the continuous lift; plus
     diameters and case labels.  Every level's polygon is kept."""
     random = isinstance(branch, np.random.Generator)
     if not random and not 0 <= branch < fmap.d:

@@ -336,6 +336,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical verification of expanding singular metrics "
                     "for unicritical polynomials z^d + c",
     )
+    defaults = ExperimentConfig()
+
     def add_common(target, suppress: bool) -> None:
         # the same flags are accepted before or after the subcommand; the
         # subparser copies use SUPPRESS defaults so they only override the
@@ -345,15 +347,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
         target.add_argument("--config", type=Path, default=dflt(None),
                             help="JSON config overriding flags")
-        target.add_argument("--d", type=int, default=dflt(2))
-        target.add_argument("--c-re", type=float, default=dflt(-2.0))
-        target.add_argument("--c-im", type=float, default=dflt(0.0))
-        target.add_argument("--orbit-n", type=int, default=dflt(2000))
-        target.add_argument("--epsilon", type=float, default=dflt(None))
-        target.add_argument("--grid-res", type=int, default=dflt(256))
-        target.add_argument("--orbits", type=int, default=dflt(50))
-        target.add_argument("--depth", type=int, default=dflt(30))
-        target.add_argument("--seed", type=int, default=dflt(0))
+        target.add_argument("--d", type=int, default=dflt(defaults.d))
+        target.add_argument("--c-re", type=float, default=dflt(defaults.c.real))
+        target.add_argument("--c-im", type=float, default=dflt(defaults.c.imag))
+        target.add_argument("--orbit-n", type=int, default=dflt(defaults.orbit_n))
+        target.add_argument("--epsilon", type=float, default=dflt(defaults.epsilon))
+        target.add_argument("--grid-res", type=int, default=dflt(defaults.grid_res))
+        target.add_argument("--orbits", type=int, default=dflt(defaults.orbits))
+        target.add_argument("--depth", type=int, default=dflt(defaults.depth))
+        target.add_argument("--seed", type=int, default=dflt(defaults.seed))
         target.add_argument("--out", type=Path, default=dflt(None))
 
     add_common(parser, suppress=False)
@@ -390,9 +392,9 @@ def _config_from_args(args) -> ExperimentConfig:
         orbits=args.orbits,
         depth=args.depth,
         seed=args.seed,
-        out_dir=args.out if args.out is not None
-        else Path(os.environ.get(OUTPUT_DIR_ENV, "out")),
     )
+    if args.out is not None:
+        cfg.out_dir = args.out
     if args.config is not None:
         try:
             overrides = json.loads(Path(args.config).read_text())

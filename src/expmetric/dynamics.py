@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import cmath
 import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -103,23 +102,12 @@ def critical_orbit(fmap: UnicriticalMap, n: int):
     return orbit, escape_index
 
 
-def preimages(fmap: UnicriticalMap, z: complex) -> List[complex]:
-    """The d solutions of w^d = z - c: principal root times the d-th roots of
-    unity.  All collapse to 0 at the critical value z = c."""
-    w = z - fmap.c
-    if w == 0:
-        return [0.0 + 0.0j] * fmap.d
-    r = abs(w) ** (1.0 / fmap.d)
-    phi = cmath.phase(w) / fmap.d
-    return [
-        r * cmath.exp(1j * (phi + 2.0 * math.pi * k / fmap.d))
-        for k in range(fmap.d)
-    ]
-
-
 def preimage_branch(fmap: UnicriticalMap, z: np.ndarray, branch) -> np.ndarray:
-    """Array form of ``preimages``: root number ``branch`` (0 is the principal
-    root) of w^d = z - c, elementwise, with z and branch broadcast together."""
+    """Root number ``branch`` of w^d = z - c, elementwise, with z and branch
+    broadcast together: the principal root (branch 0) times the d-th roots of
+    unity.  All roots collapse to 0 at the critical value z = c.  Pass arrays:
+    a 0-d z takes libm's scalar pow, which can differ from NumPy's array pow
+    in the last bit."""
     u = np.asarray(z) - fmap.c
     arg = np.angle(u) / fmap.d + 2.0 * math.pi * branch / fmap.d
     return np.abs(u) ** (1.0 / fmap.d) * np.exp(1j * arg)
@@ -293,11 +281,9 @@ def sample_julia_points(fmap: UnicriticalMap, count: int, rng: np.random.Generat
     """Points near J(f) via random backward iteration from the repelling fixed
     point of largest modulus.  Backward orbits equidistribute on the Julia set."""
     roots = np.roots([1.0] + [0.0] * (fmap.d - 2) + [-1.0, fmap.c])
-    beta = complex(roots[np.argmax(np.abs(roots))])
-    out = []
-    for _ in range(count):
-        z = beta
-        for _ in range(JULIA_SAMPLE_STEPS):
-            z = preimages(fmap, z)[int(rng.integers(fmap.d))]
-        out.append(z)
-    return out
+    z = np.full(count, complex(roots[np.argmax(np.abs(roots))]))
+    # row by row, the draws of a scalar integers(d) call per step and point
+    branches = rng.integers(fmap.d, size=(count, JULIA_SAMPLE_STEPS))
+    for step in range(JULIA_SAMPLE_STEPS):
+        z = preimage_branch(fmap, z, branches[:, step])
+    return z.tolist()

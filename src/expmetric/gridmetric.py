@@ -43,9 +43,8 @@ class PathMetricGrid:
     def local_density(self, z: complex) -> float:
         if self.metric is None:
             return 1.0
-        return self.metric.density_from_dist(
-            max(self.metric.cloud.dist(z), self.h / 2.0)
-        )
+        return float(self.metric.density_array(np.array([complex(z)]),
+                                               dist_floor=self.h / 2.0)[0])
 
     def contains(self, z: complex) -> bool:
         return (self.lo.real <= z.real <= self.hi.real

@@ -41,18 +41,13 @@ class SingularMetric:
             raise ValueError("alpha must lie in (0, 1)")
 
     def density(self, z: complex) -> float:
-        """Metric density at z; +inf on the cloud itself."""
-        dist = self.cloud.dist(z)
-        return self.density_from_dist(dist)
-
-    def density_from_dist(self, dist: float) -> float:
-        if dist <= 0.0:
-            return math.inf
-        sing = dist ** (-self.alpha)
-        return 1.0 + sing if self.variant is Variant.RHO else sing
+        """Metric density at z, the one-point case of ``density_array``; +inf
+        on the cloud itself."""
+        return float(self.density_array(np.array([complex(z)]))[0])
 
     def density_array(self, zs: np.ndarray, dist_floor: float = 0.0) -> np.ndarray:
-        """Vectorized density with distances capped below by ``dist_floor``."""
+        """Density at each point of ``zs``, with distances capped below by
+        ``dist_floor``; +inf on the cloud itself."""
         dist = self.cloud.dist_many(zs)
         if dist_floor > 0.0:
             dist = np.maximum(dist, dist_floor)

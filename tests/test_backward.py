@@ -13,14 +13,13 @@ from expmetric.backward import (
     classify_level,
     conformal_radius_proxy,
     expansion_ratios,
-    preimages,
     SAMPLED_TOO_COARSELY,
     pull_back,
     pull_back_orbits,
     shrink_fit,
     winding_number,
 )
-from expmetric.dynamics import set_diameter
+from expmetric.dynamics import preimage_branch, set_diameter
 from expmetric.errors import SamplingResolutionError
 from expmetric.metrics import SingularMetric, Variant
 
@@ -43,34 +42,40 @@ def fresh_orbit(fmap, z0, eps, cloud_n=50):
 # ---------------------------------------------------------------- preimages
 
 
+def roots_of(fmap, z):
+    """All d roots of w^d = z - c, in branch order."""
+    return preimage_branch(fmap, z, np.arange(fmap.d))
+
+
 def test_preimages_oracles():
-    got = sorted(w.real for w in preimages(cheb(), 2))
+    got = sorted(w.real for w in roots_of(cheb(), 2))
     assert got == pytest.approx([-2.0, 2.0], abs=1e-12)
-    got = sorted(w.real for w in preimages(cheb(), 0))
+    got = sorted(w.real for w in roots_of(cheb(), 0))
     assert got == pytest.approx([-SQRT2, SQRT2], abs=1e-12)
 
 
 def test_preimages_collapse_at_critical_value():
     fmap = em.UnicriticalMap(3, 0.3 + 0.1j)
-    assert preimages(fmap, fmap.c) == [0j, 0j, 0j]
+    assert roots_of(fmap, fmap.c).tolist() == [0j, 0j, 0j]
 
 
 def test_preimages_cube_roots():
     fmap = em.UnicriticalMap(3, 0)
-    roots = preimages(fmap, 8)
+    roots = roots_of(fmap, 8)
     assert sorted(abs(w) for w in roots) == pytest.approx([2, 2, 2])
-    assert min(abs(w - 2) for w in roots) < 1e-12
+    assert abs(roots[0] - 2) < 1e-12  # the principal root
 
 
 def test_preimages_are_actual_preimages():
     rng = np.random.default_rng(0)
     for fmap in (cheb(), map_i(), em.UnicriticalMap(3, 0.2j)):
-        for _ in range(25):
-            z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            ws = preimages(fmap, z)
-            assert len(ws) == fmap.d
-            for w in ws:
-                assert abs(fmap.evaluate(w) - z) < 1e-10
+        zs = rng.uniform(-3, 3, 25) + 1j * rng.uniform(-3, 3, 25)
+        ws = preimage_branch(fmap, zs[:, None], np.arange(fmap.d))
+        assert ws.shape == (25, fmap.d)
+        assert np.abs(fmap.evaluate(ws) - zs[:, None]).max() < 1e-10
+        # the d roots are distinct: consecutive branches differ by exp(2 pi i / d)
+        rot = np.exp(2j * math.pi / fmap.d)
+        assert np.abs(ws[:, 1:] - ws[:, :-1] * rot).max() < 1e-12 * np.abs(ws).max()
 
 
 # ------------------------------------------------------------------ winding

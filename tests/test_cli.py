@@ -337,6 +337,13 @@ def test_write_json_refuses_non_finite(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("command", ["classify", "expansion", "holder", "rays", "render"])
+def test_bare_command_parses_to_default_config(command, monkeypatch):
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    args = cli._build_parser().parse_args([command])
+    assert cli._config_from_args(args) == cli.ExperimentConfig()
+
+
 def test_output_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "envout"))
     run(["classify", "--c-re", "-2"], capsys)

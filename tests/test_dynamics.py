@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expmetric as em
+from expmetric.dynamics import JULIA_SAMPLE_STEPS, preimage_branch
 from expmetric.errors import EscapeError, InsideJuliaError
 
 SQRT2 = math.sqrt(2.0)
@@ -282,3 +283,23 @@ def test_sample_julia_points_deterministic():
     a = em.sample_julia_points(m, 10, np.random.default_rng(42))
     b = em.sample_julia_points(m, 10, np.random.default_rng(42))
     assert a == b
+
+
+@pytest.mark.parametrize("fmap", [em.UnicriticalMap(2, 1j), em.UnicriticalMap(3, 0.2j)])
+def test_sample_julia_points_draw_order(fmap):
+    # expansion's base points rest on this order: one integers(d) draw per
+    # backward step, point after point, each step by preimage_branch on a
+    # one-point array (a 0-d one would reach libm's pow, not NumPy's array pow)
+    count = 7
+    rng = np.random.default_rng(11)
+    got = em.sample_julia_points(fmap, count, rng)
+    ref = np.random.default_rng(11)
+    roots = np.roots([1.0] + [0.0] * (fmap.d - 2) + [-1.0, fmap.c])
+    want = []
+    for _ in range(count):
+        z = np.array([roots[np.argmax(np.abs(roots))]])
+        for _ in range(JULIA_SAMPLE_STEPS):
+            z = preimage_branch(fmap, z, int(ref.integers(fmap.d)))
+        want.append(complex(z[0]))
+    assert got == want
+    assert rng.bit_generator.state == ref.bit_generator.state

@@ -52,13 +52,13 @@ def test_singular_grid_edge_weight_oracles():
     # horizontal edge with midpoint at i*h/2 distance ~... use the edge from
     # -h/2... nodes sit on multiples of h, so take the edge (0, h): midpoint h/2
     w = edge_weight(grid, 0 + 0j, h + 0j)
-    expected = h * metric.density_from_dist(max(2 - h / 2, h / 2))
+    expected = h * (1 + (2 - h / 2) ** -0.5)
     assert w == pytest.approx(expected, rel=1e-12)
     # edge whose midpoint is the cloud point 2: nodes 2 -+ h/2 are not lattice
     # points here, so use the vertical edge through 2 with midpoint exactly 2
     w = edge_weight(grid, 2 - 1j * h, 2 + 0j)
     # midpoint dist = h/2 after capping
-    expected = h * metric.density_from_dist(h / 2)
+    expected = h * (1 + (h / 2) ** -0.5)
     assert w == pytest.approx(expected, rel=1e-12)
     assert math.isfinite(w)
 

@@ -35,6 +35,21 @@ def test_density_bounds_by_variant():
         assert sigma.density(z) > 0.0
 
 
+@pytest.mark.parametrize("variant", [Variant.RHO, Variant.SIGMA])
+def test_density_is_the_one_point_density_array(variant):
+    metric = em.SingularMetric.for_degree(cheb_cloud(), 2, variant)
+    rng = np.random.default_rng(5)
+    zs = list(rng.uniform(-3, 3, 20) + 1j * rng.uniform(-3, 3, 20)) + [2, -2, 0j]
+    for z in zs:
+        assert metric.density(z) == metric.density_array(np.array([z]))[0]
+    assert metric.density(2) == metric.density(-2) == math.inf
+    grid = em.build_grid(metric, (complex(-3, -3), complex(3, 3)), 31)
+    for z in zs:
+        floored = metric.density_array(np.array([z]), dist_floor=grid.h / 2)[0]
+        assert grid.local_density(z) == floored
+    assert math.isfinite(grid.local_density(2))
+
+
 def test_alpha_matches_degree():
     for d in (2, 3, 5):
         metric = em.SingularMetric.for_degree(cheb_cloud(), d)
