@@ -24,22 +24,16 @@ from .metrics import (
     Variant,
     comparison_F,
     comparison_F_closed_form,
-    density_from_conformal_radius,
     hyperbolic_density_disk,
-    hyperbolic_from_pseudo,
     koebe_bounds,
     orbifold_density_disk,
-    pseudo_hyperbolic_disk_center,
-    pseudo_hyperbolic_unit,
     series_F_times_power,
 )
 from .backward import (
     BackwardDiskOrbit,
     CaseLabel,
     ExpansionReport,
-    case3_bound_check,
     classify_level,
-    conformal_radius_proxy,
     expansion_ratios,
     pull_back,
     pull_back_orbits,

@@ -76,12 +76,6 @@ class BackwardDiskOrbit:
     def depth(self) -> int:
         return len(self.points) - 1
 
-    def critical_level(self) -> Optional[int]:
-        for n, lab in enumerate(self.labels):
-            if lab is CaseLabel.CRITICAL:
-                return n
-        return None
-
 
 def _phase_steps(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """arg v at each sample of closed polygons along the last axis, the step
@@ -297,31 +291,6 @@ def expansion_ratios(
     )
 
 
-@dataclass(frozen=True)
-class RadiusProxy:
-    value: float
-    from_diameter: bool
-
-
-def conformal_radius_proxy(orbit: BackwardDiskOrbit, n: int) -> RadiusProxy:
-    """Conformal radius of the level-n pullback with respect to its center.
-
-    At univalent levels this is the exact derivative transport eps/|(f^n)'(z_n)|;
-    past a critical level the sampled diameter is the (flagged) fallback."""
-    if n == 0:
-        return RadiusProxy(orbit.epsilon, False)
-    if n > orbit.depth:
-        raise ValueError(f"level {n} not populated")
-    if orbit.labels[n] is CaseLabel.CRITICAL:
-        raise ValueError(
-            "conformal-radius transport is not defined at the critical level"
-        )
-    n_crit = orbit.critical_level()
-    if n_crit is not None and n > n_crit:
-        return RadiusProxy(orbit.diams[n], True)
-    return RadiusProxy(orbit.epsilon / math.exp(_log_derivatives(orbit)[n]), False)
-
-
 def shrink_fit(orbit: BackwardDiskOrbit) -> Tuple[float, float]:
     """Fit diam U_n ~ C0 theta^n by least squares on log diameters.
 
@@ -332,44 +301,3 @@ def shrink_fit(orbit: BackwardDiskOrbit) -> Tuple[float, float]:
     logs = np.log(orbit.diams)
     slope, intercept = np.polyfit(ns, logs, 1)
     return float(math.exp(intercept)), float(math.exp(slope))
-
-
-@dataclass(frozen=True)
-class Case3Report:
-    critical_level: int
-    w0: complex
-    deriv_lower_margin: float
-    sigma_upper_margin: float
-    sigma_lower_margin: float
-
-
-def case3_bound_check(
-    orbit: BackwardDiskOrbit, metric: SingularMetric
-) -> Case3Report:
-    """Check the critical-branch inequalities with the diameter proxy for the
-    final conformal radius, recording signed margins (>= 0 means satisfied).
-
-    w0 is the forward image of the critical point at the critical level."""
-    n0 = orbit.critical_level()
-    if n0 is None:
-        raise ValueError("orbit has no critical level")
-    fmap = orbit.fmap
-    d = fmap.d
-    w0 = 0.0 + 0.0j
-    for _ in range(n0):
-        w0 = fmap.evaluate(w0)
-    n = orbit.depth
-    z0 = orbit.points[0]
-    z_n = orbit.points[n]
-    r_n = orbit.diams[n]  # diameter-based proxy, upper-bound flavor
-    deriv = math.exp(_log_derivatives(orbit)[n])
-    lower = orbit.epsilon ** (1.0 / d) * abs(z0 - w0) ** (1.0 - 1.0 / d) / r_n
-    sigma_n = metric.density(z_n)
-    sigma_0 = metric.density(z0)
-    return Case3Report(
-        critical_level=n0,
-        w0=w0,
-        deriv_lower_margin=deriv - lower,
-        sigma_upper_margin=(4.0 / r_n) ** (1.0 - 1.0 / d) - sigma_n,
-        sigma_lower_margin=sigma_0 - abs(z0 - w0) ** (-(1.0 - 1.0 / d)),
-    )

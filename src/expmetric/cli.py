@@ -37,7 +37,7 @@ from .dynamics import (
     julia_distance_estimate,
     sample_julia_points,
 )
-from .errors import DomainError, RayTracingError
+from .errors import DomainError, EscapeError, RayTracingError
 from .gridmetric import (
     MIN_RESOLUTION,
     build_grid,
@@ -49,7 +49,7 @@ from .gridmetric import (
 from .metrics import SingularMetric, Variant
 # trace_ray is not called here but stays importable: bench/tracing.py wraps it by this name
 from .rays import MAX_RAY_DEPTH, john_constant_along_ray, john_report, rho_length_of_ray, trace_ray, trace_rays  # noqa: F401
-from .render import RenderSpec, density_field, distance_field, escape_time_field, overlay_polyline, to_rgb, write_ppm
+from .render import LAYERS, RenderSpec, density_field, distance_field, escape_time_field, overlay_polyline, to_rgb, write_ppm
 
 OUTPUT_DIR_ENV = "EXPMETRIC_OUT"
 
@@ -230,7 +230,11 @@ def cmd_holder(config: ExperimentConfig) -> dict:
         (a, b) for a, b in pairs
         if grid.contains(a) and grid.contains(b) and 0 < abs(a - b) < 1
     ]
-    fit = holder_fit(grid, pairs)
+    try:
+        fit = holder_fit(grid, pairs)
+    except ValueError as exc:
+        raise SystemExit(f"refusing to report: {exc} at grid_res {config.grid_res}; "
+                         "try a larger --grid-res")
     audit = verify_lower_bound(grid, pairs)
     upper_c = uniform_upper_constant(grid, pairs, metric.alpha)
     rows = [
@@ -314,7 +318,10 @@ def cmd_render(config: ExperimentConfig, spec: RenderSpec) -> Path:
         field_vals = escape_time_field(fmap, spec)
         rgb = to_rgb(field_vals)
     else:
-        cloud = build_postcritical_cloud(fmap, config.orbit_n)
+        try:
+            cloud = build_postcritical_cloud(fmap, config.orbit_n)
+        except EscapeError as exc:
+            raise SystemExit(f"refusing to render {spec.layer}: {exc}")
         if spec.layer == "distance-to-P":
             metric = SingularMetric.for_degree(cloud, fmap.d, Variant.RHO)
             rgb = to_rgb(distance_field(metric, spec))
@@ -369,9 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="comma-separated external angles in turns")
     p_render = sub.add_parser("render")
     add_common(p_render, suppress=True)
-    p_render.add_argument("--layer", choices=["escape-time", "density-rho",
-                                              "density-sigma", "distance-to-P"],
-                          default="escape-time")
+    p_render.add_argument("--layer", choices=LAYERS, default="escape-time")
     p_render.add_argument("--width", type=int, default=512)
     p_render.add_argument("--height", type=int, default=512)
     p_render.add_argument("--bbox", type=float, nargs=4,

@@ -1,8 +1,8 @@
 """Closed-form metric densities and distortion bounds.
 
 Singular densities over a postcritical cloud, the orbifold/hyperbolic
-comparison function F_d, pseudo-hyperbolic and hyperbolic disk densities,
-conformal-radius relations, and Koebe distortion bounds.
+comparison function F_d, hyperbolic and orbifold disk densities, and Koebe
+distortion bounds.
 """
 
 from __future__ import annotations
@@ -90,29 +90,6 @@ def comparison_F_closed_form(d: int, t: float) -> float:
     return (1.0 - t * t) / (d * t ** (1.0 - 1.0 / d) * (1.0 - t ** (2.0 / d)))
 
 
-def pseudo_hyperbolic_unit(z: complex, w: complex) -> float:
-    """|(z - w) / (1 - conj(w) z)| on the unit disk."""
-    if abs(z) >= 1.0 or abs(w) >= 1.0:
-        raise DomainError("both points must lie inside the unit disk")
-    # quotient of moduli, not modulus of the quotient: the denominators for
-    # (z, w) and (w, z) are conjugates, so this form is exactly symmetric
-    return abs(z - w) / abs(1.0 - w.conjugate() * z)
-
-
-def pseudo_hyperbolic_disk_center(z0: complex, r: float, z: complex) -> float:
-    """Pseudo-hyperbolic distance from the center z0 of B(z0, r) to z: |z-z0|/r."""
-    if abs(z - z0) >= r:
-        raise DomainError("z must lie inside the disk")
-    return abs(z - z0) / r
-
-
-def hyperbolic_from_pseudo(p: float) -> float:
-    """Hyperbolic distance 2 atanh(p) = log((1+p)/(1-p)) from pseudo-hyperbolic p."""
-    if not 0.0 <= p < 1.0:
-        raise DomainError(f"p must lie in [0, 1), got {p}")
-    return math.log((1.0 + p) / (1.0 - p))
-
-
 def hyperbolic_density_disk(r: float, z: complex) -> float:
     """Hyperbolic density 2r / (r^2 - |z|^2) of B(0, r)."""
     if abs(z) >= r:
@@ -158,10 +135,3 @@ def koebe_bounds(deriv_mag: float, r: float, s: float) -> KoebeBounds:
         upper=deriv_mag / (1.0 - u) ** 2,
         quarter_radius=deriv_mag * r / 4.0,
     )
-
-
-def density_from_conformal_radius(r: float) -> float:
-    """Hyperbolic density at the base point from the conformal radius: 2/r."""
-    if r <= 0.0:
-        raise DomainError("conformal radius must be positive")
-    return 2.0 / r

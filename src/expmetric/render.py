@@ -3,6 +3,7 @@ with optional external-ray overlays, written as binary P6 pixmaps."""
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -34,6 +35,11 @@ class RenderSpec:
                              f"{self.width}x{self.height}")
         if self.layer not in LAYERS:
             raise ValueError(f"unknown layer {self.layer!r}; choose from {LAYERS}")
+        lo, hi = self.bbox
+        if not (cmath.isfinite(lo) and cmath.isfinite(hi)
+                and lo.real < hi.real and lo.imag < hi.imag):
+            raise ValueError("bbox needs finite corners with XMIN < XMAX and YMIN < YMAX, "
+                             f"got {lo.real!r} {hi.real!r} {lo.imag!r} {hi.imag!r}")
 
 
 def _pixel_grid(spec: RenderSpec) -> np.ndarray:

@@ -9,9 +9,8 @@ import expmetric as em
 from expmetric.backward import (
     BackwardDiskOrbit,
     CaseLabel,
-    case3_bound_check,
+    _log_derivatives,
     classify_level,
-    conformal_radius_proxy,
     expansion_ratios,
     SAMPLED_TOO_COARSELY,
     pull_back,
@@ -205,10 +204,10 @@ def test_pulled_back_diameters_keep_precision_to_depth_50():
     for k, z0 in enumerate(em.sample_julia_points(fmap, 20, np.random.default_rng(0))):
         orbit = BackwardDiskOrbit(fmap, z0, 1e-4, cloud=cloud)
         pull_back(fmap, orbit, 50, np.random.default_rng([0, k]))
-        if orbit.critical_level() is not None:
+        if CaseLabel.CRITICAL in orbit.labels:
             continue
-        scaled = [orbit.diams[n] / conformal_radius_proxy(orbit, n).value
-                  for n in range(1, 51)]
+        logs = _log_derivatives(orbit)
+        scaled = [orbit.diams[n] * math.exp(logs[n]) / 1e-4 for n in range(1, 51)]
         drifts.append(max(abs(s / scaled[0] - 1.0) for s in scaled))
     assert len(drifts) >= 10
     assert np.median(drifts) < 1e-6
@@ -336,7 +335,7 @@ def test_critical_label_detected_at_level_one():
     for fmap in (cheb(), map_i(), em.UnicriticalMap(3, 0.2j)):
         orbit = critical_orbit_at(fmap)
         assert orbit.labels[1] is CaseLabel.CRITICAL
-        assert orbit.critical_level() == 1
+        assert orbit.labels.index(CaseLabel.CRITICAL) == 1
         # the lift runs d turns around the branch point
         assert len(orbit.boundary[1]) == 64 * fmap.d
 
@@ -400,7 +399,6 @@ def test_accumulated_derivative_oracle_at_depth_80():
     rep = expansion_ratios(orbit, SingularMetric.for_degree(cloud, 2, Variant.SIGMA))
     assert rep.levels == list(range(1, 81))
     assert rep.ratios == pytest.approx([2.0**n for n in range(1, 81)], rel=1e-12)
-    assert conformal_radius_proxy(orbit, 80).value == pytest.approx(0.01 / 2**80, rel=1e-12)
 
 
 def test_expansion_fit_grows_exponentially():
@@ -439,33 +437,6 @@ def test_expansion_all_levels_skipped_rejected():
         expansion_ratios(orbit, metric)
 
 
-# --------------------------------------------------- conformal radius proxy
-
-
-def test_conformal_radius_proxy_oracles():
-    fmap = cheb()
-    orbit = fresh_orbit(fmap, 0, 0.1)
-    pull_back(fmap, orbit, 2, 0)
-    r0 = conformal_radius_proxy(orbit, 0)
-    assert r0.value == 0.1 and not r0.from_diameter
-    r1 = conformal_radius_proxy(orbit, 1)
-    assert r1.value == pytest.approx(0.1 / (2 * SQRT2), rel=1e-12)
-    assert r1.value == pytest.approx(0.035355339059327376, abs=1e-15)
-    assert not r1.from_diameter
-    with pytest.raises(ValueError):
-        conformal_radius_proxy(orbit, 3)
-
-
-def test_conformal_radius_proxy_past_critical():
-    orbit = critical_orbit_at(cheb(), steps=4)
-    with pytest.raises(ValueError):
-        conformal_radius_proxy(orbit, 1)  # the critical level itself
-    r = conformal_radius_proxy(orbit, 3)
-    assert r.from_diameter
-    assert r.value == pytest.approx(orbit.diams[3])
-    assert r.value <= 1.05 * orbit.diams[3]
-
-
 # ------------------------------------------------------------- shrink fit
 
 
@@ -499,33 +470,15 @@ def test_shrink_fit_needs_depth():
 
 
 def test_case3_margins_nonnegative():
+    # past the critical level n0 = 1, where w0 = f(0) = c, the derivative
+    # obeys |(f^n)'(z_n)| >= eps^(1/d) |z0 - w0|^(1-1/d) / r_n with the
+    # diameter of U_n for r_n; the ratio of the two sides is about 4.7 at
+    # c = -2 and 4.5 at c = i
     for fmap in (cheb(), map_i()):
-        cloud = em.build_postcritical_cloud(fmap, 50)
-        metric = SingularMetric.for_degree(cloud, 2, Variant.SIGMA)
         orbit = critical_orbit_at(fmap, steps=6)
-        rep = case3_bound_check(orbit, metric)
-        assert rep.critical_level == 1
-        assert rep.w0 == pytest.approx(fmap.c)
-        assert rep.deriv_lower_margin >= 0.0
-        assert rep.sigma_upper_margin >= 0.0
-        assert rep.sigma_lower_margin >= 0.0
-
-
-def test_case3_requires_critical_level():
-    fmap = cheb()
-    cloud = em.build_postcritical_cloud(fmap, 50)
-    metric = SingularMetric.for_degree(cloud, 2, Variant.SIGMA)
-    orbit = fresh_orbit(fmap, 0.5 + 0.5j, 0.01)
-    pull_back(fmap, orbit, 3, 0)
-    with pytest.raises(ValueError):
-        case3_bound_check(orbit, metric)
-
-
-def test_case3_detects_corrupted_radius():
-    fmap = cheb()
-    cloud = em.build_postcritical_cloud(fmap, 50)
-    metric = SingularMetric.for_degree(cloud, 2, Variant.SIGMA)
-    orbit = critical_orbit_at(fmap, steps=6)
-    orbit.diams[-1] = 1e9  # absurd final radius must break the sigma bound
-    rep = case3_bound_check(orbit, metric)
-    assert rep.sigma_upper_margin < 0.0
+        assert orbit.labels.index(CaseLabel.CRITICAL) == 1
+        d, n, w0 = fmap.d, orbit.depth, fmap.c
+        deriv = math.exp(_log_derivatives(orbit)[n])
+        bound = (orbit.epsilon ** (1.0 / d) * abs(orbit.points[0] - w0) ** (1.0 - 1.0 / d)
+                 / orbit.diams[n])
+        assert deriv / bound >= 1.0

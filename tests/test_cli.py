@@ -469,6 +469,10 @@ def test_render_spec_limits():
         RenderSpec((-1 - 1j, 1 + 1j), 0, 100)
     with pytest.raises(ValueError, match="unknown layer"):
         RenderSpec((-1 - 1j, 1 + 1j), 10, 10, layer="potential")
+    for bbox in [(0j, 0j), (1 - 1j, -1 + 1j), (-1 + 1j, 1 - 1j),
+                 (complex(math.nan, -1), 1 + 1j), (-1 - 1j, complex(math.inf, 1))]:
+        with pytest.raises(ValueError, match="bbox needs finite corners"):
+            RenderSpec(bbox, 10, 10)
 
 
 @pytest.mark.parametrize("size", [["--width", "0"], ["--height", "-3"]],
@@ -478,6 +482,32 @@ def test_render_rejects_empty_pixmap(tmp_path, size):
         cli.main(["render", "--c-re", "-2", *size, "--out", str(tmp_path)])
     assert "\n" not in str(exc.value.code)
     assert not (tmp_path / "render.ppm").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    *[(["render", "--layer", layer, "--c-re", "1"],
+       f"refusing to render {layer}: critical orbit escapes")
+      for layer in ("density-rho", "density-sigma", "distance-to-P")],
+    (["holder", "--c-re", "-2", "--grid-res", "16"],
+     "degenerate fitted exponent .* at grid_res 16; try a larger --grid-res"),
+    (["render", "--c-re", "-2", "--bbox", "0", "0", "0", "0", "--rays", "0.25"],
+     "bbox needs finite corners"),
+    (["render", "--c-re", "-2", "--bbox", "0", "0", "0", "0"], "bbox needs finite corners"),
+    (["render", "--c-re", "-2", "--bbox", "nan", "1", "-1", "1"],
+     "bbox needs finite corners with XMIN < XMAX and YMIN < YMAX, got nan 1.0 -1.0 1.0"),
+], ids=["escaping-density-rho", "escaping-density-sigma", "escaping-distance-to-P",
+        "holder-degenerate-fit", "bbox-empty-with-ray", "bbox-empty", "bbox-nan"])
+def test_commands_refuse_what_they_cannot_report(tmp_path, argv, message):
+    with pytest.raises(SystemExit, match=message) as exc:
+        cli.main([*argv, "--out", str(tmp_path / "out")])
+    assert "\n" not in str(exc.value.code)
+    assert not (tmp_path / "out").exists()
+
+
+def test_render_escape_time_needs_no_cloud(tmp_path):
+    cli.main(["render", "--c-re", "1", "--width", "8", "--height", "8",
+              "--out", str(tmp_path)])
+    assert (tmp_path / "render.ppm").stat().st_size == len(b"P6\n8 8\n255\n") + 8 * 8 * 3
 
 
 # ------------------------------------------------------- benchmark harness

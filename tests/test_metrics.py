@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import expmetric as em
 from expmetric.errors import DomainError
-from expmetric.metrics import Variant, pseudo_hyperbolic_disk_center
+from expmetric.metrics import Variant
 
 SQRT2 = math.sqrt(2.0)
 
@@ -110,45 +110,6 @@ def test_closed_form_matches_series(d, t):
     assert b == pytest.approx(a, rel=1e-9)
 
 
-def test_pseudo_hyperbolic_oracles():
-    assert em.pseudo_hyperbolic_unit(0.3 + 0.1j, 0) == pytest.approx(abs(0.3 + 0.1j))
-    assert em.pseudo_hyperbolic_unit(0.4j, 0.4j) == 0.0
-    assert em.pseudo_hyperbolic_unit(0.5, -0.5) == pytest.approx(0.8)
-
-
-def test_pseudo_hyperbolic_domain():
-    with pytest.raises(DomainError):
-        em.pseudo_hyperbolic_unit(1.0, 0.0)
-    with pytest.raises(DomainError):
-        em.pseudo_hyperbolic_unit(0.0, 2.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.complex_numbers(max_magnitude=0.95, allow_nan=False, allow_infinity=False),
-       st.complex_numbers(max_magnitude=0.95, allow_nan=False, allow_infinity=False),
-       st.complex_numbers(max_magnitude=0.95, allow_nan=False, allow_infinity=False))
-def test_pseudo_hyperbolic_is_metric(z, w, u):
-    p = em.pseudo_hyperbolic_unit
-    assert p(z, w) == p(w, z)
-    assert p(z, w) <= p(z, u) + p(u, w) + 1e-12
-
-
-def test_pseudo_hyperbolic_disk_center_oracles():
-    assert pseudo_hyperbolic_disk_center(0, 2, 1) == pytest.approx(0.5)
-    assert pseudo_hyperbolic_disk_center(1, 0.5, 1.25) == pytest.approx(0.5)
-    assert pseudo_hyperbolic_disk_center(1j, 1, 1j) == 0.0
-    with pytest.raises(DomainError):
-        pseudo_hyperbolic_disk_center(0, 1, 2)
-
-
-def test_hyperbolic_from_pseudo_oracles():
-    assert em.hyperbolic_from_pseudo(0.0) == 0.0
-    assert em.hyperbolic_from_pseudo(0.5) == pytest.approx(math.log(3))
-    assert em.hyperbolic_from_pseudo(math.tanh(1)) == pytest.approx(2.0)
-    with pytest.raises(DomainError):
-        em.hyperbolic_from_pseudo(1.0)
-
-
 def test_hyperbolic_density_disk_oracles():
     assert em.hyperbolic_density_disk(1, 0) == pytest.approx(2.0)
     assert em.hyperbolic_density_disk(2, 0) == pytest.approx(1.0)
@@ -213,9 +174,3 @@ def test_koebe_on_explicit_univalent_family():
             ratio = abs(g) / abs(z)
             kb = em.koebe_bounds(1.0, r, s)
             assert kb.lower - 1e-12 <= ratio <= kb.upper + 1e-12
-
-
-def test_density_from_conformal_radius():
-    assert em.density_from_conformal_radius(1) == 2.0
-    assert em.density_from_conformal_radius(2) == 1.0
-    assert em.density_from_conformal_radius(1e-3) == pytest.approx(2000.0)
