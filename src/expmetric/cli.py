@@ -39,6 +39,7 @@ from .dynamics import (
 )
 from .errors import DomainError, EscapeError, RayTracingError
 from .gridmetric import (
+    MAX_GRID_RES,
     MIN_RESOLUTION,
     build_grid,
     grid_distance,
@@ -458,8 +459,10 @@ def _validate(cfg: ExperimentConfig, command: str) -> None:
                              f"got {getattr(cfg, name)}")
     if cfg.seed < 0:
         raise SystemExit(f"invalid config: seed must be at least 0, got {cfg.seed}")
-    if command == "holder" and cfg.grid_res < MIN_RESOLUTION:
-        raise SystemExit(f"invalid config: holder needs grid_res >= {MIN_RESOLUTION}, "
+    if command == "holder" and not MIN_RESOLUTION <= cfg.grid_res <= MAX_GRID_RES:
+        bound = (f">= {MIN_RESOLUTION}" if cfg.grid_res < MIN_RESOLUTION
+                 else f"<= {MAX_GRID_RES}")
+        raise SystemExit(f"invalid config: holder needs grid_res {bound}, "
                          f"got {cfg.grid_res}")
     if command in ("rays", "render") and not 1 <= cfg.depth <= MAX_RAY_DEPTH:
         bound = ">= 1" if cfg.depth < 1 else f"<= {MAX_RAY_DEPTH}"

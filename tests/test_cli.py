@@ -276,11 +276,12 @@ def test_expansion_rejects_bad_input(tmp_path, argv, config, message):
 
 @pytest.mark.parametrize("argv, message", [
     (["holder", "--grid-res", "8"], "holder needs grid_res >= 16, got 8"),
+    (["holder", "--grid-res", "1000000"], "holder needs grid_res <= 2048, got 1000000"),
     (["rays", "--depth", "61"], "rays need depth <= 60, got 61"),
     (["render", "--depth", "61", "--width", "8", "--height", "8"],
      "rays need depth <= 60, got 61"),
     (["classify", "--config", "missing.json"], "config parse error in missing.json: "),
-], ids=["holder-grid-res-8", "rays-depth-61", "render-depth-61", "config-missing"])
+], ids=["holder-grid-res-8", "holder-grid-res-1000000", "rays-depth-61", "render-depth-61", "config-missing"])
 def test_commands_reject_bad_input(tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit, match=message) as exc:
