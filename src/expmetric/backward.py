@@ -51,26 +51,25 @@ class BackwardDiskOrbit:
     z0: complex
     epsilon: float
     cloud: Optional[PostcriticalCloud] = None
-    points: List[complex] = field(default_factory=list)
+    points: List[complex] = field(init=False)
     # the polygons of the last len(boundary) levels: all of them after
     # pull_back, the current one after pull_back_orbits
-    boundary: List[np.ndarray] = field(default_factory=list)
+    boundary: List[np.ndarray] = field(init=False)
     # boundary samples minus the level's center, kept apart because the
     # absolute samples lose all relative precision once the diameter nears
     # an ulp of the center
-    offsets: List[np.ndarray] = field(default_factory=list)
-    diams: List[float] = field(default_factory=list)
-    labels: List[Optional[CaseLabel]] = field(default_factory=list)
+    offsets: List[np.ndarray] = field(init=False)
+    diams: List[float] = field(init=False)
+    labels: List[Optional[CaseLabel]] = field(init=False)
 
     def __post_init__(self):
-        if not self.points:
-            self.points = [complex(self.z0)]
-            angles = 2.0 * math.pi * np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
-            offsets = self.epsilon * np.exp(1j * angles)
-            self.boundary = [self.z0 + offsets]
-            self.offsets = [offsets]
-            self.diams = [float(set_diameter(offsets))]
-            self.labels = [None]  # level 0 is the reference disk, not a pullback
+        self.points = [complex(self.z0)]
+        angles = 2.0 * math.pi * np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
+        offsets = self.epsilon * np.exp(1j * angles)
+        self.boundary = [self.z0 + offsets]
+        self.offsets = [offsets]
+        self.diams = [float(set_diameter(offsets))]
+        self.labels = [None]  # level 0 is the reference disk, not a pullback
 
     @property
     def depth(self) -> int:

@@ -30,6 +30,7 @@ from .backward import (
     shrink_fit,
 )
 from .dynamics import (
+    MAX_SAMPLE_DEGREE,
     OrbitKind,
     UnicriticalMap,
     build_postcritical_cloud,
@@ -226,22 +227,20 @@ def cmd_holder(config: ExperimentConfig) -> dict:
     grid = build_grid(metric, (complex(cx - half, cy - half), complex(cx + half, cy + half)),
                       config.grid_res)
     rng = np.random.default_rng(config.seed)
+    # each endpoint lies within HOLDER_SEPARATIONS[1] / 2 of a cloud point, so well
+    # inside the box's margin of 1: the grid holds every pair
     pairs = holder_sample_pairs(cloud, rng)
-    pairs = [
-        (a, b) for a, b in pairs
-        if grid.contains(a) and grid.contains(b) and 0 < abs(a - b) < 1
-    ]
+    seps = np.array([abs(b - a) for a, b in pairs])
+    dists = np.array([grid_distance(grid, a, b) for a, b in pairs])
     try:
-        fit = holder_fit(grid, pairs)
+        fit = holder_fit(seps, dists)
     except ValueError as exc:
         raise SystemExit(f"refusing to report: {exc} at grid_res {config.grid_res}; "
                          "try a larger --grid-res")
-    audit = verify_lower_bound(grid, pairs)
-    upper_c = uniform_upper_constant(grid, pairs, metric.alpha)
-    rows = [
-        (a.real, a.imag, b.real, b.imag, abs(b - a), grid_distance(grid, a, b))
-        for a, b in pairs
-    ]
+    audit = verify_lower_bound(grid, pairs, dists)
+    upper_c = uniform_upper_constant(seps, dists, metric.alpha)
+    rows = [(a.real, a.imag, b.real, b.imag, s, d)
+            for (a, b), s, d in zip(pairs, seps, dists)]
     report = _report_header(config, cloud)
     report["grid"] = {"resolution": config.grid_res, "h": grid.h,
                       "n_cols": grid.n_cols, "n_rows": grid.n_rows}
@@ -261,10 +260,10 @@ RHO_LENGTH_RADII = (0.2, 0.1, 0.05, 0.025)
 
 def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
     fmap = config.fmap()
-    cls = classify_parameter(fmap, config.orbit_n)
-    if cls.kind is OrbitKind.ESCAPING:
+    try:
+        cloud = build_postcritical_cloud(fmap, config.orbit_n)
+    except EscapeError:
         raise SystemExit("refusing to run: critical orbit escapes; no bounded rays")
-    cloud = build_postcritical_cloud(fmap, config.orbit_n)
     metric = SingularMetric.for_degree(cloud, fmap.d, Variant.RHO)
 
     poly_rows = []
@@ -332,7 +331,6 @@ def cmd_render(config: ExperimentConfig, spec: RenderSpec) -> Path:
             rgb = to_rgb(density_field(metric, spec), log_scale=True)
     for ray in trace_rays(fmap, spec.ray_angles, config.depth):
         overlay_polyline(rgb, spec, ray.polyline)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     path = config.out_dir / "render.ppm"
     write_ppm(path, rgb)
     return path
@@ -467,6 +465,9 @@ def _validate(cfg: ExperimentConfig, command: str) -> None:
     if command in ("rays", "render") and not 1 <= cfg.depth <= MAX_RAY_DEPTH:
         bound = ">= 1" if cfg.depth < 1 else f"<= {MAX_RAY_DEPTH}"
         raise SystemExit(f"invalid config: rays need depth {bound}, got {cfg.depth}")
+    if command == "expansion" and cfg.d > MAX_SAMPLE_DEGREE:
+        raise SystemExit(f"invalid config: expansion needs d <= {MAX_SAMPLE_DEGREE}, "
+                         f"got {cfg.d}")
     if command == "expansion" and cfg.depth < MIN_FIT_LEVELS:
         raise SystemExit(f"invalid config: expansion needs depth >= {MIN_FIT_LEVELS} "
                          f"for the shrink fit, got {cfg.depth}")

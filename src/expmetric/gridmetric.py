@@ -199,11 +199,11 @@ def grid_distance(grid: PathMetricGrid, z0: complex, z1: complex) -> float:
     return base + snap
 
 
-def verify_lower_bound(grid: PathMetricGrid, samples: Sequence[Tuple[complex, complex]]):
-    """Audit d_rho(z0,z1) >= |z0-z1| - 2h*rho_local on every sampled pair."""
+def verify_lower_bound(grid: PathMetricGrid, samples: Sequence[Tuple[complex, complex]],
+                       distances: Sequence[float]):
+    """Audit d_rho(z0,z1) >= |z0-z1| - 2h*rho_local on each pair, given its d_rho."""
     violations = []
-    for z0, z1 in samples:
-        d = grid_distance(grid, z0, z1)
+    for (z0, z1), d in zip(samples, distances):
         slack = 2.0 * grid.h * max(grid.local_density(z0), grid.local_density(z1))
         if d < abs(z0 - z1) - slack:
             violations.append((z0, z1, d))
@@ -222,39 +222,30 @@ class HoelderFit:
             raise ValueError(f"degenerate fitted exponent {self.exponent}")
 
 
-def holder_fit(
-    grid: PathMetricGrid, samples: Sequence[Tuple[complex, complex]]
-) -> HoelderFit:
-    """Least-squares fit of log d_rho against log |z0 - z1|.
+def holder_fit(separations: Sequence[float], distances: Sequence[float]) -> HoelderFit:
+    """Least-squares fit of log d_rho against log |z0 - z1| over sampled pairs,
+    given each pair's separation and d_rho.
 
     Requires at least 50 pairs whose separations span two decades.
     """
-    seps = np.array([abs(z1 - z0) for z0, z1 in samples])
-    if len(samples) < 50:
+    seps = np.asarray(separations, dtype=float)
+    if len(seps) < 50:
         raise ValueError("need at least 50 sample pairs")
     if np.any(seps <= 0) or np.any(seps >= 1):
         raise ValueError("pair separations must lie in (0, 1)")
     if seps.max() / seps.min() < 100.0:
         raise ValueError("pair separations must span at least two decades")
-    dists = np.array([grid_distance(grid, z0, z1) for z0, z1 in samples])
-    slope, intercept = np.polyfit(np.log(seps), np.log(dists), 1)
-    pred = slope * np.log(seps) + intercept
-    resid = np.log(dists) - pred
-    ss_tot = np.sum((np.log(dists) - np.log(dists).mean()) ** 2)
+    x, y = np.log(seps), np.log(np.asarray(distances, dtype=float))
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = np.sum((y - y.mean()) ** 2)
     r2 = 1.0 - np.sum(resid**2) / ss_tot if ss_tot > 0 else 1.0
-    return HoelderFit(float(slope), float(math.exp(intercept)), float(r2), len(samples))
+    return HoelderFit(float(slope), float(math.exp(intercept)), float(r2), len(seps))
 
 
-def uniform_upper_constant(
-    grid: PathMetricGrid,
-    samples: Sequence[Tuple[complex, complex]],
-    alpha: float,
-) -> float:
-    """Smallest single C with d_rho(z0,z1) <= C |z0-z1|^(1-alpha) over the samples."""
-    best = 0.0
-    for z0, z1 in samples:
-        sep = abs(z1 - z0)
-        if sep == 0:
-            continue
-        best = max(best, grid_distance(grid, z0, z1) / sep ** (1.0 - alpha))
-    return best
+def uniform_upper_constant(separations: Sequence[float], distances: Sequence[float],
+                           alpha: float) -> float:
+    """Smallest single C with d <= C s^(1-alpha) over pairs of separation s > 0
+    and d_rho d."""
+    return max((float(d) / float(s) ** (1.0 - alpha)
+                for s, d in zip(separations, distances) if s > 0), default=0.0)

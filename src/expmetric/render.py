@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import List, Tuple
 
 import numpy as np
@@ -111,8 +112,11 @@ def overlay_polyline(rgb: np.ndarray, spec: RenderSpec, polyline) -> None:
     rgb[j[on], i[on]] = 255
 
 
-def write_ppm(path, rgb: np.ndarray) -> None:
+def write_ppm(path: Path, rgb: np.ndarray) -> None:
     h, w, _ = rgb.shape
-    with open(path, "wb") as fh:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    with open(tmp, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(rgb.astype(np.uint8).tobytes())
+    tmp.replace(path)

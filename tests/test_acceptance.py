@@ -356,14 +356,13 @@ def test_criterion_7_hoelder_equivalence():
         rng = np.random.default_rng(6)
         pairs = [(a, b) for a, b in cli.holder_sample_pairs(cloud, rng)
                  if grid.contains(a) and grid.contains(b) and 0 < abs(a - b) < 1]
-        fit = em.holder_fit(grid, pairs)
-        audit = em.verify_lower_bound(grid, pairs)
-        upper_c = em.uniform_upper_constant(grid, pairs, metric.alpha)
-        single_c_ok = all(
-            em.grid_distance(grid, a, b)
-            <= upper_c * abs(b - a) ** metric.alpha + 1e-9
-            for a, b in pairs
-        )
+        seps = np.array([abs(b - a) for a, b in pairs])
+        dists = np.array([em.grid_distance(grid, a, b) for a, b in pairs])
+        fit = em.holder_fit(seps, dists)
+        audit = em.verify_lower_bound(grid, pairs, dists)
+        upper_c = em.uniform_upper_constant(seps, dists, metric.alpha)
+        single_c_ok = all(d <= upper_c * s ** metric.alpha + 1e-9
+                          for s, d in zip(seps, dists))
         ok &= (0.45 <= fit.exponent <= 1.0 and not audit["violations"]
                and math.isfinite(upper_c) and single_c_ok)
         details.append(f"c={c}: exp {fit.exponent:.3f}, "

@@ -281,7 +281,9 @@ def test_expansion_rejects_bad_input(tmp_path, argv, config, message):
     (["render", "--depth", "61", "--width", "8", "--height", "8"],
      "rays need depth <= 60, got 61"),
     (["classify", "--config", "missing.json"], "config parse error in missing.json: "),
-], ids=["holder-grid-res-8", "holder-grid-res-1000000", "rays-depth-61", "render-depth-61", "config-missing"])
+    (["expansion", "--d", "100000"], "expansion needs d <= 256, got 100000"),
+], ids=["holder-grid-res-8", "holder-grid-res-1000000", "rays-depth-61", "render-depth-61",
+        "config-missing", "expansion-d-100000"])
 def test_commands_reject_bad_input(tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit, match=message) as exc:
@@ -432,11 +434,14 @@ def test_holder_report(tmp_path, capsys):
 
 
 def test_render_escape_time_silhouette(tmp_path, capsys):
+    out_dir = tmp_path / "new" / "dir"  # write_ppm makes the missing parents
     out = run(["render", "--c-re", "0", "--width", "64", "--height", "48",
-               "--bbox", "-2", "2", "-1.5", "1.5", "--out", str(tmp_path)],
+               "--bbox", "-2", "2", "-1.5", "1.5", "--out", str(out_dir)],
               capsys)
     assert out.strip().endswith("render.ppm")
-    w, h, rgb = read_ppm(tmp_path / "render.ppm")
+    # written through a temporary file that is renamed into place
+    assert [p.name for p in out_dir.iterdir()] == ["render.ppm"]
+    w, h, rgb = read_ppm(out_dir / "render.ppm")
     assert (w, h) == (64, 48)
     center = rgb[h // 2, w // 2]
     corner = rgb[0, 0]
@@ -491,13 +496,14 @@ def test_render_rejects_empty_pixmap(tmp_path, size):
       for layer in ("density-rho", "density-sigma", "distance-to-P")],
     (["holder", "--c-re", "-2", "--grid-res", "16"],
      "degenerate fitted exponent .* at grid_res 16; try a larger --grid-res"),
+    (["rays", "--c-re", "1"], "refusing to run: critical orbit escapes; no bounded rays"),
     (["render", "--c-re", "-2", "--bbox", "0", "0", "0", "0", "--rays", "0.25"],
      "bbox needs finite corners"),
     (["render", "--c-re", "-2", "--bbox", "0", "0", "0", "0"], "bbox needs finite corners"),
     (["render", "--c-re", "-2", "--bbox", "nan", "1", "-1", "1"],
      "bbox needs finite corners with XMIN < XMAX and YMIN < YMAX, got nan 1.0 -1.0 1.0"),
 ], ids=["escaping-density-rho", "escaping-density-sigma", "escaping-distance-to-P",
-        "holder-degenerate-fit", "bbox-empty-with-ray", "bbox-empty", "bbox-nan"])
+        "holder-degenerate-fit", "rays-escaping", "bbox-empty-with-ray", "bbox-empty", "bbox-nan"])
 def test_commands_refuse_what_they_cannot_report(tmp_path, argv, message):
     with pytest.raises(SystemExit, match=message) as exc:
         cli.main([*argv, "--out", str(tmp_path / "out")])
@@ -514,7 +520,7 @@ def test_render_escape_time_needs_no_cloud(tmp_path):
 # ------------------------------------------------------- benchmark harness
 
 
-def test_bench_tracer_finds_every_wrapped_name():
+def test_bench_tracer_finds_every_wrapped_name(tmp_path):
     # bench/run.py builds this tracer on every run and wraps the program's
     # functions by the names their callers use; a renamed one must fail here
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -549,9 +555,17 @@ def test_bench_tracer_finds_every_wrapped_name():
         # pairs along the bottom row, 1 to 100 spacings apart, lie on nodes
         grid = gridmetric.build_grid(None, (0j, 1 + 1j), 128)
         pairs = [(0j, complex(k * grid.h, 0.0)) for k in range(1, 101)]
-        fit = cli.holder_fit(grid, pairs)
+        fit = cli.holder_fit([abs(b - a) for a, b in pairs],
+                             [gridmetric.grid_distance(grid, a, b) for a, b in pairs])
         assert fit.exponent == pytest.approx(1.0)
         assert tracer.counts["gridmetric.pairs"] == len(pairs)
+        # the holder command measures each pair once, and the tracer reads the
+        # size of the grid's distance cache when the command returns
+        tracer.take_pass()
+        run(["holder", "--c-re", "-2", "--grid-res", "64", "--out", str(tmp_path)])
+        counts = tracer.take_pass()[0]
+        assert counts["gridmetric.grid_distance_calls"] == counts["gridmetric.pairs"] == 80
+        assert counts.get("gridmetric.dist_cache_mb", 0) > 0
     finally:
         tracer.uninstall()
     for name, m in modules.items():

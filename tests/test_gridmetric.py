@@ -29,6 +29,12 @@ def edge_weight(grid, za, zb):
     return grid.graph[na, nb]
 
 
+def measure(grid, pairs):
+    """Each pair's separation and d_rho, as the holder command measures them."""
+    seps = np.array([abs(b - a) for a, b in pairs])
+    return seps, np.array([em.grid_distance(grid, a, b) for a, b in pairs])
+
+
 def test_resolution_floor():
     with pytest.raises(ValueError):
         em.build_grid(None, (complex(-1, -1), complex(1, 1)), 8)
@@ -233,14 +239,15 @@ def test_verify_lower_bound_no_violations():
          complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)))
         for _ in range(100)
     ]
-    audit = em.verify_lower_bound(grid, pairs)
+    audit = em.verify_lower_bound(grid, pairs, measure(grid, pairs)[1])
     assert audit["checked"] == 100
     assert audit["violations"] == []
 
 
 def test_verify_lower_bound_degenerate_pair():
     grid = uniform_grid()
-    audit = em.verify_lower_bound(grid, [(0.5 + 0.5j, 0.5 + 0.5j)])
+    pairs = [(0.5 + 0.5j, 0.5 + 0.5j)]
+    audit = em.verify_lower_bound(grid, pairs, measure(grid, pairs)[1])
     assert audit["violations"] == []
 
 
@@ -267,7 +274,7 @@ def _node_aligned_pairs(grid, start, count=60):
 def test_holder_fit_uniform_metric_exponent_one():
     grid = uniform_grid(res=205, half=0.51)  # h = 0.005
     pairs = _node_aligned_pairs(grid, complex(-0.5, 0))
-    fit = em.holder_fit(grid, pairs)
+    fit = em.holder_fit(*measure(grid, pairs))
     assert fit.exponent == pytest.approx(1.0, abs=0.02)
     assert fit.constant == pytest.approx(1.0, rel=0.02)
 
@@ -276,7 +283,7 @@ def test_holder_fit_far_from_cloud_exponent_one():
     grid = em.build_grid(cheb_metric(), (complex(-3, -3), complex(3, 3)), 641)
     # row y = 2.5 keeps every sample at distance > 1 from the cloud {-2, 2}
     pairs = _node_aligned_pairs(grid, complex(-0.5, 2.5))
-    fit = em.holder_fit(grid, pairs)
+    fit = em.holder_fit(*measure(grid, pairs))
     assert fit.exponent == pytest.approx(1.0, abs=0.05)
 
 
@@ -289,7 +296,7 @@ def test_holder_fit_straddling_cloud_in_band():
     rng = np.random.default_rng(6)
     pairs = [(a, b) for a, b in holder_sample_pairs(cloud, rng)
              if grid.contains(a) and grid.contains(b) and 0 < abs(a - b) < 1]
-    fit = em.holder_fit(grid, pairs)
+    fit = em.holder_fit(*measure(grid, pairs))
     assert 0.45 <= fit.exponent <= 1.0
 
 
@@ -298,10 +305,10 @@ def test_holder_fit_usage_errors():
     rng = np.random.default_rng(7)
     few = _log_spaced_pairs(rng, [0 + 0j], n=10)
     with pytest.raises(ValueError):
-        em.holder_fit(grid, few)
+        em.holder_fit(*measure(grid, few))
     narrow = _log_spaced_pairs(rng, [0 + 0j], n=60, s_min=0.2, s_max=0.8)
     with pytest.raises(ValueError):
-        em.holder_fit(grid, narrow)
+        em.holder_fit(*measure(grid, narrow))
 
 
 def test_holder_fit_rejects_degenerate_exponent():
@@ -332,7 +339,8 @@ def test_uniform_upper_constant_finite_and_covering():
                          resolution=128)
     rng = np.random.default_rng(9)
     pairs = _log_spaced_pairs(rng, [-2 + 0j, 2 + 0j])
-    c = em.uniform_upper_constant(grid, pairs, alpha=0.5)
+    seps, dists = measure(grid, pairs)
+    c = em.uniform_upper_constant(seps, dists, alpha=0.5)
     assert math.isfinite(c) and c > 0
-    for z0, z1 in pairs:
-        assert em.grid_distance(grid, z0, z1) <= c * abs(z1 - z0) ** 0.5 + 1e-12
+    for s, d in zip(seps, dists):
+        assert d <= c * s ** 0.5 + 1e-12
