@@ -38,7 +38,7 @@ from .dynamics import (
     julia_distance_estimate,
     sample_julia_points,
 )
-from .errors import DomainError, EscapeError, RayTracingError
+from .errors import DomainError, EscapeError, InsideJuliaError, RayTracingError
 from .gridmetric import (
     MAX_GRID_RES,
     MIN_RESOLUTION,
@@ -275,13 +275,25 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
     except RayTracingError as exc:
         rays = []
         failures.extend({"theta": theta, "error": str(exc)} for theta in angles)
+    # one array pass over the points of every landed ray, split back per ray;
+    # the John ratio skips the points at arclength 0 from the landing, which
+    # often lie on J and would iterate to the budget, so they are left NaN
+    landed = [ray for ray in rays if ray.landing is not None]
+    points = np.array([z for ray in landed for z in ray.polyline], dtype=complex)
+    along = np.array([a > 0.0 for ray in landed for a in ray.arclengths_from_landing()],
+                     dtype=bool)
+    dists = np.full(len(points), math.nan)
+    dists[along] = julia_distance_estimate(fmap, points[along])
+    ray_dists = iter(np.split(dists, np.cumsum([len(ray.polyline) for ray in landed[:-1]])))
     for ray in rays:
         theta = ray.theta
         for g, z in zip(ray.potentials, ray.polyline):
             poly_rows.append((theta, g, z.real, z.imag))
         if ray.landing is not None:
-            entries.append(john_constant_along_ray(
-                ray, lambda z: julia_distance_estimate(fmap, z)))
+            try:
+                entries.append(john_constant_along_ray(ray, next(ray_dists)))
+            except InsideJuliaError as exc:  # a ray point within roundoff of J
+                failures.append({"theta": theta, "error": str(exc)})
             for r in RHO_LENGTH_RADII:
                 try:
                     scaling_rows.append((theta, r, rho_length_of_ray(ray, metric, r)))
@@ -315,8 +327,7 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
 def cmd_render(config: ExperimentConfig, spec: RenderSpec) -> Path:
     fmap = config.fmap()
     if spec.layer == "escape-time":
-        field_vals = escape_time_field(fmap, spec)
-        rgb = to_rgb(field_vals)
+        rgb = to_rgb(escape_time_field(fmap, spec))
     else:
         try:
             cloud = build_postcritical_cloud(fmap, config.orbit_n)

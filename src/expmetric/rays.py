@@ -6,12 +6,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .dynamics import UnicriticalMap, preimage_branch
-from .errors import DomainError, RayTracingError
+from .errors import DomainError, InsideJuliaError, RayTracingError
 from .metrics import SingularMetric
 
 LANDING_TOL = 1e-6
@@ -152,24 +152,24 @@ class JohnRayEntry:
     worst_point: complex
 
 
-def john_constant_along_ray(
-    ray: ExternalRay, dist_to_julia: Callable[[complex], float]
-) -> JohnRayEntry:
+def john_constant_along_ray(ray: ExternalRay, dist_to_julia: np.ndarray) -> JohnRayEntry:
     """inf over ray points of dist(z, J) / arclength(landing -> z): the John
-    condition specialized to geodesics terminating on the boundary."""
+    condition specialized to geodesics terminating on the boundary.
+    ``dist_to_julia`` holds the distance of each polyline point; points at
+    arclength 0 are skipped, and of equal ratios the first is the worst."""
     if ray.landing is None:
         raise RayTracingError("ray has no landing estimate")
     arcs = ray.arclengths_from_landing()
-    best = math.inf
-    worst = ray.polyline[0]
-    for z, a in zip(ray.polyline, arcs):
-        if a <= 0.0:
-            continue
-        ratio = dist_to_julia(z) / a
-        if ratio < best:
-            best = ratio
-            worst = z
-    return JohnRayEntry(ray.theta, best, worst)
+    along = np.flatnonzero(arcs > 0.0)
+    if not along.size:
+        return JohnRayEntry(ray.theta, math.inf, ray.polyline[0])
+    ratios = np.asarray(dist_to_julia, dtype=float)[along] / arcs[along]
+    if np.isnan(ratios).any():
+        z = ray.polyline[along[np.isnan(ratios).argmax()]]
+        raise InsideJuliaError(f"no distance to J at ray point {z!r}: its orbit did not "
+                                "escape within the iterate budget")
+    k = along[ratios.argmin()]
+    return JohnRayEntry(ray.theta, float(ratios.min()), ray.polyline[k])
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ with optional external-ray overlays, written as binary P6 pixmaps."""
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Tuple
@@ -16,6 +17,10 @@ from .metrics import SingularMetric
 MAX_PIXELS_PER_SIDE = 16384
 # Iterates after which a pixel counts as bounded in the escape-time layer.
 ESCAPE_MAX_ITER = 128
+# Pixels each field and pixmap pass works on at once, in whole rows: at 1024
+# columns a block of complex pixel centres is 512 KiB, small enough to stay in
+# cache, where whole-image temporaries set the render's peak memory.
+RENDER_BLOCK_PIXELS = 1 << 15
 
 LAYERS = ("escape-time", "density-rho", "density-sigma", "distance-to-P")
 
@@ -43,57 +48,91 @@ class RenderSpec:
                              f"got {lo.real!r} {hi.real!r} {lo.imag!r} {hi.imag!r}")
 
 
-def _pixel_grid(spec: RenderSpec) -> np.ndarray:
+def _pixel_grid(spec: RenderSpec, rows: slice = slice(None)) -> np.ndarray:
+    """Pixel centres of the given rows; the top row has the largest imaginary part."""
     lo, hi = spec.bbox
     xs = np.linspace(lo.real, hi.real, spec.width)
-    ys = np.linspace(hi.imag, lo.imag, spec.height)  # top row = max imag
-    X, Y = np.meshgrid(xs, ys)
-    return X + 1j * Y
+    ys = np.linspace(hi.imag, lo.imag, spec.height)[rows]
+    return xs + 1j * ys[:, None]
+
+
+def _row_blocks(height: int, width: int):
+    """Slices of whole rows holding at most ``RENDER_BLOCK_PIXELS`` pixels,
+    one row when a row alone holds more."""
+    step = max(1, RENDER_BLOCK_PIXELS // width)
+    for start in range(0, height, step):
+        yield slice(start, min(start + step, height))
+
+
+def _fill_field(spec: RenderSpec, values) -> np.ndarray:
+    """The (height, width) field of ``values`` at the pixel centres, which
+    maps a flat array of points to one value each, one row block at a time."""
+    out = np.empty((spec.height, spec.width))
+    for rows in _row_blocks(spec.height, spec.width):
+        z = _pixel_grid(spec, rows)
+        out[rows] = values(z.ravel()).reshape(z.shape)
+    return out
 
 
 def escape_time_field(fmap: UnicriticalMap, spec: RenderSpec) -> np.ndarray:
     """Per pixel, the k at which |f^(k+1)(z)| first exceeds the escape
     radius, or ESCAPE_MAX_ITER; only the pixels still bounded are iterated."""
-    Z = _pixel_grid(spec)
-    counts = np.full(Z.size, ESCAPE_MAX_ITER, dtype=float)
-    idx = np.arange(Z.size)
-    w = Z.ravel()
     r_esc = fmap.escape_radius()
-    for k in range(ESCAPE_MAX_ITER):
-        w = w ** fmap.d + fmap.c
-        escaped = np.abs(w) > r_esc
-        counts[idx[escaped]] = k
-        idx, w = idx[~escaped], w[~escaped]
-        if not idx.size:
-            break
-    return counts.reshape(Z.shape)
+
+    def counts(w):
+        out = np.full(w.size, ESCAPE_MAX_ITER, dtype=float)
+        idx = np.arange(w.size)
+        for k in range(ESCAPE_MAX_ITER):
+            w = w ** fmap.d + fmap.c
+            escaped = np.abs(w) > r_esc
+            out[idx[escaped]] = k
+            idx, w = idx[~escaped], w[~escaped]
+            if not idx.size:
+                break
+        return out
+
+    return _fill_field(spec, counts)
 
 
 def density_field(metric: SingularMetric, spec: RenderSpec) -> np.ndarray:
-    Z = _pixel_grid(spec)
-    return metric.density_array(Z.ravel()).reshape(Z.shape)
+    return _fill_field(spec, metric.density_array)
 
 
 def distance_field(metric: SingularMetric, spec: RenderSpec) -> np.ndarray:
-    Z = _pixel_grid(spec)
-    return metric.cloud.dist_many(Z.ravel()).reshape(Z.shape)
+    return _fill_field(spec, metric.cloud.dist_many)
 
 
 def to_rgb(field: np.ndarray, log_scale: bool = False) -> np.ndarray:
-    """Grayscale-to-heat mapping; log scaling saturates the singular set."""
-    f = field.astype(float)
-    finite = np.isfinite(f)
-    if log_scale:
-        f = np.where(finite, np.log1p(np.abs(f)), np.nan)
-        finite = np.isfinite(f)
-    if finite.any():
-        lo, hi = f[finite].min(), f[finite].max()
-        span = hi - lo if hi > lo else 1.0
-        norm = np.where(finite, (f - lo) / span, 1.0)
-    else:
-        norm = np.ones_like(f)
-    v = (norm * 255).astype(np.uint8)
-    rgb = np.stack([v, (v * 0.6).astype(np.uint8), 255 - v], axis=-1)
+    """Grayscale-to-heat mapping; log scaling saturates the singular set.
+
+    Two passes over row blocks of the field: the first finds the least and
+    greatest finite value, the second writes the pixmap, so no full-size
+    float temporary is made."""
+    height, width = field.shape
+
+    def values(rows):
+        f = field[rows].astype(float)
+        if log_scale:
+            f = np.where(np.isfinite(f), np.log1p(np.abs(f)), np.nan)
+        return f
+
+    lo, hi = math.inf, -math.inf
+    for rows in _row_blocks(height, width):
+        f = values(rows)
+        f = f[np.isfinite(f)]
+        if f.size:
+            lo, hi = min(lo, f.min()), max(hi, f.max())
+    if lo > hi:  # no finite value: every pixel takes 1.0 below
+        lo = hi = 0.0
+    span = hi - lo if hi > lo else 1.0
+    rgb = np.empty((height, width, 3), dtype=np.uint8)
+    for rows in _row_blocks(height, width):
+        f = values(rows)
+        norm = np.where(np.isfinite(f), (f - lo) / span, 1.0)
+        v = (norm * 255).astype(np.uint8)
+        rgb[rows, :, 0] = v
+        rgb[rows, :, 1] = (v * 0.6).astype(np.uint8)
+        rgb[rows, :, 2] = 255 - v
     return rgb
 
 
@@ -118,5 +157,5 @@ def write_ppm(path: Path, rgb: np.ndarray) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(rgb.astype(np.uint8).tobytes())
+        fh.write(np.ascontiguousarray(rgb, dtype=np.uint8).data)  # no copy of a pixmap
     tmp.replace(path)

@@ -377,6 +377,26 @@ def test_rays_report_and_determinism(tmp_path, capsys):
         assert (tmp_path / name).read_bytes() == blob
 
 
+def test_rays_records_ray_point_on_julia_set_as_failure(tmp_path, capsys):
+    # a point of the 1/48 ray lies within roundoff of J and never escapes:
+    # that ray's John constant is a recorded failure, not a traceback, and
+    # the other ray's values and the failed ray's rho-lengths still stand
+    flags = ["rays", "--d", "3", "--c-re", "0", "--c-im", "0.2", "--depth", "40"]
+    theta = 0.020833333333333332
+    assert cli.main([*flags, "--angles", f"{theta!r},0.1", "--out", str(tmp_path / "both")]) == 0
+    assert capsys.readouterr().err == "1 tracing failure(s) recorded\n"
+    report = json.loads((tmp_path / "both" / "rays.json").read_text())
+    [failure] = report["failures"]
+    assert failure["theta"] == theta and "did not escape" in failure["error"]
+    radii = [row.split(",")[:2] for row in
+             (tmp_path / "both" / "rho_length.csv").read_text().splitlines()[1:]]
+    assert radii.count([repr(theta), "0.025"]) == 1
+    run([*flags, "--angles", "0.1", "--out", str(tmp_path / "one")], capsys)
+    alone = json.loads((tmp_path / "one" / "rays.json").read_text())
+    assert report["john"]["per_ray"] == alone["john"]["per_ray"]
+    assert report["john"]["per_ray"][0]["theta"] == 0.1
+
+
 # ----------------------------------------------------------------- expansion
 
 

@@ -269,6 +269,55 @@ def test_julia_distance_estimate_inside_raises():
         em.julia_distance_estimate(em.UnicriticalMap(2, 0), 0.3 + 0.2j)
 
 
+def scalar_julia_distance(fmap, z):
+    """The point-by-point loop over Python complex numbers; NaN for a point
+    that does not escape."""
+    w, dw = complex(z), 1.0 + 0.0j
+    for k in range(em.dynamics.POTENTIAL_MAX_ITER + 1):
+        mag = abs(w)
+        if mag > em.dynamics.POTENTIAL_ESCAPE_RADIUS:
+            g = math.log(mag) / fmap.d ** k
+            log_grad = math.log(abs(dw)) - math.log(mag) - k * math.log(fmap.d)
+            return math.sinh(g) * math.exp(-log_grad)
+        dw = fmap.deriv(w) * dw
+        w = fmap.evaluate(w)
+    return math.nan
+
+
+@pytest.mark.parametrize("d, c, depth", [(2, -2, 50), (2, 1j, 50), (3, 0.2j, 30), (5, 0.4j, 20)],
+                         ids=["c=-2", "c=i", "d=3", "d=5"])
+def test_julia_distance_estimate_matches_scalar_loop_on_ray_points(d, c, depth):
+    fmap = em.UnicriticalMap(d, c)
+    rays = em.trace_rays(fmap, [k / 48 for k in range(48)], depth)
+    zs = np.array([z for ray in rays for z in ray.polyline])
+    want = np.array([scalar_julia_distance(fmap, z) for z in zs])
+    # bit for bit, NaN where the loop finds no escape
+    assert np.array_equal(em.julia_distance_estimate(fmap, zs), want, equal_nan=True)
+    est = em.julia_distance_estimate(fmap, complex(zs[0]))
+    assert type(est) is float and est == want[0]
+
+
+@pytest.mark.parametrize("d, c", [(31, 0.1), (40, 0)])
+def test_julia_distance_estimate_nan_where_python_overflows(d, c):
+    # past degree 30 an iterate below the escape radius can overflow a double
+    # at the next step, where Python's complex power or abs raises
+    fmap = em.UnicriticalMap(d, c)
+    rng = np.random.default_rng(1)
+    zs = rng.uniform(-2, 2, 2000) + 1j * rng.uniform(-2, 2, 2000)
+    # at d = 31 the derivative of this point reaches finite parts whose
+    # modulus overflows, where only Python's abs raises
+    zs = np.append(zs, -0.8067619715178869 - 1.9171168226571096j)
+    want = []
+    for z in zs:
+        try:
+            want.append(scalar_julia_distance(fmap, z))
+        except OverflowError:
+            want.append("overflow")
+    assert "overflow" in want
+    want = np.array([math.nan if w == "overflow" else w for w in want])
+    assert np.array_equal(em.julia_distance_estimate(fmap, zs), want, equal_nan=True)
+
+
 def test_sample_julia_points_near_julia_set():
     m = em.UnicriticalMap(2, -2)
     pts = em.sample_julia_points(m, 30, np.random.default_rng(7))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import expmetric as em
-from expmetric.errors import DomainError, RayTracingError
+from expmetric.errors import DomainError, InsideJuliaError, RayTracingError
 from expmetric.metrics import SingularMetric, Variant
 from expmetric.rays import (
     ExternalRay,
@@ -36,6 +36,10 @@ def dist_to_segment(z):
 def dist_to_circle(z):
     # exact distance to the unit circle for c = 0
     return abs(abs(z) - 1.0)
+
+
+def distances(ray, dist):
+    return np.array([dist(z) for z in ray.polyline])
 
 
 # ------------------------------------------------------------------ tracing
@@ -201,7 +205,7 @@ def test_john_constant_square_map_is_one():
     entries = []
     for k in range(8):
         ray = trace_ray(fmap, k / 8, 35)
-        entries.append(john_constant_along_ray(ray, dist_to_circle))
+        entries.append(john_constant_along_ray(ray, distances(ray, dist_to_circle)))
     for e in entries:
         assert e.constant == pytest.approx(1.0, abs=0.05)
     rep = john_report(entries)
@@ -212,8 +216,9 @@ def test_john_constant_square_map_is_one():
 def test_john_constant_chebyshev_positive_and_stable():
     fmap = cheb()
     for theta in (0.1, 0.3):
-        e40 = john_constant_along_ray(trace_ray(fmap, theta, 40), dist_to_segment)
-        e50 = john_constant_along_ray(trace_ray(fmap, theta, 50), dist_to_segment)
+        r40, r50 = trace_ray(fmap, theta, 40), trace_ray(fmap, theta, 50)
+        e40 = john_constant_along_ray(r40, distances(r40, dist_to_segment))
+        e50 = john_constant_along_ray(r50, distances(r50, dist_to_segment))
         assert e40.constant >= 0.01
         assert abs(e40.constant - e50.constant) <= 0.25 * e40.constant
 
@@ -228,7 +233,17 @@ def test_john_report_clamps_at_one():
 def test_john_constant_requires_landing():
     ray = ExternalRay(0.0, [3 + 0j, 2.5 + 0j], [1.0, 0.5], None)
     with pytest.raises(RayTracingError):
-        john_constant_along_ray(ray, dist_to_segment)
+        john_constant_along_ray(ray, distances(ray, dist_to_segment))
+
+
+def test_john_constant_takes_first_minimum_and_refuses_nan():
+    # arclengths from the landing 0: 3, 2, 1, 0; ratios 1/3, 1/2, 1/3, and the
+    # landing itself skipped, so the first of the two minima is the worst point
+    ray = ExternalRay(0.0, [3 + 0j, 2 + 0j, 1 + 0j, 0j], [1.0, 0.5, 0.25, 0.125], 0j)
+    entry = john_constant_along_ray(ray, np.array([1.0, 1.0, 1 / 3, math.nan]))
+    assert (entry.constant, entry.worst_point) == (1 / 3, 3 + 0j)
+    with pytest.raises(InsideJuliaError, match=r"ray point \(2\+0j\)"):
+        john_constant_along_ray(ray, np.array([1.0, math.nan, 1.0, 1.0]))
 
 
 # -------------------------------------------------------------- rho-length
