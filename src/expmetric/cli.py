@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -30,15 +30,18 @@ from .backward import (
     shrink_fit,
 )
 from .dynamics import (
+    MAX_ORBIT_N,
     MAX_SAMPLE_DEGREE,
+    OrbitClassification,
     OrbitKind,
+    PostcriticalCloud,
     UnicriticalMap,
     build_postcritical_cloud,
     classify_parameter,
     julia_distance_estimate,
     sample_julia_points,
 )
-from .errors import DomainError, EscapeError, InsideJuliaError, RayTracingError
+from .errors import DomainError, InsideJuliaError, RayTracingError
 from .gridmetric import (
     MAX_GRID_RES,
     MIN_RESOLUTION,
@@ -68,15 +71,6 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: Path = field(default_factory=lambda: Path(os.environ.get(OUTPUT_DIR_ENV, "out")))
 
-    def fmap(self) -> UnicriticalMap:
-        return UnicriticalMap(self.d, self.c)
-
-    def resolved_epsilon(self, cloud) -> float:
-        if self.epsilon is not None:
-            return self.epsilon
-        diam = cloud.diameter()
-        return 0.05 * diam if diam > 0 else 0.1
-
     def to_dict(self) -> dict:
         out = asdict(self)
         out["c"] = [self.c.real, self.c.imag]
@@ -84,7 +78,31 @@ class ExperimentConfig:
         return out
 
 
-def _report_header(config: ExperimentConfig, cloud=None) -> dict:
+class Parameter(NamedTuple):
+    """One c as every command sees it: the map, the classification of its
+    critical orbit, and P(f) as the cloud of that orbit's first ``orbit_n``
+    points, None exactly when the orbit escapes."""
+
+    fmap: UnicriticalMap
+    classification: OrbitClassification
+    cloud: Optional[PostcriticalCloud]
+
+
+def resolve_parameter(config: ExperimentConfig, gated: bool = False) -> Parameter:
+    """The one place a command iterates the critical orbit.  With ``gated``,
+    a parameter outside the verified regime is refused before its cloud is
+    built."""
+    fmap = UnicriticalMap(config.d, config.c)
+    cls = classify_parameter(fmap, config.orbit_n)
+    if gated and cls.kind is not OrbitKind.BOUNDED_NONRECURRENT:
+        raise SystemExit(f"refusing to run: parameter classified {cls.kind.value} "
+                         "(need bounded-nonrecurrent, the semihyperbolic regime)")
+    cloud = (None if cls.kind is OrbitKind.ESCAPING
+             else build_postcritical_cloud(fmap, config.orbit_n))
+    return Parameter(fmap, cls, cloud)
+
+
+def _report_header(config: ExperimentConfig, cloud: Optional[PostcriticalCloud]) -> dict:
     return {
         "config": config.to_dict(),
         "seed": config.seed,
@@ -117,39 +135,27 @@ def write_csv(path: Path, header: List[str], rows) -> None:
 
 
 def cmd_classify(config: ExperimentConfig) -> dict:
-    fmap = config.fmap()
-    cls = classify_parameter(fmap, config.orbit_n)
-    report = _report_header(config)
+    fmap, cls, cloud = resolve_parameter(config)
+    report = _report_header(config, cloud)
     report["classification"] = {
         "kind": cls.kind.value,
         "recurrence_gap": cls.recurrence_gap,
         "iterates_used": cls.iterates_used,
         "escape_index": cls.escape_index,
     }
-    if cls.kind is not OrbitKind.ESCAPING:
-        cloud = build_postcritical_cloud(fmap, config.orbit_n)
-        report["cloud_size"] = len(cloud)
+    if cloud is not None:
         report["cloud_diameter"] = cloud.diameter()
     write_json(config.out_dir / "classify.json", report)
     return report
 
 
-def _gate(config: ExperimentConfig):
-    """Refuse to run expansion/Hoelder experiments outside the verified regime."""
-    cls = classify_parameter(config.fmap(), config.orbit_n)
-    if cls.kind is not OrbitKind.BOUNDED_NONRECURRENT:
-        raise SystemExit(
-            f"refusing to run: parameter classified {cls.kind.value} "
-            "(need bounded-nonrecurrent, the semihyperbolic regime)"
-        )
-
-
 def cmd_expansion(config: ExperimentConfig) -> dict:
-    _gate(config)
-    fmap = config.fmap()
-    cloud = build_postcritical_cloud(fmap, config.orbit_n)
+    fmap, _, cloud = resolve_parameter(config, gated=True)
     metric = SingularMetric.for_degree(cloud, fmap.d, Variant.SIGMA)
-    eps = config.resolved_epsilon(cloud)
+    eps = config.epsilon
+    if eps is None:
+        diam = cloud.diameter()
+        eps = 0.05 * diam if diam > 0 else 0.1
     rng = np.random.default_rng(config.seed)
     bases = sample_julia_points(fmap, config.orbits, rng)
 
@@ -216,9 +222,7 @@ def holder_sample_pairs(cloud, rng: np.random.Generator) -> List[Tuple[complex, 
 
 
 def cmd_holder(config: ExperimentConfig) -> dict:
-    _gate(config)
-    fmap = config.fmap()
-    cloud = build_postcritical_cloud(fmap, config.orbit_n)
+    fmap, _, cloud = resolve_parameter(config, gated=True)
     metric = SingularMetric.for_degree(cloud, fmap.d, Variant.RHO)
     pts = cloud.points_complex
     cx = (pts.real.min() + pts.real.max()) / 2.0
@@ -259,10 +263,8 @@ RHO_LENGTH_RADII = (0.2, 0.1, 0.05, 0.025)
 
 
 def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
-    fmap = config.fmap()
-    try:
-        cloud = build_postcritical_cloud(fmap, config.orbit_n)
-    except EscapeError:
+    fmap, _, cloud = resolve_parameter(config)
+    if cloud is None:
         raise SystemExit("refusing to run: critical orbit escapes; no bounded rays")
     metric = SingularMetric.for_degree(cloud, fmap.d, Variant.RHO)
 
@@ -325,21 +327,18 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
 
 
 def cmd_render(config: ExperimentConfig, spec: RenderSpec) -> Path:
-    fmap = config.fmap()
+    fmap, _, cloud = resolve_parameter(config)
     if spec.layer == "escape-time":
         rgb = to_rgb(escape_time_field(fmap, spec))
+    elif cloud is None:
+        raise SystemExit(f"refusing to render {spec.layer}: critical orbit escapes; "
+                         "the postcritical set is unbounded")
+    elif spec.layer == "distance-to-P":
+        rgb = to_rgb(distance_field(cloud, spec))
     else:
-        try:
-            cloud = build_postcritical_cloud(fmap, config.orbit_n)
-        except EscapeError as exc:
-            raise SystemExit(f"refusing to render {spec.layer}: {exc}")
-        if spec.layer == "distance-to-P":
-            metric = SingularMetric.for_degree(cloud, fmap.d, Variant.RHO)
-            rgb = to_rgb(distance_field(metric, spec))
-        else:
-            variant = Variant.RHO if spec.layer == "density-rho" else Variant.SIGMA
-            metric = SingularMetric.for_degree(cloud, fmap.d, variant)
-            rgb = to_rgb(density_field(metric, spec), log_scale=True)
+        variant = Variant.RHO if spec.layer == "density-rho" else Variant.SIGMA
+        metric = SingularMetric.for_degree(cloud, fmap.d, variant)
+        rgb = to_rgb(density_field(metric, spec), log_scale=True)
     for ray in trace_rays(fmap, spec.ray_angles, config.depth):
         overlay_polyline(rgb, spec, ray.polyline)
     path = config.out_dir / "render.ppm"
@@ -466,6 +465,8 @@ def _validate(cfg: ExperimentConfig, command: str) -> None:
         if getattr(cfg, name) < 1:
             raise SystemExit(f"invalid config: {name} must be at least 1, "
                              f"got {getattr(cfg, name)}")
+    if cfg.orbit_n > MAX_ORBIT_N:
+        raise SystemExit(f"invalid config: orbit_n must be <= {MAX_ORBIT_N}, got {cfg.orbit_n}")
     if cfg.seed < 0:
         raise SystemExit(f"invalid config: seed must be at least 0, got {cfg.seed}")
     if command == "holder" and not MIN_RESOLUTION <= cfg.grid_res <= MAX_GRID_RES:

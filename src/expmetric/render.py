@@ -11,7 +11,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .dynamics import UnicriticalMap
+from .dynamics import PostcriticalCloud, UnicriticalMap
 from .metrics import SingularMetric
 
 MAX_PIXELS_PER_SIDE = 16384
@@ -98,8 +98,8 @@ def density_field(metric: SingularMetric, spec: RenderSpec) -> np.ndarray:
     return _fill_field(spec, metric.density_array)
 
 
-def distance_field(metric: SingularMetric, spec: RenderSpec) -> np.ndarray:
-    return _fill_field(spec, metric.cloud.dist_many)
+def distance_field(cloud: PostcriticalCloud, spec: RenderSpec) -> np.ndarray:
+    return _fill_field(spec, cloud.dist_many)
 
 
 def to_rgb(field: np.ndarray, log_scale: bool = False) -> np.ndarray:

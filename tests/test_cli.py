@@ -207,6 +207,40 @@ def test_expansion_peak_traced_memory(tmp_path):
     assert peak < 3e6
 
 
+@pytest.mark.parametrize("argv, classified, clouds", [
+    *[(["--c-re", "-2", *flags], 1, 1) for flags in (
+        ["classify"], ["expansion", "--orbits", "2", "--depth", "10"],
+        ["holder", "--grid-res", "32"], ["rays", "--angles", "0", "--depth", "8"],
+        ["render", "--layer", "density-rho", "--width", "8", "--height", "8"])],
+    *[(["--c-re", "1", *flags], 1, 0) for flags in (
+        ["classify"], ["rays"], ["render", "--layer", "density-rho"],
+        ["render", "--width", "8", "--height", "8"])],
+    (["--c-re", "0", "expansion"], 1, 0),
+    (["--c-re", "0", "holder"], 1, 0),
+], ids=["classify", "expansion", "holder", "rays", "render-density-rho",
+        "escaping-classify", "escaping-rays", "escaping-render-density-rho",
+        "escaping-render-escape-time", "recurrent-expansion", "recurrent-holder"])
+def test_each_command_resolves_the_parameter_once(tmp_path, monkeypatch, argv, classified,
+                                                  clouds):
+    # one classification and at most one cloud a command; a refused
+    # parameter, escaping or outside the gate, never builds a cloud
+    calls = []
+
+    def counting(name):
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a: calls.append(name) or fn(*a))
+
+    counting("classify_parameter")
+    counting("build_postcritical_cloud")
+    try:
+        with redirect_stdout(io.StringIO()):
+            cli.main([*argv, "--out", str(tmp_path)])
+    except SystemExit as exc:
+        assert str(exc.code).startswith("refusing to")
+    assert calls.count("classify_parameter") == classified
+    assert calls.count("build_postcritical_cloud") == clouds
+
+
 # -------------------------------------------------------------------- config
 
 
@@ -260,9 +294,10 @@ def test_config_unknown_field_rejected(tmp_path):
     ([], {"out_dir": 5}, "out_dir must be a string, got 5"),
     ([], {"fmap": 1}, "unknown field 'fmap'"),
     ([], [1, 2], "expected a JSON object, got list"),
+    ([], {"orbit_n": 100001}, "orbit_n must be <= 100000, got 100001"),
 ], ids=["orbits-0", "depth-5", "epsilon-negative", "config-d-string", "seed-negative",
         "c-re-nan", "c-im-inf", "config-c-inf", "config-c-huge-int", "config-out-dir-number",
-        "config-method-name", "config-not-object"])
+        "config-method-name", "config-not-object", "config-orbit-n-100001"])
 def test_expansion_rejects_bad_input(tmp_path, argv, config, message):
     if config is not None:
         cfg = tmp_path / "cfg.json"
@@ -282,8 +317,11 @@ def test_expansion_rejects_bad_input(tmp_path, argv, config, message):
      "rays need depth <= 60, got 61"),
     (["classify", "--config", "missing.json"], "config parse error in missing.json: "),
     (["expansion", "--d", "100000"], "expansion needs d <= 256, got 100000"),
+    # the cloud's deduplication is quadratic in the orbit's length
+    (["classify", "--orbit-n", "100001"], "invalid config: orbit_n must be <= 100000, got 100001"),
+    (["render", "--orbit-n", "1000000000"], "orbit_n must be <= 100000, got 1000000000"),
 ], ids=["holder-grid-res-8", "holder-grid-res-1000000", "rays-depth-61", "render-depth-61",
-        "config-missing", "expansion-d-100000"])
+        "config-missing", "expansion-d-100000", "orbit-n-100001", "render-orbit-n-1e9"])
 def test_commands_reject_bad_input(tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit, match=message) as exc:
@@ -586,6 +624,11 @@ def test_bench_tracer_finds_every_wrapped_name(tmp_path):
         counts = tracer.take_pass()[0]
         assert counts["gridmetric.grid_distance_calls"] == counts["gridmetric.pairs"] == 80
         assert counts.get("gridmetric.dist_cache_mb", 0) > 0
+        # the tracer sees P(f) through cli's names, however a command builds it
+        run(["rays", "--c-re", "-2", "--angles", "0", "--depth", "8", "--out", str(tmp_path)])
+        counts, spans = tracer.take_pass()
+        assert {"dynamics.classify", "dynamics.cloud"} <= {s[0] for s in spans}
+        assert counts["dynamics.cloud_points"] == 2
     finally:
         tracer.uninstall()
     for name, m in modules.items():

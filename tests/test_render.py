@@ -78,7 +78,7 @@ def blocked_field(layer, fmap, spec):
         return escape_time_field(fmap, spec)
     cloud = em.build_postcritical_cloud(fmap, 2000)
     if layer == "distance-to-P":
-        return distance_field(SingularMetric.for_degree(cloud, fmap.d), spec)
+        return distance_field(cloud, spec)
     variant = Variant.RHO if layer == "density-rho" else Variant.SIGMA
     return density_field(SingularMetric.for_degree(cloud, fmap.d, variant), spec)
 
