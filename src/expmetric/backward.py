@@ -99,7 +99,7 @@ def _labels(fmap: UnicriticalMap, cloud: Optional[PostcriticalCloud],
     critical = prev_windings % fmap.d != 0
     meets = np.zeros(len(polys), dtype=bool)
     if cloud is not None:
-        pts = cloud.points_complex
+        pts = cloud.points
         re, im = polys.real, polys.imag
         in_box = (~critical[:, None]
                   & (re.min(axis=1)[:, None] <= pts.real) & (pts.real <= re.max(axis=1)[:, None])

@@ -137,7 +137,7 @@ def orbit_derivative_magnitude(fmap: UnicriticalMap, z: complex, n: int) -> floa
     return math.exp(log_sum)
 
 
-def classify_parameter(fmap: UnicriticalMap, n: int = MAX_ORBIT_N) -> OrbitClassification:
+def classify_parameter(fmap: UnicriticalMap, n: int) -> OrbitClassification:
     """Heuristic verdict on the critical orbit: escape, or bounded with/without
     observed recurrence.  The non-recurrence gap is the min of |f^n(0)| over the
     computed orbit; verdicts are configuration-dependent, never certificates.
@@ -167,28 +167,25 @@ class PostcriticalCloud:
     returns; larger clouds build that tree on their first query, the only use
     of SciPy here."""
 
-    points: np.ndarray  # shape (m, 2), real/imag columns
+    points: np.ndarray  # shape (m,), complex
 
     def __post_init__(self):
-        if len(self.points) == 0:
-            raise ValueError("cloud must be non-empty")
+        if np.ndim(self.points) != 1 or len(self.points) == 0:
+            raise ValueError("cloud points must be a non-empty 1-D array of complex "
+                             f"numbers, got shape {np.shape(self.points)}")
 
     @functools.cached_property
     def _tree(self):
         if len(self.points) <= DIRECT_SEARCH_MAX:
             return None
         from scipy.spatial import cKDTree
-        return cKDTree(self.points)
+        return cKDTree(np.column_stack([self.points.real, self.points.imag]))
 
     def __len__(self):
         return len(self.points)
 
-    @property
-    def points_complex(self) -> np.ndarray:
-        return self.points[:, 0] + 1j * self.points[:, 1]
-
     def diameter(self) -> float:
-        return float(set_diameter(self.points_complex))
+        return float(set_diameter(self.points))
 
     def dist(self, z: complex) -> float:
         return float(self.dist_many(np.array([complex(z)]))[0])
@@ -200,7 +197,7 @@ class PostcriticalCloud:
         # not abs(z - p): hypot rounds differently from the tree's sum of squares
         x, y = zs.real, zs.imag
         best = None
-        for px, py in self.points:
+        for px, py in zip(self.points.real, self.points.imag):
             # dx*dx + dy*dy in place: two temporaries a point, not five
             sq, dy = x - px, y - py
             sq *= sq
@@ -230,7 +227,7 @@ def set_diameter(samples: np.ndarray) -> np.ndarray:
     return out.reshape(samples.shape[:-1])
 
 
-def build_postcritical_cloud(fmap: UnicriticalMap, n: int = 2000) -> PostcriticalCloud:
+def build_postcritical_cloud(fmap: UnicriticalMap, n: int) -> PostcriticalCloud:
     """The critical orbit's points, each kept unless it lies within
     ``CLOUD_DEDUP_TOL`` of a point kept before it.  An exact repeat lies at
     distance 0 from its first occurrence, or from the point that one was
@@ -246,7 +243,7 @@ def build_postcritical_cloud(fmap: UnicriticalMap, n: int = 2000) -> Postcritica
         if m == 0 or np.abs(kept[:m] - z).min() > CLOUD_DEDUP_TOL:
             kept[m] = z
             m += 1
-    return PostcriticalCloud(np.column_stack([kept[:m].real, kept[:m].imag]))
+    return PostcriticalCloud(kept[:m])
 
 
 def green_potential(fmap: UnicriticalMap, z: complex) -> float:

@@ -87,10 +87,9 @@ def build_grid(
 
     if metric is not None:
         margin = 2.0 * h
-        pts = metric.cloud.points_complex
+        pts = metric.cloud.points
         if (pts.real.min() < lo.real + margin or pts.real.max() > hi.real - margin
-                or pts.imag.min() < lo.imag + margin
-                or pts.imag.max() > hi.imag - margin):
+                or pts.imag.min() < lo.imag + margin or pts.imag.max() > hi.imag - margin):
             raise ValueError("bbox must contain the cloud with margin >= 2h")
 
     xs = lo.real + h * np.arange(n_cols)

@@ -90,7 +90,8 @@ def trace_rays(fmap: UnicriticalMap, thetas: Sequence[float], depth: int) -> Lis
     potential = g0 * float(d) ** ((top - np.arange(s)) / s)
     turns = np.array([float(a) for a in angles])
     z = np.full((n_sub, len(angles)), np.nan, dtype=complex)
-    z[:s] = np.exp(potential[:, None] + 2j * math.pi * turns)
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        z[:s] = np.exp(potential[:, None] + 2j * math.pi * turns)
     if not np.isfinite(z[:s]).all():
         raise RayTracingError(f"the Boettcher-regime start overflows at degree {d}")
     branches = np.arange(d)[:, None]

@@ -95,31 +95,24 @@ def escape_time_field(fmap: UnicriticalMap, spec: RenderSpec) -> np.ndarray:
 
 
 def density_field(metric: SingularMetric, spec: RenderSpec) -> np.ndarray:
-    return _fill_field(spec, metric.density_array)
+    """log(1 + density) at each pixel centre: the log scale saturates P(f)."""
+    return _fill_field(spec, lambda z: np.log1p(metric.density_array(z)))
 
 
 def distance_field(cloud: PostcriticalCloud, spec: RenderSpec) -> np.ndarray:
     return _fill_field(spec, cloud.dist_many)
 
 
-def to_rgb(field: np.ndarray, log_scale: bool = False) -> np.ndarray:
-    """Grayscale-to-heat mapping; log scaling saturates the singular set.
+def to_rgb(field: np.ndarray) -> np.ndarray:
+    """Grayscale-to-heat mapping; non-finite pixels take the top colour.
 
     Two passes over row blocks of the field: the first finds the least and
     greatest finite value, the second writes the pixmap, so no full-size
     float temporary is made."""
     height, width = field.shape
-
-    def values(rows):
-        f = field[rows].astype(float)
-        if log_scale:
-            f = np.where(np.isfinite(f), np.log1p(np.abs(f)), np.nan)
-        return f
-
     lo, hi = math.inf, -math.inf
     for rows in _row_blocks(height, width):
-        f = values(rows)
-        f = f[np.isfinite(f)]
+        f = field[rows][np.isfinite(field[rows])]
         if f.size:
             lo, hi = min(lo, f.min()), max(hi, f.max())
     if lo > hi:  # no finite value: every pixel takes 1.0 below
@@ -127,7 +120,7 @@ def to_rgb(field: np.ndarray, log_scale: bool = False) -> np.ndarray:
     span = hi - lo if hi > lo else 1.0
     rgb = np.empty((height, width, 3), dtype=np.uint8)
     for rows in _row_blocks(height, width):
-        f = values(rows)
+        f = field[rows]
         norm = np.where(np.isfinite(f), (f - lo) / span, 1.0)
         v = (norm * 255).astype(np.uint8)
         rgb[rows, :, 0] = v

@@ -250,7 +250,7 @@ def test_pull_back_orbits_matches_one_orbit_at_a_time(fmap):
     disks = [(z, 1e-3) for z in em.sample_julia_points(fmap, 6, rng)]
     disks += [(fmap.c + 0.001, 0.003), (fmap.c - 0.001j, 0.003)]
     disks += [(z, 0.2) for z in em.sample_julia_points(fmap, 8, rng)]
-    disks += [(p + 1e-5, 1e-4) for p in cloud.points_complex[1:3]]
+    disks += [(p + 1e-5, 1e-4) for p in cloud.points[1:3]]
     depth = 25
 
     def rngs():

@@ -213,13 +213,16 @@ def test_expansion_peak_traced_memory(tmp_path):
         ["holder", "--grid-res", "32"], ["rays", "--angles", "0", "--depth", "8"],
         ["render", "--layer", "density-rho", "--width", "8", "--height", "8"])],
     *[(["--c-re", "1", *flags], 1, 0) for flags in (
-        ["classify"], ["rays"], ["render", "--layer", "density-rho"],
-        ["render", "--width", "8", "--height", "8"])],
+        ["classify"], ["rays"], ["render", "--layer", "density-rho"])],
+    # escape-time reads neither the classification nor P(f)
+    *[(["--c-re", c_re, "render", "--width", "8", "--height", "8"], 0, 0)
+      for c_re in ("1", "-2")],
     (["--c-re", "0", "expansion"], 1, 0),
     (["--c-re", "0", "holder"], 1, 0),
 ], ids=["classify", "expansion", "holder", "rays", "render-density-rho",
         "escaping-classify", "escaping-rays", "escaping-render-density-rho",
-        "escaping-render-escape-time", "recurrent-expansion", "recurrent-holder"])
+        "escaping-render-escape-time", "render-escape-time", "recurrent-expansion",
+        "recurrent-holder"])
 def test_each_command_resolves_the_parameter_once(tmp_path, monkeypatch, argv, classified,
                                                   clouds):
     # one classification and at most one cloud a command; a refused
@@ -320,8 +323,15 @@ def test_expansion_rejects_bad_input(tmp_path, argv, config, message):
     # the cloud's deduplication is quadratic in the orbit's length
     (["classify", "--orbit-n", "100001"], "invalid config: orbit_n must be <= 100000, got 100001"),
     (["render", "--orbit-n", "1000000000"], "orbit_n must be <= 100000, got 1000000000"),
+    # memory grows with the number of disks pulled back
+    (["expansion", "--orbits", "100000000000"],
+     "invalid config: orbits must be <= 10000, got 100000000000"),
+    # exp overflows at the top of a degree-100 ray
+    (["render", "--d", "100", "--rays", "0.1", "--width", "4", "--height", "4",
+      "--depth", "2"], "refusing to render: the Boettcher-regime start overflows at degree 100"),
 ], ids=["holder-grid-res-8", "holder-grid-res-1000000", "rays-depth-61", "render-depth-61",
-        "config-missing", "expansion-d-100000", "orbit-n-100001", "render-orbit-n-1e9"])
+        "config-missing", "expansion-d-100000", "orbit-n-100001", "render-orbit-n-1e9",
+        "expansion-orbits-1e11", "render-ray-overflow-d-100"])
 def test_commands_reject_bad_input(tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit, match=message) as exc:

@@ -133,10 +133,10 @@ def test_classification_escape_index_consistency():
 
 def test_cloud_oracles():
     cloud = em.build_postcritical_cloud(em.UnicriticalMap(2, -2), 50)
-    assert sorted(cloud.points_complex.real) == [-2, 2]
+    assert sorted(cloud.points.real) == [-2, 2]
     cloud_i = em.build_postcritical_cloud(em.UnicriticalMap(2, 1j), 50)
     assert len(cloud_i) == 3
-    assert {complex(round(p.real), round(p.imag)) for p in cloud_i.points_complex} == {
+    assert {complex(round(p.real), round(p.imag)) for p in cloud_i.points} == {
         1j, -1 + 1j, -1j
     }
     assert len(em.build_postcritical_cloud(em.UnicriticalMap(2, 0), 10)) == 1
@@ -150,7 +150,7 @@ def test_cloud_escaping_rejected():
 def test_cloud_forward_near_invariance():
     m = em.UnicriticalMap(2, 1j)
     cloud = em.build_postcritical_cloud(m, 50)
-    pts = cloud.points_complex
+    pts = cloud.points
     for p in pts:
         image = m.evaluate(p)
         assert min(abs(image - q) for q in pts) <= em.dynamics.CLOUD_DEDUP_TOL
@@ -196,7 +196,7 @@ def test_cloud_search_matches_kdtree_bitwise(m):
 
     rng = np.random.default_rng(m)
     pts = rng.uniform(-2, 2, (m, 2))
-    cloud = em.PostcriticalCloud(pts)
+    cloud = em.PostcriticalCloud(pts[:, 0] + 1j * pts[:, 1])
     assert (cloud._tree is None) == (m <= em.dynamics.DIRECT_SEARCH_MAX)
     zs = rng.uniform(-3, 3, 5000) + 1j * rng.uniform(-3, 3, 5000)
     zs[:m] = pts[:, 0] + 1j * pts[:, 1]  # queries on the cloud itself
@@ -204,6 +204,13 @@ def test_cloud_search_matches_kdtree_bitwise(m):
     got = cloud.dist_many(zs)
     assert np.array_equal(got, expected)
     assert all(cloud.dist(z) == d for z, d in zip(zs[:500].tolist(), got[:500]))
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 2), (1, 1, 1)])
+def test_cloud_refuses_points_not_one_dimensional(shape):
+    # an (m, 2) array of real columns is not read as 2m points
+    with pytest.raises(ValueError, match="1-D"):
+        em.PostcriticalCloud(np.ones(shape))
 
 
 def test_dist_many_matches_scalar():
@@ -229,7 +236,7 @@ def test_cloud_matches_reference_loop():
         if all(abs(z - w) > em.dynamics.CLOUD_DEDUP_TOL for w in kept):
             kept.append(z)
     cloud = em.build_postcritical_cloud(fmap, 2000)
-    assert cloud.points_complex.tolist() == kept
+    assert cloud.points.tolist() == kept
     assert cloud.diameter() == max(abs(a - b) for a in kept for b in kept)
 
 

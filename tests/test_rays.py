@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,9 +56,12 @@ def test_ray_domain_errors():
 
 
 def test_overflowing_boettcher_start_raises():
-    # at degree 100 the top sub-level sits at potential 1000, past exp's range
-    with pytest.warns(RuntimeWarning), pytest.raises(RayTracingError, match="overflows"):
-        trace_rays(em.UnicriticalMap(100, 0), [0.1], 5)
+    # at degree 100 the top sub-level sits at potential 1000, past exp's range;
+    # the overflow is refused with an error, not also warned about
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RayTracingError, match="overflows"):
+            trace_rays(em.UnicriticalMap(100, 0), [0.1], 5)
 
 
 def test_landing_oracles_chebyshev():
