@@ -277,11 +277,16 @@ def expansion_ratios(
         slope, intercept = np.polyfit(levels.astype(float), logs, 1)
     else:
         slope, intercept = 0.0, logs[0]
+    with np.errstate(over="ignore"):
+        ratios = np.exp(logs)
+    overflow = np.flatnonzero(np.isinf(ratios))
+    if overflow.size:
+        raise ValueError(f"the expansion ratio at level {levels[overflow[0]]} overflows a float")
     counts = {lab: 0 for lab in CaseLabel}
     for lab in orbit.labels[1:]:
         counts[lab] += 1
     return ExpansionReport(
-        ratios=np.exp(logs).tolist(),
+        ratios=ratios.tolist(),
         levels=levels.tolist(),
         skipped_levels=(np.flatnonzero(on_cloud) + 1).tolist(),
         lam=float(math.exp(slope)),
@@ -296,6 +301,9 @@ def shrink_fit(orbit: BackwardDiskOrbit) -> Tuple[float, float]:
     Returns (C0, theta); theta >= 1 is reported as-is, falsifying contraction."""
     if orbit.depth < MIN_FIT_LEVELS:
         raise ValueError(f"need at least {MIN_FIT_LEVELS} pullback levels")
+    zero = np.flatnonzero(np.asarray(orbit.diams) == 0.0)
+    if zero.size:
+        raise ValueError(f"the diameter at level {zero[0]} underflows to 0")
     ns = np.arange(orbit.depth + 1, dtype=float)
     logs = np.log(orbit.diams)
     slope, intercept = np.polyfit(ns, logs, 1)

@@ -173,8 +173,11 @@ def cmd_expansion(config: ExperimentConfig) -> dict:
     summaries = []
     case_totals = {}
     for k, (z0, orbit) in enumerate(zip(bases, orbits)):
-        rep = expansion_ratios(orbit, metric)
-        c0, theta = shrink_fit(orbit)
+        try:
+            rep = expansion_ratios(orbit, metric)
+            c0, theta = shrink_fit(orbit)
+        except ValueError as exc:
+            raise SystemExit(f"refusing to report: orbit {k}: {exc}; try a smaller --depth")
         for lvl, ratio in zip(rep.levels, rep.ratios):
             rows.append((k, lvl, ratio))
         for lab, v in rep.case_counts.items():

@@ -33,6 +33,8 @@ class PathMetricGrid:
     h: float
     metric: Optional[SingularMetric]
     graph: "scipy.sparse.csr_matrix" = field(repr=False)
+    # least edge weight per unit length: an edge of length l weighs >= rho_min * l
+    rho_min: float
     _dist_cache: dict = field(default_factory=dict, repr=False)
 
     def nearest_node(self, z: complex) -> Tuple[int, complex]:
@@ -107,8 +109,12 @@ def build_grid(
     vert = weights(Z[:-1, :], Z[1:, :], h)
     # both diagonals of a cell share its midpoint bits (IEEE addition
     # commutes) and its length, so one density pass serves the two
-    diag = weights(Z[:-1, :-1], Z[1:, 1:], h * math.sqrt(2.0))
+    diag_len = h * math.sqrt(2.0)
+    diag = weights(Z[:-1, :-1], Z[1:, 1:], diag_len)
     del Z
+    # initial=inf: a one-row grid has no vertical or diagonal edges
+    rho_min = min(horiz.min(initial=math.inf) / h, vert.min(initial=math.inf) / h,
+                  diag.min(initial=math.inf) / diag_len)
 
     # Slot s of node (row j, col i) holds the edge to j*n_cols + i + offsets[s];
     # the offsets increase, so a node's edges come out in SciPy's sorted order.
@@ -137,7 +143,7 @@ def build_grid(
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(valid.sum(axis=2, dtype=np.int32).ravel(), out=indptr[1:])
     graph = csr_matrix((data, indices, indptr), shape=(n, n))
-    return PathMetricGrid(lo, hi, n_cols, n_rows, h, metric, graph)
+    return PathMetricGrid(lo, hi, n_cols, n_rows, h, metric, graph, float(rho_min))
 
 
 def dijkstra(*args, **kwargs):
@@ -161,20 +167,93 @@ def _path_weight(grid: PathMetricGrid, a: int, b: int) -> float:
     return float(grid.graph[nodes[:-1], nodes[1:]].sum())
 
 
+def _ellipse_rows(grid: PathMetricGrid, a: int, b: int, reach: float):
+    """Rows, first and last columns of the nodes v with |v - a| + |v - b| <=
+    reach, distances in node spacings: per row an interval, clipped to the grid
+    (empty where first > last)."""
+    ja, ia = divmod(a, grid.n_cols)
+    jb, ib = divmod(b, grid.n_cols)
+    cx, cy = (ia + ib) / 2.0, (ja + jb) / 2.0
+    semi, focal = reach / 2.0, math.hypot(ib - ia, jb - ja) / 2.0
+    ux, uy = ((ib - ia) / (2.0 * focal), (jb - ja) / (2.0 * focal)) if focal else (1.0, 0.0)
+    # squared semi-axes, the minor one as a product, accurate for thin ellipses
+    major2, minor2 = semi * semi, max((semi - focal) * (semi + focal), 0.0)
+    ey2 = major2 * uy * uy + minor2 * ux * ux  # squared half-height
+    ey = math.sqrt(ey2)
+    rows = np.arange(max(math.ceil(cy - ey), 0), min(math.floor(cy + ey), grid.n_rows - 1) + 1)
+    y = rows - cy
+    if ey2 > 0.0:
+        # the row at height y meets the ellipse in the chord cx + centre +- half:
+        # the roots of its quadratic in x, without the cancelling discriminant
+        centre = ux * uy * (major2 - minor2) * y / ey2
+        half = np.sqrt(major2 * minor2 * np.maximum(ey2 - y * y, 0.0)) / ey2
+    else:  # a horizontal segment or a point, on the one row cy
+        centre, half = 0.0, np.full(len(rows), semi)
+    first = np.clip(np.ceil(cx + centre - half), 0, grid.n_cols).astype(np.intp)
+    last = np.minimum(np.floor(cx + centre + half), grid.n_cols - 1).astype(np.intp)
+    return rows, first, np.maximum(last, first - 1)
+
+
+def _search_graph(grid: PathMetricGrid, a: int, b: int, limit: float):
+    """The part of the grid graph that an a-b path of weight <= limit can visit,
+    as (csr_matrix, local a, local b).
+
+    An edge of length l weighs at least rho_min * l, so every node v on such a
+    path has rho_min * h * (|v - a| + |v - b|) <= limit: it lies in an ellipse
+    with foci a and b (widened by a relative 1e-9 for rounding).  Each row of
+    it is one run of nodes, hence one run of CSR entries; edges leaving the
+    ellipse go to one sink node with no edges.
+    """
+    from scipy.sparse import csr_matrix
+
+    n = grid.n_cols
+    graph = grid.graph
+    rows, first, last = _ellipse_rows(grid, a, b, limit / (grid.rho_min * grid.h) * (1.0 + 1e-9))
+    counts = last - first + 1
+    base = np.zeros(len(rows) + 1, dtype=np.intp)  # local index of each row's first node
+    np.cumsum(counts, out=base[1:])
+    m = int(base[-1])
+    starts = rows * n + first
+    local = np.arange(m)
+    nodes = np.repeat(starts - base[:-1], counts) + local  # global index of each local node
+    # local index of every node in rows j0 - 1 .. j1 + 1, which hold every
+    # neighbour of the ellipse; the sink m for the nodes outside it
+    offset = (int(rows[0]) - 1) * n
+    lookup = np.full((len(rows) + 2) * n, m, dtype=np.int32)
+    lookup[nodes - offset] = local
+    # each row's nodes own one run of CSR entries, copied whole
+    e0 = graph.indptr[starts]
+    e1 = graph.indptr[starts + counts]
+    spans = list(zip(e0.tolist(), e1.tolist()))
+    targets = np.concatenate([graph.indices[i:j] for i, j in spans])
+    elen = e1 - e0
+    shift = e0 - (np.cumsum(elen) - elen)  # global minus local entry index, per row
+    indptr = np.empty(m + 2, dtype=np.int32)
+    indptr[:m] = graph.indptr[nodes] - np.repeat(shift, counts)
+    indptr[m:] = len(targets)  # the sink has no edges
+    sub = csr_matrix((np.concatenate([graph.data[i:j] for i, j in spans]),
+                      lookup[np.subtract(targets, offset, dtype=np.intp)], indptr),
+                     shape=(m + 1, m + 1))
+    return sub, int(lookup[a - offset]), int(lookup[b - offset])
+
+
 def _pair_distance(grid: PathMetricGrid, a: int, b: int) -> np.float64:
     """Shortest-path distance between nodes a and b, cached per pair.
 
     Dijkstra stops at the weight of an explicit a-b path (with a relative
-    margin for summation order); every node on a shortest path lies within
-    that limit, so the distance at b is exactly that of an unlimited run.
-    The graph is symmetric, so the directed search gives the same distances.
+    margin for summation order) and runs on the ellipse of nodes a path
+    within that limit can reach (``_search_graph``).  Its distance at b is the
+    least summed weight over a-b paths, and the path attaining it lies in the
+    ellipse, so it is exactly that of an unlimited whole-grid run.  The graph
+    is symmetric, so the directed search gives the same distances.
     """
     key = (a, b)
     if key not in grid._dist_cache:
         limit = _path_weight(grid, a, b) * (1.0 + 1e-9)
+        sub, local_a, local_b = _search_graph(grid, a, b, limit)
         grid._dist_cache[key] = dijkstra(
-            grid.graph, directed=True, indices=a, limit=limit
-        )[b]
+            sub, directed=True, indices=local_a, limit=limit
+        )[local_b]
     return grid._dist_cache[key]
 
 

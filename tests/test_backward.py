@@ -437,6 +437,20 @@ def test_expansion_all_levels_skipped_rejected():
         expansion_ratios(orbit, metric)
 
 
+def test_expansion_ratio_past_the_float_range_rejected():
+    fmap = cheb()
+    cloud = em.build_postcritical_cloud(fmap, 50)
+    metric = SingularMetric.for_degree(cloud, 2, Variant.SIGMA)
+    orbit = fresh_orbit(fmap, 0, 0.1)
+    # synthetic continuation far out: each level adds log 2 + log 1e100 to
+    # log|(f^n)'|, so R_n passes the float range at level 3
+    orbit.points += [1e100 + 0j] * 3
+    orbit.labels += [CaseLabel.UNIVALENT_NO_P] * 3
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="the expansion ratio at level 3 overflows a float"):
+            expansion_ratios(orbit, metric)
+
+
 # ------------------------------------------------------------- shrink fit
 
 
@@ -457,6 +471,16 @@ def test_shrink_fit_flags_noncontraction():
     orbit.labels += [CaseLabel.UNIVALENT_NO_P] * 12
     c0, theta = shrink_fit(orbit)
     assert theta == pytest.approx(1.0, abs=1e-9)
+
+
+def test_shrink_fit_refuses_an_underflowed_diameter():
+    orbit = fresh_orbit(cheb(), 0.5, 0.05)
+    orbit.points += [0.5 + 0j] * 12
+    orbit.diams += [1e-300] * 6 + [0.0] * 6
+    orbit.labels += [CaseLabel.UNIVALENT_NO_P] * 12
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="the diameter at level 7 underflows to 0"):
+            shrink_fit(orbit)
 
 
 def test_shrink_fit_needs_depth():

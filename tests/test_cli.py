@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
 import expmetric as em
 from expmetric import backward, cli, gridmetric, metrics, rays
@@ -340,6 +342,21 @@ def test_commands_reject_bad_input(tmp_path, monkeypatch, argv, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_expansion_refuses_ratios_past_the_float_range(tmp_path, capfd):
+    # at depth 1100 the expansion ratios at c=-2 overflow a float (and the
+    # pulled-back diameters later underflow to 0): one line, no file, no warning
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit, match="refusing to report: orbit 0: the expansion "
+                           "ratio at level 1025 overflows a float") as exc:
+            cli.main(["expansion", "--c-re", "-2", "--orbits", "2", "--depth", "1100",
+                      "--out", str(out)])
+    assert "\n" not in str(exc.value.code)
+    assert not out.exists()
+    assert capfd.readouterr().err == ""
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3)
@@ -496,6 +513,34 @@ def test_holder_report(tmp_path, capsys):
         assert len(fields) == 6
         assert all(math.isfinite(float(field)) for field in fields)
         assert float(fields[5]) > 0
+
+
+@pytest.mark.parametrize("c", [["--c-re", "-2"], ["--c-re", "0", "--c-im", "1"]],
+                         ids=["c=-2", "c=i"])
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_holder_pairs_equal_whole_grid_dijkstra(tmp_path, monkeypatch, c, seed):
+    # each pair's search runs on its ellipse of the grid graph; every d_rho
+    # must equal the unbounded whole-grid search plus the two snap terms
+    grids = []
+    build = cli.build_grid
+
+    def keep_grid(*args):
+        grids.append(build(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(cli, "build_grid", keep_grid)
+    cli.main(["holder", *c, "--grid-res", "128", "--seed", seed, "--out", str(tmp_path)])
+    (grid,) = grids
+    _, *rows = (tmp_path / "holder_pairs.csv").read_text().splitlines()
+    for row in rows:
+        x0, y0, x1, y1, _, d = map(float, row.split(","))
+        z0, z1 = complex(x0, y0), complex(x1, y1)
+        (n0, p0), (n1, p1) = grid.nearest_node(z0), grid.nearest_node(z1)
+        a, b = min(n0, n1), max(n0, n1)
+        whole = float(dijkstra(grid.graph, directed=False, indices=a)[b])
+        snap = (abs(z0 - p0) * grid.local_density(z0)
+                + abs(z1 - p1) * grid.local_density(z1))
+        assert d == whole + snap
 
 
 # -------------------------------------------------------------------- render

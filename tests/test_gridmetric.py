@@ -9,7 +9,9 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 import expmetric as em
-from expmetric.gridmetric import ANISOTROPY_FACTOR, HoelderFit, _pair_distance, _path_weight
+from expmetric.gridmetric import (
+    ANISOTROPY_FACTOR, HoelderFit, _pair_distance, _path_weight, _search_graph,
+)
 from expmetric.metrics import Variant
 
 
@@ -208,6 +210,70 @@ def test_pair_distance_matches_unlimited_dijkstra():
         # land an ulp below; the 1e-9 margin of the limit covers that
         assert _path_weight(grid, a, b) >= exact * (1 - 1e-12)
     assert _pair_distance(grid, node(33, 33), node(33, 33)) == 0.0
+
+
+def assert_pairs_match_whole_grid(grid, pairs):
+    """_pair_distance equals an unbounded whole-grid Dijkstra, bit for bit."""
+    for a, b in pairs:
+        a, b = min(a, b), max(a, b)
+        assert _pair_distance(grid, a, b) == dijkstra(grid.graph, directed=False, indices=a)[b]
+
+
+def test_rho_min_is_the_least_weight_per_unit_length():
+    for metric in (None, cheb_metric(), _metric(Variant.RHO, 1j, 2)):
+        grid = em.build_grid(metric, _SQUARE, 64)
+        coo = grid.graph.tocoo()
+        n = grid.n_cols
+        diagonal = (coo.row % n != coo.col % n) & (coo.row // n != coo.col // n)
+        length = np.where(diagonal, grid.h * math.sqrt(2.0), grid.h)
+        assert grid.rho_min == (coo.data / length).min()
+
+
+def test_search_graph_euclidean_grid_matches_whole_grid():
+    grid = uniform_grid(res=48)
+    assert grid.rho_min == 1.0
+    m = grid.n_cols * grid.n_rows
+    rng = np.random.default_rng(5)
+    pairs = [(0, m - 1), (0, grid.n_cols - 1), (3 * grid.n_cols, 3 * grid.n_cols + 40),
+             (5, 5 + 30 * grid.n_cols)]  # same row and same column: thin ellipses
+    pairs += [tuple(rng.integers(m, size=2).tolist()) for _ in range(10)]
+    assert_pairs_match_whole_grid(grid, pairs)
+
+
+def test_search_graph_one_row_grid():
+    grid = em.build_grid(None, (0j, 1 + 0.001j), 32)
+    assert grid.n_rows == 1 and grid.rho_min == 1.0
+    assert_pairs_match_whole_grid(grid, [(0, 31), (3, 4), (10, 20), (7, 7)])
+
+
+def test_search_graph_clipped_at_corners_and_borders():
+    grid = em.build_grid(cheb_metric(), _SQUARE, 128)
+    n, m = grid.n_cols, grid.n_cols * grid.n_rows
+    corners = [0, n - 1, m - n, m - 1]
+    pairs = [(p, q) for p in corners for q in corners if p < q]
+    pairs += [(0, 1), (0, n), (0, n + 1), (n - 1, 2 * n - 2), (m - 1, m - n - 2)]
+    pairs += [(5, 90), (40 * n, 100 * n), (60 * n + n - 1, 61 * n - 40),  # along borders
+              (m - n + 7, m - 3 * n + 100), (2 * n + 3, 120 * n + 125)]
+    assert_pairs_match_whole_grid(grid, pairs)
+
+
+def test_search_graph_of_a_node_to_itself():
+    grid = em.build_grid(cheb_metric(), _SQUARE, 128)
+    n, m = grid.n_cols, grid.n_cols * grid.n_rows
+    for a in (0, n - 1, m - 1, 64 * n + 20):
+        sub, local_a, local_b = _search_graph(grid, a, a, 0.0)
+        assert sub.shape == (2, 2) and local_a == local_b == 0
+        assert _pair_distance(grid, a, a) == 0.0
+
+
+def test_search_graph_of_a_short_pair_is_small():
+    grid = em.build_grid(cheb_metric(), _SQUARE, 512)
+    n, m = grid.n_cols, grid.n_cols * grid.n_rows
+    a = 300 * n + 200
+    b = a + 3
+    sub, local_a, local_b = _search_graph(grid, a, b, _path_weight(grid, a, b) * (1 + 1e-9))
+    assert sub.shape[0] < 0.01 * m
+    assert_pairs_match_whole_grid(grid, [(a, b)])
 
 
 def test_grid_distance_symmetry_exact():
