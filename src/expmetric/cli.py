@@ -356,8 +356,32 @@ def cmd_render(config: ExperimentConfig, spec: RenderSpec) -> Path:
     return path
 
 
+class _FloatToken:
+    """Matches a token that parses as a float.  argparse only asks about
+    tokens that start with '-', and its own pattern for negative numbers
+    knows no exponent, so ``--c-re -1e-3`` was an option with no value."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and so each of its subparsers, that takes a
+    negative float such as ``-1e-3`` as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a private argparse attribute; test_negative_floats_parse_as_values pins it
+        self._negative_number_matcher = _FloatToken
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="expmetric",
         description="Numerical verification of expanding singular metrics "
                     "for unicritical polynomials z^d + c",

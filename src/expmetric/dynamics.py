@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EscapeError, InsideJuliaError
 
@@ -32,9 +33,9 @@ JULIA_SAMPLE_STEPS = 36
 # matrix in O(d^3) time and O(d^2) memory, 0.6 s at d = 256 and 2.5 s at 1024
 # on two shared x86-64 cores.
 MAX_SAMPLE_DEGREE = 256
-# Polygons whose pair distances set_diameter holds at once: four 64-gons take
-# 256 KiB of complex differences, all 50 of an expansion level 3.1 MiB.
-DIAMETER_POLYGONS = 4
+# Sample pairs whose distances set_diameter holds at once: 512 KiB of complex
+# differences, fifteen 64-gons of an expansion level or three 128-gons.
+DIAMETER_BLOCK_PAIRS = 32768
 
 # Clouds up to this size are searched point by point, larger ones by a KD-tree.
 # Per query, with SciPy already loaded, the tree wins between 32 and 64 points;
@@ -209,21 +210,30 @@ class PostcriticalCloud:
 
 def set_diameter(samples: np.ndarray) -> np.ndarray:
     """Largest distance between two samples along the last axis, one for each
-    polygon of a (..., m) array, each pair visited once, in blocks of at most
-    4096 pairs for each of at most ``DIAMETER_POLYGONS`` polygons.  A full
-    m x m temporary costs 16 m^2 bytes a polygon; at 128 samples (256 KiB) it
-    took up to three times as long as the blocks in a process without SciPy
-    loaded, likely allocator behaviour (glibc serves blocks that large by mmap
-    until its threshold adapts)."""
+    polygon of a (..., m) array.  Sample i is compared with sample i + k
+    (mod m) for the shifts k = 0 .. m // 2, which meet every pair at least
+    once: the shifted samples are a window sliding over each polygon followed
+    by its first m // 2 samples, taken in blocks of about
+    ``DIAMETER_BLOCK_PAIRS`` pairs: several whole polygons, or a run of the
+    shifts of one polygon too large for that.  ``|z_i - z_j|`` and ``|z_j - z_i|`` are
+    the same float, and shift 0 keeps the diagonal, so this is the maximum of
+    the full m x m matrix of distances bit for bit: a distance past the float
+    range is inf, and a non-finite sample gives NaN (inf - inf on the
+    diagonal), without a warning."""
     m = samples.shape[-1]
-    r = max(1, 4096 // m)
     polygons = samples.reshape(-1, m)
+    h = m // 2
+    shifted = sliding_window_view(
+        np.concatenate([polygons, polygons[:, :h]], axis=1), m, axis=1)
+    ks = max(1, DIAMETER_BLOCK_PAIRS // m)  # shifts a block
+    g = max(1, DIAMETER_BLOCK_PAIRS // (m * (h + 1)))  # polygons a block
     out = np.empty(len(polygons))
-    for j in range(0, len(polygons), DIAMETER_POLYGONS):
-        rows = polygons[j:j + DIAMETER_POLYGONS]
-        out[j:j + DIAMETER_POLYGONS] = np.maximum.reduce(
-            [np.abs(rows[:, i:i + r, None] - rows[:, None, i:]).max(axis=(1, 2))
-             for i in range(0, m, r)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(0, len(polygons), g):
+            rows = polygons[j:j + g, None, :]
+            out[j:j + g] = np.maximum.reduce(
+                [np.abs(rows - shifted[j:j + g, k:k + ks]).max(axis=(1, 2))
+                 for k in range(0, h + 1, ks)])
     return out.reshape(samples.shape[:-1])
 
 

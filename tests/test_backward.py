@@ -1,6 +1,7 @@
 """Backward disk orbits: branches, lifts, case labels, and expansion fits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from expmetric.backward import (
     shrink_fit,
     winding_number,
 )
-from expmetric.dynamics import preimage_branch, set_diameter
+from expmetric.dynamics import DIAMETER_BLOCK_PAIRS, preimage_branch, set_diameter
 from expmetric.errors import SamplingResolutionError
 from expmetric.metrics import SingularMetric, Variant
 
@@ -307,18 +308,63 @@ def test_pull_back_orbits_refuses_the_lowest_numbered_orbit():
     assert [orbit.depth for orbit in batch] == [0, 1, 1]
 
 
-@pytest.mark.parametrize("m", [64, 128, 1000])
+def full_matrix_max(s):
+    # the m x m distances of a few polygons at a time, at most 16 MiB of them
+    m = s.shape[-1]
+    polygons = s.reshape(-1, m)
+    step = max(1, 2**20 // m**2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = [np.abs(p[:, :, None] - p[:, None, :]).max(axis=(1, 2))
+               for p in (polygons[j:j + step] for j in range(0, len(polygons), step))]
+    return np.concatenate(out).reshape(s.shape[:-1])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 63, 64, 65, 128, 1000])
 def test_polygon_diameter_blocks_match_full_matrix(m):
     rng = np.random.default_rng(m)
     samples = rng.normal(size=m) + 1j * rng.normal(size=m)
-    planted = samples.copy()
-    planted[-2:] = 100, -100j  # the farthest pair, both in the last row block
-    for s in (samples, planted):
-        assert set_diameter(s) == np.abs(s[:, None] - s[None, :]).max()
-    # a stack of polygons, more than are taken at once, gives one diameter each
-    stack = np.stack([samples, planted, 2 * planted, samples[::-1], samples + 1])
-    assert set_diameter(stack).tolist() == [
-        np.abs(s[:, None] - s[None, :]).max() for s in stack]
+    # the farthest pair at shift m // 2, and across the wrap-around (the last
+    # sample and the first, shift 1)
+    at_half, wrapped = samples.copy(), samples.copy()
+    at_half[0], at_half[m // 2] = 100, -100j
+    wrapped[-1], wrapped[0] = 100, -100j
+    # a non-finite sample gives NaN through inf - inf on the diagonal; finite
+    # samples a distance past the float range apart give inf
+    nonfinite = []
+    for value in (np.nan, np.inf, -np.inf, complex(0, -np.inf), complex(np.inf, np.nan)):
+        s = samples.copy()
+        s[m // 3] = value
+        nonfinite.append(s)
+    overflowing = samples.copy()
+    overflowing[0], overflowing[-1] = 1e308, -1e308 - 1e308j
+    cases = [samples, at_half, wrapped, *nonfinite, overflowing]
+    # stacks of polygons: (3, 7, m), and more polygons than one block holds
+    one_block = DIAMETER_BLOCK_PAIRS // (m * (m // 2 + 1))
+    cases += [rng.normal(size=(3, 7, m)) + 1j * rng.normal(size=(3, 7, m)),
+              np.resize(np.stack(cases), (one_block + 2, m))]
+    for s in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diam = set_diameter(s)
+        assert diam.shape == s.shape[:-1]
+        assert np.array_equal(diam, full_matrix_max(s), equal_nan=True)
+    assert np.isnan(set_diameter(nonfinite[1]))
+    if m > 1:  # one sample has diameter 0
+        assert set_diameter(overflowing) == math.inf
+        assert set_diameter(at_half) == set_diameter(wrapped) == abs(100 + 100j)
+
+
+@pytest.mark.parametrize("fmap, samples", [(map_i(), 128), (em.UnicriticalMap(3, 0.2j), 192)],
+                         ids=["c=i", "d=3"])
+def test_pull_back_diameters_are_full_matrix_maxima(fmap, samples):
+    # a small disk at the critical value is critical at level 1 only, and its
+    # polygons carry d * 64 samples from then on
+    orbit = fresh_orbit(fmap, fmap.c + 0.001, 0.003)
+    pull_back(fmap, orbit, 20, np.random.default_rng(5))
+    assert orbit.labels.count(CaseLabel.CRITICAL) == 1 == orbit.labels.index(CaseLabel.CRITICAL)
+    assert {len(offsets) for offsets in orbit.offsets[1:]} == {samples}
+    for n, offsets in enumerate(orbit.offsets):
+        assert orbit.diams[n] == full_matrix_max(offsets)
 
 
 # ------------------------------------------------------------- case labels
