@@ -232,9 +232,9 @@ def pull_back_orbits(
                     and orbit.labels.count(CaseLabel.CRITICAL) > 1):
                 stopped[i] = f"level {orbit.depth} is its second critical level"
             del orbit.boundary[:-1], orbit.offsets[:-1]
-        if stopped and (refusal is None or min(stopped) < refusal[0]):
+        if stopped:  # every live orbit is numbered below an earlier refusal
             refusal = min(stopped), stopped[min(stopped)]
-        live = [i for i in live if i not in stopped and (refusal is None or i < refusal[0])]
+            live = [i for i in live if i < refusal[0]]
     return refusal
 
 

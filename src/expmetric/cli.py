@@ -38,6 +38,7 @@ from .dynamics import (
     UnicriticalMap,
     build_postcritical_cloud,
     classify_parameter,
+    critical_orbit,
     julia_distance_estimate,
     sample_julia_points,
 )
@@ -60,6 +61,17 @@ OUTPUT_DIR_ENV = "EXPMETRIC_OUT"
 # Most disks expansion pulls back: at c = -2 and depth 30, 10000 orbits peak
 # at 251 MB resident and take 22 s on two shared x86-64 cores, 2000 at 86 MB.
 MAX_ORBITS = 10_000
+# Deepest expansion run.  Along a backward orbit |(f^n)'| grows like d^n (the
+# equilibrium measure of a connected Julia set has Lyapunov exponent log d), so
+# the expansion ratio leaves the float range near level 1024 at d = 2 (1025 at
+# c = -2, 1047 at c = i), and every deeper level is pulled back only for the
+# report to be refused: 2 orbits at depth 20000 took 8.9 s, at 1100 0.75 s, on
+# two shared x86-64 cores.
+MAX_EXPANSION_DEPTH = 1100
+# Most disk-levels, orbits x depth, expansion pulls back: 10000 orbits at depth
+# 30 peak at 283 MB resident and take 17 s, 272 at depth 1100 at 70 MB and 17 s,
+# on two shared x86-64 cores.
+MAX_ORBIT_LEVELS = 300_000
 
 
 @dataclass
@@ -92,16 +104,17 @@ class Parameter(NamedTuple):
 
 
 def resolve_parameter(config: ExperimentConfig, gated: bool = False) -> Parameter:
-    """The one place a command iterates the critical orbit.  With ``gated``,
-    a parameter outside the verified regime is refused before its cloud is
-    built."""
+    """The one place a command iterates the critical orbit, once: its
+    classification and its cloud are both read from that orbit.  With
+    ``gated``, a parameter outside the verified regime is refused before its
+    cloud is built."""
     fmap = UnicriticalMap(config.d, config.c)
-    cls = classify_parameter(fmap, config.orbit_n)
+    orbit, escape_index = critical_orbit(fmap, config.orbit_n)
+    cls = classify_parameter(orbit, escape_index)
     if gated and cls.kind is not OrbitKind.BOUNDED_NONRECURRENT:
         raise SystemExit(f"refusing to run: parameter classified {cls.kind.value} "
                          "(need bounded-nonrecurrent, the semihyperbolic regime)")
-    cloud = (None if cls.kind is OrbitKind.ESCAPING
-             else build_postcritical_cloud(fmap, config.orbit_n))
+    cloud = None if cls.kind is OrbitKind.ESCAPING else build_postcritical_cloud(orbit)
     return Parameter(fmap, cls, cloud)
 
 
@@ -519,10 +532,17 @@ def _validate(cfg: ExperimentConfig, command: str) -> None:
     if command == "expansion" and cfg.depth < MIN_FIT_LEVELS:
         raise SystemExit(f"invalid config: expansion needs depth >= {MIN_FIT_LEVELS} "
                          f"for the shrink fit, got {cfg.depth}")
+    if command == "expansion" and cfg.depth > MAX_EXPANSION_DEPTH:
+        raise SystemExit(f"invalid config: expansion needs depth <= {MAX_EXPANSION_DEPTH}, "
+                         f"got {cfg.depth}")
+    if command == "expansion" and cfg.orbits * cfg.depth > MAX_ORBIT_LEVELS:
+        raise SystemExit(f"invalid config: expansion needs orbits x depth <= "
+                         f"{MAX_ORBIT_LEVELS}, got {cfg.orbits} x {cfg.depth}")
 
 
 def _parse_angles(text: str) -> List[float]:
-    """Comma-separated external angles, each a number in [0, 1) turns."""
+    """Comma-separated external angles, each a number in [0, 1) turns and
+    given once."""
     angles = []
     for tok in filter(str.strip, text.split(",")):
         try:
@@ -532,6 +552,8 @@ def _parse_angles(text: str) -> List[float]:
         if not 0.0 <= theta < 1.0:  # NaN fails too
             raise SystemExit(f"invalid external angle {tok.strip()}: "
                              "must be a number in [0, 1) turns")
+        if theta in angles:  # the reports key each ray by its angle
+            raise SystemExit(f"invalid external angle {tok.strip()}: given twice")
         angles.append(theta)
     return angles
 

@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import EscapeError, InsideJuliaError
+from .errors import InsideJuliaError
 
 # Iterates beyond this modulus are treated as escaped for potential/distance
 # purposes; large enough that the Boettcher correction is below 1e-10.
@@ -138,14 +138,12 @@ def orbit_derivative_magnitude(fmap: UnicriticalMap, z: complex, n: int) -> floa
     return math.exp(log_sum)
 
 
-def classify_parameter(fmap: UnicriticalMap, n: int) -> OrbitClassification:
-    """Heuristic verdict on the critical orbit: escape, or bounded with/without
-    observed recurrence.  The non-recurrence gap is the min of |f^n(0)| over the
+def classify_parameter(orbit, escape_index: Optional[int]) -> OrbitClassification:
+    """Heuristic verdict on a critical orbit and escape index as
+    ``critical_orbit`` returns them: escape, or bounded with/without observed
+    recurrence.  The non-recurrence gap is the min of |f^n(0)| over the
     computed orbit; verdicts are configuration-dependent, never certificates.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    orbit, escape_index = critical_orbit(fmap, n)
     gap = min(abs(z) for z in orbit)
     if escape_index is not None:
         return OrbitClassification(OrbitKind.ESCAPING, gap, len(orbit), escape_index)
@@ -237,16 +235,12 @@ def set_diameter(samples: np.ndarray) -> np.ndarray:
     return out.reshape(samples.shape[:-1])
 
 
-def build_postcritical_cloud(fmap: UnicriticalMap, n: int) -> PostcriticalCloud:
-    """The critical orbit's points, each kept unless it lies within
-    ``CLOUD_DEDUP_TOL`` of a point kept before it.  An exact repeat lies at
-    distance 0 from its first occurrence, or from the point that one was
-    dropped for, so repeats are skipped before any distance is taken."""
-    orbit, escape_index = critical_orbit(fmap, n)
-    if escape_index is not None:
-        raise EscapeError(
-            "critical orbit escapes; the postcritical set is unbounded"
-        )
+def build_postcritical_cloud(orbit) -> PostcriticalCloud:
+    """The points of a bounded critical orbit from ``critical_orbit``, each
+    kept unless it lies within ``CLOUD_DEDUP_TOL`` of a point kept before it.
+    An exact repeat lies at distance 0 from its first occurrence, or from the
+    point that one was dropped for, so repeats are skipped before any distance
+    is taken."""
     kept = np.empty(len(orbit), dtype=complex)
     m = 0
     for z in dict.fromkeys(orbit):

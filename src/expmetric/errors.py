@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of a formula."""
 
 
-class EscapeError(RuntimeError):
-    """An orbit escaped to infinity where a bounded orbit was required."""
-
-
 class InsideJuliaError(RuntimeError):
     """A point did not escape within budget; it is inside or on the Julia set."""
 

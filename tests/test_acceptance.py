@@ -278,7 +278,7 @@ def test_criterion_4_metric_expansion(runs):
         bounds[tag] = _uniform_half_bound(envelope, depth // 3)
     # hand oracle: R_1 = |f'(sqrt 2)| sigma(0)/sigma(sqrt 2) = 2 sqrt(2 - sqrt 2)
     fmap = em.UnicriticalMap(2, -2)
-    cloud = em.build_postcritical_cloud(fmap, 50)
+    cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 50)[0])
     orbit = BackwardDiskOrbit(fmap, 0.0, 0.1, cloud=cloud)
     pull_back(fmap, orbit, 1, 0)
     spot = expansion_ratios(
@@ -307,7 +307,7 @@ def test_criterion_5_pullback_shrinking(runs):
     t0 = time.perf_counter()
     fmap = em.UnicriticalMap(2, 0)
     orbit = BackwardDiskOrbit(fmap, 1.0, 0.05,
-                              cloud=em.build_postcritical_cloud(fmap, 5))
+                              cloud=em.build_postcritical_cloud(em.critical_orbit(fmap, 5)[0]))
     pull_back(fmap, orbit, 12, 0)
     _, theta_stub = shrink_fit(orbit)
     stub_ok = abs(theta_stub - 0.5) <= 0.05
@@ -350,7 +350,7 @@ def test_criterion_7_hoelder_equivalence():
     spot = None
     for c in (-2.0 + 0.0j, 1j):
         fmap = em.UnicriticalMap(2, c)
-        cloud = em.build_postcritical_cloud(fmap, 2000)
+        cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 2000)[0])
         metric = SingularMetric.for_degree(cloud, 2, Variant.RHO)
         grid = em.build_grid(metric, bbox, 512)
         rng = np.random.default_rng(6)

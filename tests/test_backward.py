@@ -35,7 +35,7 @@ def map_i():
 
 
 def fresh_orbit(fmap, z0, eps, cloud_n=50):
-    cloud = em.build_postcritical_cloud(fmap, cloud_n)
+    cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, cloud_n)[0])
     return BackwardDiskOrbit(fmap, z0, eps, cloud=cloud)
 
 
@@ -200,7 +200,7 @@ def test_pulled_back_diameters_keep_precision_to_depth_50():
     # 50 the diameter is about 1e-4 * 2^-50 ~ 1e-19, far below an ulp of the
     # absolute samples.
     fmap = cheb()
-    cloud = em.build_postcritical_cloud(fmap, 50)
+    cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 50)[0])
     drifts = []
     for k, z0 in enumerate(em.sample_julia_points(fmap, 20, np.random.default_rng(0))):
         orbit = BackwardDiskOrbit(fmap, z0, 1e-4, cloud=cloud)
@@ -242,7 +242,7 @@ def test_coarse_boundary_around_critical_value_rejected():
 @pytest.mark.parametrize("fmap", [cheb(), map_i(), em.UnicriticalMap(3, 0.2j)],
                          ids=["c=-2", "c=i", "d=3"])
 def test_pull_back_orbits_matches_one_orbit_at_a_time(fmap):
-    cloud = em.build_postcritical_cloud(fmap, 50)
+    cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 50)[0])
     rng = np.random.default_rng(7)
     # small Julia disks stay univalent; disks at the critical value are
     # critical at level 1 and carry d * 64 samples beside the 64-gons from
@@ -276,7 +276,7 @@ def test_pull_back_orbits_matches_one_orbit_at_a_time(fmap):
 
 def test_pull_back_orbits_refuses_the_lowest_numbered_orbit():
     fmap = cheb()
-    cloud = em.build_postcritical_cloud(fmap, 50)
+    cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 50)[0])
     # a disk holding the whole Julia set meets the critical value again at
     # level 2 (as in test_coarse_boundary_around_critical_value_rejected, an
     # octagon around c is too coarse to lift at level 1)
@@ -424,7 +424,7 @@ def test_at_most_one_critical_label():
 def test_expansion_ratio_first_level_oracle():
     # R_1 = |f'(sqrt 2)| sigma(0) / sigma(sqrt 2) = 2 sqrt(2 - sqrt 2)
     fmap = cheb()
-    cloud = em.build_postcritical_cloud(fmap, 50)
+    cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 50)[0])
     metric = SingularMetric.for_degree(cloud, 2, Variant.SIGMA)
     orbit = fresh_orbit(fmap, 0, 0.1)
     pull_back(fmap, orbit, 1, 0)
@@ -438,7 +438,7 @@ def test_accumulated_derivative_oracle_at_depth_80():
     # z^2 maps the unit circle to itself with |f'| = 2, so |(f^n)'(z_n)| = 2^n;
     # sigma = |z|^(-1/2) is 1 there, so R_n = 2^n as well
     fmap = em.UnicriticalMap(2, 0)
-    cloud = em.build_postcritical_cloud(fmap, 5)
+    cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 5)[0])
     orbit = BackwardDiskOrbit(fmap, complex(math.cos(1.0), math.sin(1.0)), 0.01,
                               cloud=cloud)
     pull_back(fmap, orbit, 80, np.random.default_rng(2))
@@ -449,7 +449,7 @@ def test_accumulated_derivative_oracle_at_depth_80():
 
 def test_expansion_fit_grows_exponentially():
     fmap = cheb()
-    cloud = em.build_postcritical_cloud(fmap, 50)
+    cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 50)[0])
     metric = SingularMetric.for_degree(cloud, 2, Variant.SIGMA)
     orbit = fresh_orbit(fmap, 0, 0.05)
     pull_back(fmap, orbit, 20, np.random.default_rng(11))
@@ -461,7 +461,7 @@ def test_expansion_fit_grows_exponentially():
 
 def test_expansion_skips_levels_on_the_cloud():
     fmap = cheb()
-    cloud = em.build_postcritical_cloud(fmap, 50)
+    cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 50)[0])
     metric = SingularMetric.for_degree(cloud, 2, Variant.SIGMA)
     orbit = fresh_orbit(fmap, 0, 0.1)
     # synthetic continuation: level 1 lands exactly on the cloud point 2
@@ -474,7 +474,7 @@ def test_expansion_skips_levels_on_the_cloud():
 
 def test_expansion_all_levels_skipped_rejected():
     fmap = cheb()
-    cloud = em.build_postcritical_cloud(fmap, 50)
+    cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 50)[0])
     metric = SingularMetric.for_degree(cloud, 2, Variant.SIGMA)
     orbit = fresh_orbit(fmap, 0, 0.1)
     orbit.points.append(2 + 0j)
@@ -485,7 +485,7 @@ def test_expansion_all_levels_skipped_rejected():
 
 def test_expansion_ratio_past_the_float_range_rejected():
     fmap = cheb()
-    cloud = em.build_postcritical_cloud(fmap, 50)
+    cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 50)[0])
     metric = SingularMetric.for_degree(cloud, 2, Variant.SIGMA)
     orbit = fresh_orbit(fmap, 0, 0.1)
     # synthetic continuation far out: each level adds log 2 + log 1e100 to

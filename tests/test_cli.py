@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import dijkstra
 
 import expmetric as em
-from expmetric import backward, cli, gridmetric, metrics, rays
+from expmetric import backward, cli, dynamics, gridmetric, metrics, rays
 from expmetric.render import RenderSpec
 
 
@@ -209,26 +209,27 @@ def test_expansion_peak_traced_memory(tmp_path):
     assert peak < 3e6
 
 
-@pytest.mark.parametrize("argv, classified, clouds", [
-    *[(["--c-re", "-2", *flags], 1, 1) for flags in (
+@pytest.mark.parametrize("argv, classified, clouds, orbits", [
+    *[(["--c-re", "-2", *flags], 1, 1, 1) for flags in (
         ["classify"], ["expansion", "--orbits", "2", "--depth", "10"],
         ["holder", "--grid-res", "32"], ["rays", "--angles", "0", "--depth", "8"],
         ["render", "--layer", "density-rho", "--width", "8", "--height", "8"])],
-    *[(["--c-re", "1", *flags], 1, 0) for flags in (
+    *[(["--c-re", "1", *flags], 1, 0, 1) for flags in (
         ["classify"], ["rays"], ["render", "--layer", "density-rho"])],
     # escape-time reads neither the classification nor P(f)
-    *[(["--c-re", c_re, "render", "--width", "8", "--height", "8"], 0, 0)
+    *[(["--c-re", c_re, "render", "--width", "8", "--height", "8"], 0, 0, 0)
       for c_re in ("1", "-2")],
-    (["--c-re", "0", "expansion"], 1, 0),
-    (["--c-re", "0", "holder"], 1, 0),
+    (["--c-re", "0", "expansion"], 1, 0, 1),
+    (["--c-re", "0", "holder"], 1, 0, 1),
 ], ids=["classify", "expansion", "holder", "rays", "render-density-rho",
         "escaping-classify", "escaping-rays", "escaping-render-density-rho",
         "escaping-render-escape-time", "render-escape-time", "recurrent-expansion",
         "recurrent-holder"])
 def test_each_command_resolves_the_parameter_once(tmp_path, monkeypatch, argv, classified,
-                                                  clouds):
-    # one classification and at most one cloud a command; a refused
-    # parameter, escaping or outside the gate, never builds a cloud
+                                                  clouds, orbits):
+    # one classification and at most one cloud a command, both read from one
+    # iteration of the critical orbit; a refused parameter, escaping or
+    # outside the gate, never builds a cloud
     calls = []
 
     def counting(name):
@@ -237,6 +238,12 @@ def test_each_command_resolves_the_parameter_once(tmp_path, monkeypatch, argv, c
 
     counting("classify_parameter")
     counting("build_postcritical_cloud")
+    # wherever the orbit is looked up from, each iteration counts once
+    orbit = dynamics.critical_orbit
+    for module in (cli, dynamics):
+        monkeypatch.setattr(module, "critical_orbit",
+                            lambda *a: calls.append("critical_orbit") or orbit(*a),
+                            raising=False)
     try:
         with redirect_stdout(io.StringIO()):
             cli.main([*argv, "--out", str(tmp_path)])
@@ -244,6 +251,7 @@ def test_each_command_resolves_the_parameter_once(tmp_path, monkeypatch, argv, c
         assert str(exc.code).startswith("refusing to")
     assert calls.count("classify_parameter") == classified
     assert calls.count("build_postcritical_cloud") == clouds
+    assert calls.count("critical_orbit") == orbits
 
 
 # -------------------------------------------------------------------- config
@@ -334,9 +342,21 @@ def test_expansion_rejects_bad_input(tmp_path, argv, config, message):
     # the disk's diameter 2 epsilon is past the float range
     (["expansion", "--epsilon", "1e308"], r"^refusing to continue: orbit 0 at epsilon 1e\+308: "
      "level 2 is its second critical level; try a smaller --epsilon$"),
+    # the reports key each ray by its angle
+    (["rays", "--angles", "0.5,0.5", "--depth", "50"], "invalid external angle 0.5: given twice"),
+    (["render", "--rays", "0.25,0.1,0.250", "--width", "4", "--height", "4"],
+     "invalid external angle 0.250: given twice"),
+    # past level 1024 at d = 2 the expansion ratio leaves the float range
+    (["expansion", "--orbits", "2", "--depth", "1101"],
+     "invalid config: expansion needs depth <= 1100, got 1101"),
+    # memory grows with the disk-levels pulled back
+    (["expansion", "--orbits", "300", "--depth", "1001"],
+     "invalid config: expansion needs orbits x depth <= 300000, got 300 x 1001"),
 ], ids=["holder-grid-res-8", "holder-grid-res-1000000", "rays-depth-61", "render-depth-61",
         "config-missing", "expansion-d-100000", "orbit-n-100001", "render-orbit-n-1e9",
-        "expansion-orbits-1e11", "render-ray-overflow-d-100", "expansion-epsilon-1e308"])
+        "expansion-orbits-1e11", "render-ray-overflow-d-100", "expansion-epsilon-1e308",
+        "rays-repeated-angle", "render-repeated-ray", "expansion-depth-1101",
+        "expansion-orbits-300-depth-1001"])
 def test_commands_reject_bad_input(tmp_path, monkeypatch, capfd, argv, message):
     monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings():

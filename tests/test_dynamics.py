@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import expmetric as em
 from expmetric.dynamics import JULIA_SAMPLE_STEPS, preimage_branch
-from expmetric.errors import EscapeError, InsideJuliaError
+from expmetric.errors import InsideJuliaError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -93,35 +93,35 @@ def test_critical_orbit_escape_flag():
 
 
 def test_classify_parameter_oracles():
-    cls = em.classify_parameter(em.UnicriticalMap(2, -2), 100)
+    cls = em.classify_parameter(*em.critical_orbit(em.UnicriticalMap(2, -2), 100))
     assert cls.kind is em.OrbitKind.BOUNDED_NONRECURRENT
     assert cls.recurrence_gap == pytest.approx(2.0)
 
-    cls = em.classify_parameter(em.UnicriticalMap(2, 1), 100)
+    cls = em.classify_parameter(*em.critical_orbit(em.UnicriticalMap(2, 1), 100))
     assert cls.kind is em.OrbitKind.ESCAPING
     assert cls.escape_index is not None
 
-    cls = em.classify_parameter(em.UnicriticalMap(2, 0), 10)
+    cls = em.classify_parameter(*em.critical_orbit(em.UnicriticalMap(2, 0), 10))
     assert cls.kind is em.OrbitKind.BOUNDED_RECURRENT
     assert cls.recurrence_gap == 0.0
 
     # the orbit of a small real c > 0 climbs from c to a fixed point, so the
     # gap is c itself, here below RECURRENCE_DELTA = 1e-3
-    cls = em.classify_parameter(em.UnicriticalMap(2, 0.0005), 2000)
+    cls = em.classify_parameter(*em.critical_orbit(em.UnicriticalMap(2, 0.0005), 2000))
     assert cls.kind is em.OrbitKind.BOUNDED_RECURRENT
     assert cls.recurrence_gap == 0.0005
 
 
 def test_classify_parameter_undetermined_band():
     # gap 0.0015 (c itself) falls in (delta, 2*delta] for delta = 1e-3
-    cls = em.classify_parameter(em.UnicriticalMap(2, 0.0015), 2000)
+    cls = em.classify_parameter(*em.critical_orbit(em.UnicriticalMap(2, 0.0015), 2000))
     assert cls.kind is em.OrbitKind.UNDETERMINED
     assert cls.recurrence_gap == 0.0015
 
 
 def test_classify_parameter_usage_errors():
     with pytest.raises(ValueError):
-        em.classify_parameter(em.UnicriticalMap(2, -2), 0)
+        em.classify_parameter(*em.critical_orbit(em.UnicriticalMap(2, -2), 0))
 
 
 def test_classification_escape_index_consistency():
@@ -132,24 +132,19 @@ def test_classification_escape_index_consistency():
 
 
 def test_cloud_oracles():
-    cloud = em.build_postcritical_cloud(em.UnicriticalMap(2, -2), 50)
+    cloud = em.build_postcritical_cloud(em.critical_orbit(em.UnicriticalMap(2, -2), 50)[0])
     assert sorted(cloud.points.real) == [-2, 2]
-    cloud_i = em.build_postcritical_cloud(em.UnicriticalMap(2, 1j), 50)
+    cloud_i = em.build_postcritical_cloud(em.critical_orbit(em.UnicriticalMap(2, 1j), 50)[0])
     assert len(cloud_i) == 3
     assert {complex(round(p.real), round(p.imag)) for p in cloud_i.points} == {
         1j, -1 + 1j, -1j
     }
-    assert len(em.build_postcritical_cloud(em.UnicriticalMap(2, 0), 10)) == 1
-
-
-def test_cloud_escaping_rejected():
-    with pytest.raises(EscapeError):
-        em.build_postcritical_cloud(em.UnicriticalMap(2, 1), 50)
+    assert len(em.build_postcritical_cloud(em.critical_orbit(em.UnicriticalMap(2, 0), 10)[0])) == 1
 
 
 def test_cloud_forward_near_invariance():
     m = em.UnicriticalMap(2, 1j)
-    cloud = em.build_postcritical_cloud(m, 50)
+    cloud = em.build_postcritical_cloud(em.critical_orbit(m, 50)[0])
     pts = cloud.points
     for p in pts:
         image = m.evaluate(p)
@@ -157,10 +152,10 @@ def test_cloud_forward_near_invariance():
 
 
 def test_dist_to_cloud_oracles():
-    cloud = em.build_postcritical_cloud(em.UnicriticalMap(2, -2), 50)
+    cloud = em.build_postcritical_cloud(em.critical_orbit(em.UnicriticalMap(2, -2), 50)[0])
     assert cloud.dist(0) == pytest.approx(2.0)
     assert cloud.dist(2) == pytest.approx(0.0, abs=1e-15)
-    cloud_i = em.build_postcritical_cloud(em.UnicriticalMap(2, 1j), 50)
+    cloud_i = em.build_postcritical_cloud(em.critical_orbit(em.UnicriticalMap(2, 1j), 50)[0])
     assert cloud_i.dist(0) == pytest.approx(1.0)
 
 
@@ -170,7 +165,7 @@ def test_dist_to_cloud_oracles():
     st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
 )
 def test_dist_to_cloud_lipschitz(z1, z2):
-    cloud = em.build_postcritical_cloud(em.UnicriticalMap(2, 1j), 50)
+    cloud = em.build_postcritical_cloud(em.critical_orbit(em.UnicriticalMap(2, 1j), 50)[0])
     d1, d2 = cloud.dist(z1), cloud.dist(z2)
     assert abs(d1 - d2) <= abs(z1 - z2) + 1e-12
 
@@ -178,10 +173,10 @@ def test_dist_to_cloud_lipschitz(z1, z2):
 def test_cloud_monotone_refinement():
     # a denser cloud can only decrease the distance
     m = em.UnicriticalMap(2, -0.2 + 0.75j)  # bounded, aperiodic-looking orbit
-    if em.classify_parameter(m, 2000).kind is em.OrbitKind.ESCAPING:
+    if em.classify_parameter(*em.critical_orbit(m, 2000)).kind is em.OrbitKind.ESCAPING:
         pytest.skip("parameter escaped; pick another refinement sample")
-    small = em.build_postcritical_cloud(m, 50)
-    large = em.build_postcritical_cloud(m, 500)
+    small = em.build_postcritical_cloud(em.critical_orbit(m, 50)[0])
+    large = em.build_postcritical_cloud(em.critical_orbit(m, 500)[0])
     rng = np.random.default_rng(0)
     for _ in range(50):
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
@@ -214,15 +209,16 @@ def test_cloud_refuses_points_not_one_dimensional(shape):
 
 
 def test_dist_many_matches_scalar():
-    cloud = em.build_postcritical_cloud(em.UnicriticalMap(2, 1j), 50)
+    cloud = em.build_postcritical_cloud(em.critical_orbit(em.UnicriticalMap(2, 1j), 50)[0])
     zs = np.array([0 + 0j, 1 + 1j, -2 + 0.5j])
     np.testing.assert_allclose(cloud.dist_many(zs), [cloud.dist(z) for z in zs])
 
 
 def test_cloud_diameter():
-    cloud = em.build_postcritical_cloud(em.UnicriticalMap(2, -2), 50)
+    cloud = em.build_postcritical_cloud(em.critical_orbit(em.UnicriticalMap(2, -2), 50)[0])
     assert cloud.diameter() == pytest.approx(4.0)
-    assert em.build_postcritical_cloud(em.UnicriticalMap(2, 0), 5).diameter() == 0.0
+    cloud_0 = em.build_postcritical_cloud(em.critical_orbit(em.UnicriticalMap(2, 0), 5)[0])
+    assert cloud_0.diameter() == 0.0
 
 
 def test_cloud_matches_reference_loop():
@@ -235,7 +231,7 @@ def test_cloud_matches_reference_loop():
     for z in orbit:
         if all(abs(z - w) > em.dynamics.CLOUD_DEDUP_TOL for w in kept):
             kept.append(z)
-    cloud = em.build_postcritical_cloud(fmap, 2000)
+    cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 2000)[0])
     assert cloud.points.tolist() == kept
     assert cloud.diameter() == max(abs(a - b) for a in kept for b in kept)
 

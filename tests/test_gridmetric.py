@@ -16,7 +16,7 @@ from expmetric.metrics import Variant
 
 
 def cheb_metric():
-    cloud = em.build_postcritical_cloud(em.UnicriticalMap(2, -2), 50)
+    cloud = em.build_postcritical_cloud(em.critical_orbit(em.UnicriticalMap(2, -2), 50)[0])
     return em.SingularMetric.for_degree(cloud, 2, Variant.RHO)
 
 
@@ -82,7 +82,7 @@ def coo_grid_graph(metric, bbox, resolution):
 
 
 def _metric(variant, c, d):
-    cloud = em.build_postcritical_cloud(em.UnicriticalMap(d, c), 50)
+    cloud = em.build_postcritical_cloud(em.critical_orbit(em.UnicriticalMap(d, c), 50)[0])
     return em.SingularMetric.for_degree(cloud, d, variant)
 
 
@@ -356,7 +356,7 @@ def test_holder_fit_far_from_cloud_exponent_one():
 def test_holder_fit_straddling_cloud_in_band():
     from expmetric.cli import holder_sample_pairs
 
-    cloud = em.build_postcritical_cloud(em.UnicriticalMap(2, -2), 50)
+    cloud = em.build_postcritical_cloud(em.critical_orbit(em.UnicriticalMap(2, -2), 50)[0])
     metric = em.SingularMetric.for_degree(cloud, 2, Variant.RHO)
     grid = em.build_grid(metric, (complex(-2.55, -2.55), complex(2.56, 2.56)), 512)
     rng = np.random.default_rng(6)

@@ -15,7 +15,7 @@ SQRT2 = math.sqrt(2.0)
 
 
 def cheb_cloud():
-    return em.build_postcritical_cloud(em.UnicriticalMap(2, -2), 50)
+    return em.build_postcritical_cloud(em.critical_orbit(em.UnicriticalMap(2, -2), 50)[0])
 
 
 def test_density_oracles():
@@ -59,8 +59,8 @@ def test_alpha_matches_degree():
 def test_density_cloud_sandwich():
     # coarser cloud (subset) has larger distances, hence smaller rho
     m = em.UnicriticalMap(2, 1j)
-    small = em.SingularMetric.for_degree(em.build_postcritical_cloud(m, 2), 2)
-    full = em.SingularMetric.for_degree(em.build_postcritical_cloud(m, 50), 2)
+    small = em.SingularMetric.for_degree(em.build_postcritical_cloud(em.critical_orbit(m, 2)[0]), 2)
+    full = em.SingularMetric.for_degree(em.build_postcritical_cloud(em.critical_orbit(m, 50)[0]), 2)
     rng = np.random.default_rng(0)
     for _ in range(50):
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))

@@ -254,7 +254,7 @@ def test_john_constant_takes_first_minimum_and_refuses_nan():
 
 
 def cheb_metric(variant=Variant.RHO):
-    cloud = em.build_postcritical_cloud(cheb(), 50)
+    cloud = em.build_postcritical_cloud(em.critical_orbit(cheb(), 50)[0])
     return SingularMetric.for_degree(cloud, 2, variant)
 
 

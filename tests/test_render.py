@@ -62,7 +62,7 @@ def whole_to_rgb(field):
 def whole_field(layer, fmap, spec):
     if layer == "escape-time":
         return whole_escape_time_field(fmap, spec)
-    cloud = em.build_postcritical_cloud(fmap, 2000)
+    cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 2000)[0])
     if layer == "distance-to-P":
         return cloud.dist_many(whole_pixel_grid(spec).ravel()).reshape(spec.height, spec.width)
     variant = Variant.RHO if layer == "density-rho" else Variant.SIGMA
@@ -74,7 +74,7 @@ def whole_field(layer, fmap, spec):
 def blocked_field(layer, fmap, spec):
     if layer == "escape-time":
         return escape_time_field(fmap, spec)
-    cloud = em.build_postcritical_cloud(fmap, 2000)
+    cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 2000)[0])
     if layer == "distance-to-P":
         return distance_field(cloud, spec)
     variant = Variant.RHO if layer == "density-rho" else Variant.SIGMA
