@@ -85,11 +85,6 @@ def _phase_steps(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return phase, steps, np.rint(steps.sum(axis=-1) / (2.0 * math.pi)).astype(int)
 
 
-def winding_number(polygon: np.ndarray, point: complex) -> int:
-    """Winding number of a closed sample polygon around ``point``."""
-    return int(_phase_steps(polygon - point)[2])
-
-
 def _labels(fmap: UnicriticalMap, cloud: Optional[PostcriticalCloud],
             prev_windings: np.ndarray, polys: np.ndarray) -> List[CaseLabel]:
     """Pullback case of each row of ``polys``, one orbit's level n polygon a

@@ -59,7 +59,9 @@ from .render import LAYERS, RenderSpec, density_field, distance_field, escape_ti
 
 OUTPUT_DIR_ENV = "EXPMETRIC_OUT"
 # Most disks expansion pulls back: at c = -2 and depth 30, 10000 orbits peak
-# at 251 MB resident and take 22 s on two shared x86-64 cores, 2000 at 86 MB.
+# at 240-283 MB resident and take 15-19 s on two shared x86-64 cores, 2000 at
+# 86 MB and 3-4 s (nine and six runs, each the child process's ru_maxrss and
+# wall time).
 MAX_ORBITS = 10_000
 # Deepest expansion run.  Along a backward orbit |(f^n)'| grows like d^n (the
 # equilibrium measure of a connected Julia set has Lyapunov exponent log d), so
@@ -69,8 +71,8 @@ MAX_ORBITS = 10_000
 # two shared x86-64 cores.
 MAX_EXPANSION_DEPTH = 1100
 # Most disk-levels, orbits x depth, expansion pulls back: 10000 orbits at depth
-# 30 peak at 283 MB resident and take 17 s, 272 at depth 1100 at 70 MB and 17 s,
-# on two shared x86-64 cores.
+# 30 peak at 240-283 MB resident and take 15-19 s (see MAX_ORBITS), 272 at depth
+# 1100 at 70 MB and 17 s, on two shared x86-64 cores.
 MAX_ORBIT_LEVELS = 300_000
 
 

@@ -186,9 +186,6 @@ class PostcriticalCloud:
     def diameter(self) -> float:
         return float(set_diameter(self.points))
 
-    def dist(self, z: complex) -> float:
-        return float(self.dist_many(np.array([complex(z)]))[0])
-
     def dist_many(self, zs: np.ndarray) -> np.ndarray:
         if self._tree is not None:
             d, _ = self._tree.query(np.column_stack([zs.real, zs.imag]))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,11 +46,12 @@ class PathMetricGrid:
         pos = complex(self.lo.real + i * self.h, self.lo.imag + j * self.h)
         return node, pos
 
-    def local_density(self, z: complex) -> float:
+    def local_density(self, zs: np.ndarray) -> np.ndarray:
+        """Density at each point of ``zs``, with the edge weights' distance
+        floor h/2; 1 on the Euclidean grid."""
         if self.metric is None:
-            return 1.0
-        return float(self.metric.density_array(np.array([complex(z)]),
-                                               dist_floor=self.h / 2.0)[0])
+            return np.ones(len(zs))
+        return self.metric.density_array(zs, dist_floor=self.h / 2.0)
 
     def contains(self, z: complex) -> bool:
         return (self.lo.real <= z.real <= self.hi.real
@@ -194,21 +195,58 @@ def _ellipse_rows(grid: PathMetricGrid, a: int, b: int, reach: float):
     return rows, first, np.maximum(last, first - 1)
 
 
+def _weight_bounds(grid: PathMetricGrid, a: int, b: int, limit: float) -> List[float]:
+    """Rising lower bounds rho_0, rho_1, ... on the weight per unit length of
+    every edge that an a-b path of weight <= limit can use.
+
+    rho_0 = rho_min holds for every edge.  Given rho_k, every point z of such
+    a path (a node or an edge midpoint) splits it into pieces of weight at
+    least rho_k * |z - a| and rho_k * |z - b|, so rho_k * (|z - a| + |z - b|)
+    <= limit: z lies in an ellipse with foci a and b, hence within limit /
+    (2 rho_k) of their midpoint c, and dist(z, P) <= far_k = dist(c, P) +
+    limit / (2 rho_k).  The density falls with the distance to P, floored at
+    h/2 in the edge weights, so every edge of the path weighs at least
+    D(max(far_k, h/2)) times its length, D being the metric's
+    ``density_of_distance``: that, less a relative 1e-9 for rounding, is
+    rho_{k+1}.  The bounds stop at one that does not rise, or that shrinks
+    the ellipse's reach |z - a| + |z - b| by less than a node spacing.  The
+    Euclidean grid has rho_0 alone.
+    """
+    rhos = [grid.rho_min]
+    if grid.metric is None:
+        return rhos
+    ja, ia = divmod(a, grid.n_cols)
+    jb, ib = divmod(b, grid.n_cols)
+    c = grid.lo + grid.h * complex(ia + ib, ja + jb) / 2.0
+    centre_dist = float(grid.metric.cloud.dist_many(np.array([c]))[0])
+    while True:
+        rho = rhos[-1]
+        far = max(centre_dist + limit / (2.0 * rho) * (1.0 + 1e-9), grid.h / 2.0)
+        bound = grid.metric.density_of_distance(far) / (1.0 + 1e-9)
+        if bound <= rho:
+            return rhos
+        rhos.append(bound)
+        if limit / grid.h * (1.0 / rho - 1.0 / bound) < 1.0:
+            return rhos
+
+
 def _search_graph(grid: PathMetricGrid, a: int, b: int, limit: float):
     """The part of the grid graph that an a-b path of weight <= limit can visit,
     as (csr_matrix, local a, local b).
 
-    An edge of length l weighs at least rho_min * l, so every node v on such a
-    path has rho_min * h * (|v - a| + |v - b|) <= limit: it lies in an ellipse
-    with foci a and b (widened by a relative 1e-9 for rounding).  Each row of
-    it is one run of nodes, hence one run of CSR entries; edges leaving the
-    ellipse go to one sink node with no edges.
+    An edge of length l on such a path weighs at least rho * l, rho the last
+    of ``_weight_bounds``, so every node v on it has rho * h * (|v - a| +
+    |v - b|) <= limit: it lies in an ellipse with foci a and b (widened by a
+    relative 1e-9 for rounding).  Each row of it is one run of nodes, hence
+    one run of CSR entries; edges leaving the ellipse go to one sink node with
+    no edges.
     """
     from scipy.sparse import csr_matrix
 
     n = grid.n_cols
     graph = grid.graph
-    rows, first, last = _ellipse_rows(grid, a, b, limit / (grid.rho_min * grid.h) * (1.0 + 1e-9))
+    rho = _weight_bounds(grid, a, b, limit)[-1]
+    rows, first, last = _ellipse_rows(grid, a, b, limit / (rho * grid.h) * (1.0 + 1e-9))
     counts = last - first + 1
     base = np.zeros(len(rows) + 1, dtype=np.intp)  # local index of each row's first node
     np.cumsum(counts, out=base[1:])
@@ -272,17 +310,18 @@ def grid_distance(grid: PathMetricGrid, z0: complex, z1: complex) -> float:
         # query from the smaller index so (z0,z1) and (z1,z0) share a cache entry
         a, b = (n0, n1) if n0 <= n1 else (n1, n0)
         base = float(_pair_distance(grid, a, b))
-    snap = (abs(z0 - p0) * grid.local_density(z0)
-            + abs(z1 - p1) * grid.local_density(z1))
+    rho0, rho1 = grid.local_density(np.array([z0, z1], dtype=complex)).tolist()
+    snap = abs(z0 - p0) * rho0 + abs(z1 - p1) * rho1
     return base + snap
 
 
 def verify_lower_bound(grid: PathMetricGrid, samples: Sequence[Tuple[complex, complex]],
                        distances: Sequence[float]):
     """Audit d_rho(z0,z1) >= |z0-z1| - 2h*rho_local on each pair, given its d_rho."""
+    rho = grid.local_density(np.array([z for pair in samples for z in pair], dtype=complex))
     violations = []
-    for (z0, z1), d in zip(samples, distances):
-        slack = 2.0 * grid.h * max(grid.local_density(z0), grid.local_density(z1))
+    for (z0, z1), d, pair_rho in zip(samples, distances, rho.reshape(-1, 2).tolist()):
+        slack = 2.0 * grid.h * max(pair_rho)
         if d < abs(z0 - z1) - slack:
             violations.append((z0, z1, d))
     return {"checked": len(samples), "violations": violations}

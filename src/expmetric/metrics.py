@@ -51,8 +51,13 @@ class SingularMetric:
         dist = self.cloud.dist_many(zs)
         if dist_floor > 0.0:
             dist = np.maximum(dist, dist_floor)
+        return self.density_of_distance(dist)
+
+    def density_of_distance(self, dist):
+        """Density at distance ``dist`` from the cloud, decreasing in it; +inf
+        at distance 0."""
         with np.errstate(divide="ignore"):
-            sing = dist ** (-self.alpha)
+            sing = np.power(dist, -self.alpha)
         return 1.0 + sing if self.variant is Variant.RHO else sing
 
 

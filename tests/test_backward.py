@@ -11,13 +11,13 @@ from expmetric.backward import (
     BackwardDiskOrbit,
     CaseLabel,
     _log_derivatives,
+    _phase_steps,
     classify_level,
     expansion_ratios,
     SAMPLED_TOO_COARSELY,
     pull_back,
     pull_back_orbits,
     shrink_fit,
-    winding_number,
 )
 from expmetric.dynamics import DIAMETER_BLOCK_PAIRS, preimage_branch, set_diameter
 from expmetric.errors import SamplingResolutionError
@@ -95,20 +95,22 @@ def unit_square(center=0j, half=1.0, n=200):
 
 def test_winding_number_oracles():
     sq = unit_square()
-    assert winding_number(sq, 0) == 1
-    assert winding_number(sq, 0.5 + 0.5j) == 1
-    assert winding_number(sq, 2 + 0j) == 0
-    assert winding_number(sq[::-1], 0) == -1
-    assert winding_number(unit_square(center=5 + 5j), 0) == 0
+    assert _phase_steps(sq)[2] == 1
+    assert _phase_steps(sq - (0.5 + 0.5j))[2] == 1
+    assert _phase_steps(sq - 2)[2] == 0
+    assert _phase_steps(sq[::-1])[2] == -1
+    assert _phase_steps(unit_square(center=5 + 5j))[2] == 0
 
 
 def test_point_in_polygon_oracles():
     # polygon membership, as classify_level tests it: a nonzero winding number
     sq = unit_square()
-    assert winding_number(sq, 0) != 0
-    assert winding_number(sq, -0.9 - 0.9j) != 0
-    assert winding_number(sq, 1.5 + 0j) == 0
-    assert winding_number(unit_square(center=3j), 0) == 0
+    assert _phase_steps(sq)[2] != 0
+    assert _phase_steps(sq - (-0.9 - 0.9j))[2] != 0
+    assert _phase_steps(sq - 1.5)[2] == 0
+    assert _phase_steps(unit_square(center=3j))[2] == 0
+    # one winding number per polygon along the last axis
+    assert _phase_steps(np.stack([sq, sq - 2, sq[::-1]]))[2].tolist() == [1, 0, -1]
 
 
 def test_winding_on_circle_matches_unit_disk():
@@ -118,7 +120,7 @@ def test_winding_on_circle_matches_unit_disk():
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
         if abs(abs(z) - 1.0) < 0.05:
             continue
-        assert winding_number(t, z) == (1 if abs(z) < 1.0 else 0)
+        assert _phase_steps(t - z)[2] == (1 if abs(z) < 1.0 else 0)
 
 
 # ------------------------------------------------------------------ pull_back

@@ -587,8 +587,8 @@ def test_holder_pairs_equal_whole_grid_dijkstra(tmp_path, monkeypatch, c, seed):
         (n0, p0), (n1, p1) = grid.nearest_node(z0), grid.nearest_node(z1)
         a, b = min(n0, n1), max(n0, n1)
         whole = float(dijkstra(grid.graph, directed=False, indices=a)[b])
-        snap = (abs(z0 - p0) * grid.local_density(z0)
-                + abs(z1 - p1) * grid.local_density(z1))
+        rho0, rho1 = grid.local_density(np.array([z0, z1]))
+        snap = abs(z0 - p0) * rho0 + abs(z1 - p1) * rho1
         assert d == whole + snap
 
 

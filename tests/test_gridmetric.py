@@ -10,7 +10,8 @@ from scipy.sparse.csgraph import dijkstra
 
 import expmetric as em
 from expmetric.gridmetric import (
-    ANISOTROPY_FACTOR, HoelderFit, _pair_distance, _path_weight, _search_graph,
+    ANISOTROPY_FACTOR, HoelderFit, _ellipse_rows, _pair_distance, _path_weight, _search_graph,
+    _weight_bounds,
 )
 from expmetric.metrics import Variant
 
@@ -214,19 +215,25 @@ def test_pair_distance_matches_unlimited_dijkstra():
 
 def assert_pairs_match_whole_grid(grid, pairs):
     """_pair_distance equals an unbounded whole-grid Dijkstra, bit for bit."""
+    pairs = [(min(a, b), max(a, b)) for a, b in pairs]
+    sources = sorted({a for a, _ in pairs})
+    whole = dijkstra(grid.graph, directed=False, indices=sources)
     for a, b in pairs:
-        a, b = min(a, b), max(a, b)
-        assert _pair_distance(grid, a, b) == dijkstra(grid.graph, directed=False, indices=a)[b]
+        assert _pair_distance(grid, a, b) == whole[sources.index(a), b]
+
+
+def weights_per_length(grid):
+    """The graph's edges as COO, with each edge's weight over its length."""
+    coo = grid.graph.tocoo()
+    n = grid.n_cols
+    diagonal = (coo.row % n != coo.col % n) & (coo.row // n != coo.col // n)
+    return coo, coo.data / np.where(diagonal, grid.h * math.sqrt(2.0), grid.h)
 
 
 def test_rho_min_is_the_least_weight_per_unit_length():
     for metric in (None, cheb_metric(), _metric(Variant.RHO, 1j, 2)):
         grid = em.build_grid(metric, _SQUARE, 64)
-        coo = grid.graph.tocoo()
-        n = grid.n_cols
-        diagonal = (coo.row % n != coo.col % n) & (coo.row // n != coo.col // n)
-        length = np.where(diagonal, grid.h * math.sqrt(2.0), grid.h)
-        assert grid.rho_min == (coo.data / length).min()
+        assert grid.rho_min == weights_per_length(grid)[1].min()
 
 
 def test_search_graph_euclidean_grid_matches_whole_grid():
@@ -274,6 +281,104 @@ def test_search_graph_of_a_short_pair_is_small():
     sub, local_a, local_b = _search_graph(grid, a, b, _path_weight(grid, a, b) * (1 + 1e-9))
     assert sub.shape[0] < 0.01 * m
     assert_pairs_match_whole_grid(grid, [(a, b)])
+
+
+def _cloud_grid(variant, c, resolution, margin):
+    """A grid over P(f)'s bounding box widened by ``margin``, with its cloud;
+    ``variant=None`` builds the Euclidean grid over the same box."""
+    cloud = em.build_postcritical_cloud(em.critical_orbit(em.UnicriticalMap(2, c), 50)[0])
+    pts = cloud.points
+    bbox = (complex(pts.real.min() - margin, pts.imag.min() - margin),
+            complex(pts.real.max() + margin, pts.imag.max() + margin))
+    metric = None if variant is None else em.SingularMetric.for_degree(cloud, 2, variant)
+    return em.build_grid(metric, bbox, resolution), cloud
+
+
+def _holder_node_pairs(grid, cloud, seed):
+    """The distinct node pairs, smaller index first, of holder's sample pairs:
+    separations 0.004 to 0.8 across cloud points."""
+    from expmetric.cli import holder_sample_pairs
+
+    pairs = [tuple(sorted((grid.nearest_node(z0)[0], grid.nearest_node(z1)[0])))
+             for z0, z1 in holder_sample_pairs(cloud, np.random.default_rng(seed))]
+    return [(a, b) for a, b in pairs if a != b]
+
+
+def _ellipse_nodes(grid, a, b, limit, rho):
+    """Node mask of the ellipse that _search_graph takes for the bound rho."""
+    rows, first, last = _ellipse_rows(grid, a, b, limit / (rho * grid.h) * (1.0 + 1e-9))
+    inside = np.zeros((grid.n_rows, grid.n_cols), dtype=bool)
+    for j, i0, i1 in zip(rows, first, last):
+        inside[j, i0:i1 + 1] = True
+    return inside.ravel()
+
+
+@pytest.mark.parametrize("variant", [Variant.RHO, Variant.SIGMA])
+@pytest.mark.parametrize("c", [-2, 1j])
+def test_weight_bounds_hold_on_each_round_ellipse(variant, c):
+    # every edge with both ends in round k's ellipse weighs at least
+    # rho_{k+1} times its length, so the next ellipse holds every short path
+    grid, cloud = _cloud_grid(variant, c, 128, 0.45)
+    coo, per_length = weights_per_length(grid)
+    rounds = []
+    for a, b in _holder_node_pairs(grid, cloud, 0):
+        limit = _path_weight(grid, a, b) * (1.0 + 1e-9)
+        rhos = _weight_bounds(grid, a, b, limit)
+        assert rhos[0] == grid.rho_min and all(np.diff(rhos) > 0)
+        rounds.append(len(rhos) - 1)
+        for rho, tighter in zip(rhos, rhos[1:]):
+            inside = _ellipse_nodes(grid, a, b, limit, rho)
+            assert per_length[inside[coo.row] & inside[coo.col]].min() >= tighter
+    assert min(rounds) >= 1 and max(rounds) >= 3
+
+
+def _runs_past_border(grid, a, b, reach):
+    """Whether the ellipse |v - a| + |v - b| <= reach (node spacings) reaches
+    outside the grid: its bounding box, from its squared semi-axes."""
+    ja, ia = divmod(a, grid.n_cols)
+    jb, ib = divmod(b, grid.n_cols)
+    major2 = reach * reach / 4.0
+    # ex^2 = major2 ux^2 + minor2 uy^2 = major2 - focal^2 uy^2, focal * uy = (jb - ja) / 2
+    ex = math.sqrt(major2 - (jb - ja) ** 2 / 4.0)
+    ey = math.sqrt(major2 - (ib - ia) ** 2 / 4.0)
+    cx, cy = (ia + ib) / 2.0, (ja + jb) / 2.0
+    return (cx - ex < 0 or cx + ex > grid.n_cols - 1
+            or cy - ey < 0 or cy + ey > grid.n_rows - 1)
+
+
+@pytest.mark.parametrize("variant", [Variant.RHO, Variant.SIGMA, None])
+@pytest.mark.parametrize("c", [-2, 1j])
+def test_pair_distance_of_holder_pairs_matches_whole_grid(variant, c):
+    # the box leaves 0.45 beside the cloud, so on the singular grids the
+    # widest pairs' ellipses, even tightened, run past the grid's border
+    grid, cloud = _cloud_grid(variant, c, 128, 0.45)
+    pairs = _holder_node_pairs(grid, cloud, 1)
+    clipped = 0
+    for a, b in pairs:
+        limit = _path_weight(grid, a, b) * (1.0 + 1e-9)
+        rho = _weight_bounds(grid, a, b, limit)[-1]
+        clipped += _runs_past_border(grid, a, b, limit / (rho * grid.h))
+    assert clipped >= (0 if variant is None else 5)
+    assert_pairs_match_whole_grid(grid, pairs)
+
+
+@pytest.mark.parametrize("c", [-2, 1j])
+def test_largest_holder_pair_searches_half_its_rho_min_ellipse(c):
+    # holder's square box around the cloud, 512 columns, seed 0; over seeds
+    # 0-2 the ratio runs 0.43-0.45 at c = -2 and 0.47-0.51 at c = i
+    cloud = em.build_postcritical_cloud(em.critical_orbit(em.UnicriticalMap(2, c), 50)[0])
+    pts = cloud.points
+    centre = complex(pts.real.max() + pts.real.min(), pts.imag.max() + pts.imag.min()) / 2.0
+    half = max(np.ptp(pts.real), np.ptp(pts.imag)) / 2.0 + 1.0
+    grid = em.build_grid(em.SingularMetric.for_degree(cloud, 2, Variant.RHO),
+                         (centre - complex(half, half), centre + complex(half, half)), 512)
+    sizes = []
+    for a, b in _holder_node_pairs(grid, cloud, 0):
+        limit = _path_weight(grid, a, b) * (1.0 + 1e-9)
+        before = _ellipse_nodes(grid, a, b, limit, grid.rho_min).sum()
+        sizes.append((before, _search_graph(grid, a, b, limit)[0].shape[0] - 1))
+    before, after = max(sizes)
+    assert after <= before / 2
 
 
 def test_grid_distance_symmetry_exact():

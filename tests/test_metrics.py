@@ -25,6 +25,11 @@ def test_density_oracles():
     assert sigma.density(SQRT2) == pytest.approx((2 - SQRT2) ** -0.5, rel=1e-12)
     assert rho.density(2) == math.inf
     assert sigma.density(-2) == math.inf
+    # as a function of the distance to the cloud, the one the grid's
+    # search bounds read
+    assert rho.density_of_distance(4.0) == 1.5
+    assert sigma.density_of_distance(0.25) == 2.0
+    assert rho.density_of_distance(0.0) == sigma.density_of_distance(0.0) == math.inf
 
 
 def test_density_bounds_by_variant():
@@ -46,8 +51,8 @@ def test_density_is_the_one_point_density_array(variant):
     grid = em.build_grid(metric, (complex(-3, -3), complex(3, 3)), 31)
     for z in zs:
         floored = metric.density_array(np.array([z]), dist_floor=grid.h / 2)[0]
-        assert grid.local_density(z) == floored
-    assert math.isfinite(grid.local_density(2))
+        assert grid.local_density(np.array([z]))[0] == floored
+    assert math.isfinite(grid.local_density(np.array([2 + 0j]))[0])
 
 
 def test_alpha_matches_degree():
