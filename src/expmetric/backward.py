@@ -261,12 +261,12 @@ def expansion_ratios(
     Levels whose center sits within 1e-9 of the cloud are skipped (the density
     would be infinite there; the expansion bound only concerns z not in P(f)).
     """
-    pts = np.asarray(orbit.points, dtype=complex)
-    on_cloud = metric.cloud.dist_many(pts[1:]) < CLOUD_EXCLUSION
+    dist = metric.cloud.dist_many(np.asarray(orbit.points, dtype=complex))
+    on_cloud = dist[1:] < CLOUD_EXCLUSION
     levels = np.flatnonzero(~on_cloud) + 1
     if levels.size == 0:
         raise ValueError("all levels skipped; orbit unusable for ratio fitting")
-    dens = metric.density_array(pts[np.concatenate(([0], levels))])
+    dens = metric.density_of_distance(dist[np.concatenate(([0], levels))])
     logs = _log_derivatives(orbit)[levels] + np.log(dens[0]) - np.log(dens[1:])
     if len(levels) >= 2:
         slope, intercept = np.polyfit(levels.astype(float), logs, 1)

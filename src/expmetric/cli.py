@@ -297,16 +297,16 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
     except RayTracingError as exc:
         rays = []
         failures.extend({"theta": theta, "error": str(exc)} for theta in angles)
-    # one array pass over the points of every landed ray, split back per ray;
-    # the John ratio skips the points at arclength 0 from the landing, which
-    # often lie on J and would iterate to the budget, so they are left NaN
+    # one array pass over the points of every landed ray, a row of depth + 1
+    # a ray; the John ratio skips the points at arclength 0 from the landing,
+    # which often lie on J and would iterate to the budget, so they are left NaN
     landed = [ray for ray in rays if ray.landing is not None]
-    points = np.array([z for ray in landed for z in ray.polyline], dtype=complex)
-    along = np.array([a > 0.0 for ray in landed for a in ray.arclengths_from_landing()],
-                     dtype=bool)
-    dists = np.full(len(points), math.nan)
+    shape = (len(landed), config.depth + 1)
+    points = np.array([ray.polyline for ray in landed], dtype=complex).reshape(shape)
+    along = np.array([ray.arclengths_from_landing() for ray in landed]).reshape(shape) > 0.0
+    dists = np.full(shape, math.nan)
     dists[along] = julia_distance_estimate(fmap, points[along])
-    ray_dists = iter(np.split(dists, np.cumsum([len(ray.polyline) for ray in landed[:-1]])))
+    ray_dists = iter(dists)
     for ray in rays:
         theta = ray.theta
         for g, z in zip(ray.potentials, ray.polyline):
@@ -396,44 +396,35 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # the settings are accepted before or after the subcommand; they have no
+    # defaults here, so only the flags given reach the namespace, a subcommand's
+    # over the top level's, and ExperimentConfig fills in the rest
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--config", type=Path, help="JSON config overriding flags")
+    common.add_argument("--d", type=int)
+    common.add_argument("--c-re", type=float)
+    common.add_argument("--c-im", type=float)
+    common.add_argument("--orbit-n", type=int)
+    common.add_argument("--epsilon", type=float)
+    common.add_argument("--grid-res", type=int)
+    common.add_argument("--orbits", type=int)
+    common.add_argument("--depth", type=int)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--out", type=Path, dest="out_dir", metavar="OUT")
+
     parser = _Parser(
         prog="expmetric",
         description="Numerical verification of expanding singular metrics "
                     "for unicritical polynomials z^d + c",
+        parents=[common],
     )
-    defaults = ExperimentConfig()
-
-    def add_common(target, suppress: bool) -> None:
-        # the same flags are accepted before or after the subcommand; the
-        # subparser copies use SUPPRESS defaults so they only override the
-        # top-level values when given explicitly
-        def dflt(v):
-            return argparse.SUPPRESS if suppress else v
-
-        target.add_argument("--config", type=Path, default=dflt(None),
-                            help="JSON config overriding flags")
-        target.add_argument("--d", type=int, default=dflt(defaults.d))
-        target.add_argument("--c-re", type=float, default=dflt(defaults.c.real))
-        target.add_argument("--c-im", type=float, default=dflt(defaults.c.imag))
-        target.add_argument("--orbit-n", type=int, default=dflt(defaults.orbit_n))
-        target.add_argument("--epsilon", type=float, default=dflt(defaults.epsilon))
-        target.add_argument("--grid-res", type=int, default=dflt(defaults.grid_res))
-        target.add_argument("--orbits", type=int, default=dflt(defaults.orbits))
-        target.add_argument("--depth", type=int, default=dflt(defaults.depth))
-        target.add_argument("--seed", type=int, default=dflt(defaults.seed))
-        target.add_argument("--out", type=Path, default=dflt(None))
-
-    add_common(parser, suppress=False)
-
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("classify", "expansion", "holder"):
-        add_common(sub.add_parser(name), suppress=True)
-    p_rays = sub.add_parser("rays")
-    add_common(p_rays, suppress=True)
+        sub.add_parser(name, parents=[common])
+    p_rays = sub.add_parser("rays", parents=[common])
     p_rays.add_argument("--angles", type=str, default="0",
                         help="comma-separated external angles in turns")
-    p_render = sub.add_parser("render")
-    add_common(p_render, suppress=True)
+    p_render = sub.add_parser("render", parents=[common])
     p_render.add_argument("--layer", choices=LAYERS, default="escape-time")
     p_render.add_argument("--width", type=int, default=512)
     p_render.add_argument("--height", type=int, default=512)
@@ -446,19 +437,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    cfg = ExperimentConfig(
-        d=args.d,
-        c=complex(args.c_re, args.c_im),
-        orbit_n=args.orbit_n,
-        epsilon=args.epsilon,
-        grid_res=args.grid_res,
-        orbits=args.orbits,
-        depth=args.depth,
-        seed=args.seed,
-    )
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.config is not None:
+    cfg = ExperimentConfig()
+    given = vars(args)
+    cfg.c = complex(given.get("c_re", cfg.c.real), given.get("c_im", cfg.c.imag))
+    names = {f.name for f in fields(cfg)}
+    for name in names & given.keys():
+        setattr(cfg, name, given[name])
+    if "config" in given:
         try:
             overrides = json.loads(Path(args.config).read_text())
         except json.JSONDecodeError as exc:
@@ -469,7 +454,6 @@ def _config_from_args(args) -> ExperimentConfig:
         if not isinstance(overrides, dict):
             raise SystemExit(f"config parse error in {args.config}: "
                              f"expected a JSON object, got {type(overrides).__name__}")
-        names = {f.name for f in fields(cfg)}
         for key, value in overrides.items():
             if key == "c":
                 if not (isinstance(value, list) and len(value) == 2
@@ -575,7 +559,10 @@ def main(argv=None) -> int:
         print(f"fitted exponent: {float(report['fit']['exponent'])!r}  "
               f"lower-bound violations: {report['lower_bound_audit']['violations']}")
     elif args.command == "rays":
-        report = cmd_rays(config, _parse_angles(args.angles))
+        angles = _parse_angles(args.angles)
+        if not angles:  # render's --rays "" means no overlay; rays has nothing to trace
+            raise SystemExit(f"invalid --angles {args.angles!r}: no external angle given")
+        report = cmd_rays(config, angles)
         if "john" in report:
             print(f"john constant estimate: {float(report['john']['constant'])!r}")
         if report["failures"]:

@@ -46,6 +46,10 @@ class RenderSpec:
                 and lo.real < hi.real and lo.imag < hi.imag):
             raise ValueError("bbox needs finite corners with XMIN < XMAX and YMIN < YMAX, "
                              f"got {lo.real!r} {hi.real!r} {lo.imag!r} {hi.imag!r}")
+        span = hi - lo
+        if not cmath.isfinite(span):  # the pixel centres would be NaN
+            raise ValueError("bbox width and height must be finite, "
+                             f"got {span.real!r} x {span.imag!r}")
 
 
 def _pixel_grid(spec: RenderSpec, rows: slice = slice(None)) -> np.ndarray:

@@ -85,6 +85,50 @@ def test_flags_accepted_before_subcommand(tmp_path, capsys):
     assert json.loads(out_a)["kind"] == json.loads(out_b)["kind"] == "bounded-recurrent"
 
 
+COMMANDS = ["classify", "expansion", "holder", "rays", "render"]
+# every shared flag with a valid value that is not its default
+SHARED_FLAGS = [("--config", "settings.json"), ("--d", "3"), ("--c-re", "-1e-3"),
+                ("--c-im", "0.5"), ("--orbit-n", "100"), ("--epsilon", "0.01"),
+                ("--grid-res", "64"), ("--orbits", "7"), ("--depth", "12"),
+                ("--seed", "5"), ("--out", "elsewhere")]
+
+
+def parsed_config(argv):
+    return cli._config_from_args(cli._build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("flag, value", SHARED_FLAGS, ids=[f for f, _ in SHARED_FLAGS])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_shared_flag_parses_the_same_on_either_side(command, flag, value, tmp_path,
+                                                    monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    (tmp_path / "settings.json").write_text('{"seed": 9}')
+    before = parsed_config([flag, value, command])
+    assert before == parsed_config([command, flag, value]) != cli.ExperimentConfig()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_subcommand_flag_beats_top_level_flag(command, monkeypatch):
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    cfg = parsed_config(["--seed", "1", "--c-im", "0.5", command, "--seed", "2"])
+    assert cfg == cli.ExperimentConfig(seed=2, c=complex(-2.0, 0.5))
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_text_is_unchanged(command, monkeypatch, capsys):
+    # tests/help holds the help text of each parser, as Python 3.11's argparse
+    # prints it on 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command] if command else []
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--help"])
+    assert exc.value.code == 0
+    name = "-".join(["expmetric", *argv])
+    expected = (Path(__file__).parent / "help" / f"{name}.txt").read_text()
+    assert capsys.readouterr().out == expected
+
+
 # --------------------------------------------------------------------- gates
 
 
@@ -344,6 +388,8 @@ def test_expansion_rejects_bad_input(tmp_path, argv, config, message):
      "level 2 is its second critical level; try a smaller --epsilon$"),
     # the reports key each ray by its angle
     (["rays", "--angles", "0.5,0.5", "--depth", "50"], "invalid external angle 0.5: given twice"),
+    # the report would hold no ray
+    (["rays", "--angles", ","], "invalid --angles ',': no external angle given"),
     (["render", "--rays", "0.25,0.1,0.250", "--width", "4", "--height", "4"],
      "invalid external angle 0.250: given twice"),
     # past level 1024 at d = 2 the expansion ratio leaves the float range
@@ -355,7 +401,7 @@ def test_expansion_rejects_bad_input(tmp_path, argv, config, message):
 ], ids=["holder-grid-res-8", "holder-grid-res-1000000", "rays-depth-61", "render-depth-61",
         "config-missing", "expansion-d-100000", "orbit-n-100001", "render-orbit-n-1e9",
         "expansion-orbits-1e11", "render-ray-overflow-d-100", "expansion-epsilon-1e308",
-        "rays-repeated-angle", "render-repeated-ray", "expansion-depth-1101",
+        "rays-repeated-angle", "rays-no-angle", "render-repeated-ray", "expansion-depth-1101",
         "expansion-orbits-300-depth-1001"])
 def test_commands_reject_bad_input(tmp_path, monkeypatch, capfd, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -641,6 +687,8 @@ def test_render_spec_limits():
                  (complex(math.nan, -1), 1 + 1j), (-1 - 1j, complex(math.inf, 1))]:
         with pytest.raises(ValueError, match="bbox needs finite corners"):
             RenderSpec(bbox, 10, 10)
+    with pytest.raises(ValueError, match="bbox width and height must be finite, got inf x 2.0"):
+        RenderSpec((-1e308 - 1j, 1e308 + 1j), 10, 10)
 
 
 @pytest.mark.parametrize("size", [["--width", "0"], ["--height", "-3"]],
@@ -664,13 +712,19 @@ def test_render_rejects_empty_pixmap(tmp_path, size):
     (["render", "--c-re", "-2", "--bbox", "0", "0", "0", "0"], "bbox needs finite corners"),
     (["render", "--c-re", "-2", "--bbox", "nan", "1", "-1", "1"],
      "bbox needs finite corners with XMIN < XMAX and YMIN < YMAX, got nan 1.0 -1.0 1.0"),
+    # XMAX - XMIN overflows: the pixel centres would be NaN
+    (["render", "--c-re", "-2", "--bbox", "-1e308", "1e308", "-1e308", "1e308",
+      "--width", "4", "--height", "4", "--layer", "density-rho"],
+     "invalid render: bbox width and height must be finite, got inf x inf"),
 ], ids=["escaping-density-rho", "escaping-density-sigma", "escaping-distance-to-P",
-        "holder-degenerate-fit", "rays-escaping", "bbox-empty-with-ray", "bbox-empty", "bbox-nan"])
-def test_commands_refuse_what_they_cannot_report(tmp_path, argv, message):
+        "holder-degenerate-fit", "rays-escaping", "bbox-empty-with-ray", "bbox-empty", "bbox-nan",
+        "bbox-span-overflows"])
+def test_commands_refuse_what_they_cannot_report(tmp_path, capfd, argv, message):
     with pytest.raises(SystemExit, match=message) as exc:
         cli.main([*argv, "--out", str(tmp_path / "out")])
     assert "\n" not in str(exc.value.code)
     assert not (tmp_path / "out").exists()
+    assert capfd.readouterr().err == ""
 
 
 def test_render_escape_time_needs_no_cloud(tmp_path):
