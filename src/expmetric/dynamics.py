@@ -193,13 +193,15 @@ class PostcriticalCloud:
         # not abs(z - p): hypot rounds differently from the tree's sum of squares
         x, y = zs.real, zs.imag
         best = None
-        for px, py in zip(self.points.real, self.points.imag):
-            # dx*dx + dy*dy in place: two temporaries a point, not five
-            sq, dy = x - px, y - py
-            sq *= sq
-            dy *= dy
-            sq += dy
-            best = sq if best is None else np.minimum(best, sq, out=best)
+        # a square past the float range is inf, as the tree returns it: no warning
+        with np.errstate(over="ignore"):
+            for px, py in zip(self.points.real, self.points.imag):
+                # dx*dx + dy*dy in place: two temporaries a point, not five
+                sq, dy = x - px, y - py
+                sq *= sq
+                dy *= dy
+                sq += dy
+                best = sq if best is None else np.minimum(best, sq, out=best)
         return np.sqrt(best, out=best)
 
 

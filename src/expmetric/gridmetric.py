@@ -7,6 +7,7 @@ recovers the Hoelder exponent of the equivalence with the Euclidean metric.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -18,10 +19,20 @@ from .metrics import SingularMetric
 # Octile metrics overestimate straight-line length by at most this factor
 ANISOTROPY_FACTOR = 1.082
 MIN_RESOLUTION = 16
-# Most grid columns (and rows) allowed.  build_grid's traced peak grows with the
-# node count: 36 MB at 512 columns, 143 MB at 1024, so about 0.6 GB at 2048;
-# the bound also keeps every CSR index and offset within int32.
+# Most grid columns (and rows) allowed.  build_grid allocates the slot table, 64
+# bytes a node: a traced peak of 17 MB at 512 columns, 68 MB at 1024 and 273 MB
+# at 2048 (tracemalloc).  Only the pages that the searches fill become
+# resident: holder at 2048 columns and seed 1 peaks at 186 MB resident at
+# c = -2 and 385 MB at c = i (610 MB for both with a whole-grid build), the
+# ru_maxrss of a child process on an x86-64 Xeon.  Reading ``graph`` fills all
+# of it.  The bound also keeps every CSR index within int32.
 MAX_GRID_RES = 2048
+
+# Slot s of node (row j, col i) holds the edge to (row j + _SLOT_DJ[s], col i +
+# _SLOT_DI[s]), node offsets -n-1, -n, -n+1, -1, +1, n-1, n, n+1 for n columns:
+# increasing, so a node's edges come out in SciPy's sorted order.
+_SLOT_DI = np.array([-1, 0, 1, -1, 1, -1, 0, 1])
+_SLOT_DJ = np.array([-1, -1, -1, 0, 0, 1, 1, 1])
 
 
 @dataclass
@@ -32,9 +43,13 @@ class PathMetricGrid:
     n_rows: int
     h: float
     metric: Optional[SingularMetric]
-    graph: "scipy.sparse.csr_matrix" = field(repr=False)
-    # least edge weight per unit length: an edge of length l weighs >= rho_min * l
+    # lower bound on every edge's weight per unit length: an edge of length l
+    # weighs >= rho_min * l
     rho_min: float
+    # each node's eight edge-slot weights, written by _slot_weights when first
+    # needed (``_filled``); np.empty, so pages never written stay unmapped
+    _slots: np.ndarray = field(repr=False)
+    _filled: np.ndarray = field(repr=False)
     _dist_cache: dict = field(default_factory=dict, repr=False)
 
     def nearest_node(self, z: complex) -> Tuple[int, complex]:
@@ -57,6 +72,22 @@ class PathMetricGrid:
         return (self.lo.real <= z.real <= self.hi.real
                 and self.lo.imag <= z.imag <= self.hi.imag)
 
+    @functools.cached_property
+    def graph(self) -> "scipy.sparse.csr_matrix":
+        """The whole grid graph, a symmetric ``csr_matrix`` with sorted
+        ``int32`` indices, assembled from the slot table, all of which it
+        fills.  The searches read the slot table itself, not this."""
+        from scipy.sparse import csr_matrix
+
+        n = self.n_cols * self.n_rows
+        nodes = np.arange(n)
+        jj, ii, on = _slot_neighbours(self, nodes)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(on.sum(axis=1, dtype=np.int32), out=indptr[1:])
+        return csr_matrix((_slot_weights(self, nodes)[on],
+                           (jj * self.n_cols + ii)[on].astype(np.int32), indptr),
+                          shape=(n, n))
+
 
 def build_grid(
     metric: Optional[SingularMetric],
@@ -65,13 +96,17 @@ def build_grid(
 ) -> PathMetricGrid:
     """Grid over ``bbox`` with ``resolution`` columns; edge weights are
     density(midpoint) * edge length, with the distance to the singular set
-    capped below by h/2 so weights stay finite.
+    capped below by h/2 so weights stay finite.  ``metric=None`` builds the
+    Euclidean (density 1) grid.
 
-    ``metric=None`` builds the Euclidean (density 1) grid.  The graph is a
-    symmetric ``csr_matrix`` with sorted ``int32`` indices.
+    Only the geometry and ``rho_min`` are computed here: no weight, no
+    density.  Every midpoint lies in the box, so its distance to P is at most
+    far = min_p max_corner |corner - p|, and every edge weighs at least
+    D(max(far, h/2)) times its length, D being the metric's
+    ``density_of_distance``; that, with a relative 1e-9 for rounding, is
+    ``rho_min`` (exactly 1 on the Euclidean grid).  ``_slot_weights``
+    computes the weights the first time a search needs them.
     """
-    from scipy.sparse import csr_matrix
-
     if not MIN_RESOLUTION <= resolution <= MAX_GRID_RES:
         raise ValueError(f"resolution must lie in {MIN_RESOLUTION}..{MAX_GRID_RES}, "
                          f"got {resolution}")
@@ -88,63 +123,53 @@ def build_grid(
                          f"more than {MAX_GRID_RES}")
     hi = complex(hi.real, lo.imag + (n_rows - 1) * h)
 
+    rho_min = 1.0
     if metric is not None:
         margin = 2.0 * h
         pts = metric.cloud.points
         if (pts.real.min() < lo.real + margin or pts.real.max() > hi.real - margin
                 or pts.imag.min() < lo.imag + margin or pts.imag.max() > hi.imag - margin):
             raise ValueError("bbox must contain the cloud with margin >= 2h")
-
-    xs = lo.real + h * np.arange(n_cols)
-    ys = lo.imag + h * np.arange(n_rows)
-    Z = xs[None, :] + 1j * ys[:, None]  # index [row, col]
-
-    def weights(za, zb, length):
-        """density(midpoint) * length of each edge from za to zb."""
-        if metric is None:
-            return np.full(za.shape, length)
-        mid = ((za + zb) / 2.0).ravel()
-        return metric.density_array(mid, dist_floor=h / 2.0).reshape(za.shape) * length
-
-    horiz = weights(Z[:, :-1], Z[:, 1:], h)
-    vert = weights(Z[:-1, :], Z[1:, :], h)
-    # both diagonals of a cell share its midpoint bits (IEEE addition
-    # commutes) and its length, so one density pass serves the two
-    diag_len = h * math.sqrt(2.0)
-    diag = weights(Z[:-1, :-1], Z[1:, 1:], diag_len)
-    del Z
-    # initial=inf: a one-row grid has no vertical or diagonal edges
-    rho_min = min(horiz.min(initial=math.inf) / h, vert.min(initial=math.inf) / h,
-                  diag.min(initial=math.inf) / diag_len)
-
-    # Slot s of node (row j, col i) holds the edge to j*n_cols + i + offsets[s];
-    # the offsets increase, so a node's edges come out in SciPy's sorted order.
-    offsets = np.array([-n_cols - 1, -n_cols, -n_cols + 1, -1, 1,
-                        n_cols - 1, n_cols, n_cols + 1], dtype=np.int32)
-    slots = np.empty((n_rows, n_cols, 8))
-    slots[1:, 1:, 0] = diag
-    slots[1:, :, 1] = vert
-    slots[1:, :-1, 2] = diag
-    slots[:, 1:, 3] = horiz
-    slots[:, :-1, 4] = horiz
-    slots[:-1, 1:, 5] = diag
-    slots[:-1, :, 6] = vert
-    slots[:-1, :-1, 7] = diag
-    del horiz, vert, diag
-    valid = np.ones((n_rows, n_cols, 8), dtype=bool)
-    valid[0, :, :3] = False
-    valid[-1, :, 5:] = False
-    valid[:, 0, [0, 3, 5]] = False
-    valid[:, -1, [2, 4, 7]] = False
+        corners = np.array([lo, complex(hi.real, lo.imag), complex(lo.real, hi.imag), hi])
+        far = float(np.abs(corners[:, None] - pts).max(axis=0).min())
+        rho_min = float(metric.density_of_distance(max(far * (1.0 + 1e-9), h / 2.0))
+                        / (1.0 + 1e-9))
 
     n = n_cols * n_rows
-    data = slots[valid]
-    del slots
-    indices = (np.arange(n, dtype=np.int32).reshape(n_rows, n_cols, 1) + offsets)[valid]
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(valid.sum(axis=2, dtype=np.int32).ravel(), out=indptr[1:])
-    graph = csr_matrix((data, indices, indptr), shape=(n, n))
-    return PathMetricGrid(lo, hi, n_cols, n_rows, h, metric, graph, float(rho_min))
+    return PathMetricGrid(lo, hi, n_cols, n_rows, h, metric, rho_min,
+                          np.empty((n, 8)), np.zeros(n, dtype=bool))
+
+
+def _slot_neighbours(grid: PathMetricGrid, nodes: np.ndarray):
+    """Row and column of the neighbour in each of ``nodes``' eight slots, as
+    (len(nodes), 8) arrays, and whether it lies on the grid."""
+    j, i = np.divmod(nodes, grid.n_cols)
+    jj, ii = j[:, None] + _SLOT_DJ, i[:, None] + _SLOT_DI
+    return jj, ii, (ii >= 0) & (ii < grid.n_cols) & (jj >= 0) & (jj < grid.n_rows)
+
+
+def _slot_weights(grid: PathMetricGrid, nodes: np.ndarray) -> np.ndarray:
+    """The eight edge-slot weights of each of ``nodes``, a (len(nodes), 8)
+    array; inf where the neighbour lies off the grid.
+
+    The nodes not yet filled get theirs here, in one density pass over their
+    edges' midpoints ((x_i + x_i') / 2, (y_j + y_j') / 2), which the edge's
+    two ends compute alike (IEEE addition commutes), so the graph stays
+    symmetric; the grid keeps them for later searches.
+    """
+    todo = nodes[~grid._filled[nodes]]
+    if len(todo):
+        j, i = np.divmod(todo, grid.n_cols)
+        jj, ii, on = _slot_neighbours(grid, todo)
+        mid = np.empty(jj.shape, dtype=complex)
+        mid.real = ((grid.lo.real + grid.h * i)[:, None] + (grid.lo.real + grid.h * ii)) / 2.0
+        mid.imag = ((grid.lo.imag + grid.h * j)[:, None] + (grid.lo.imag + grid.h * jj)) / 2.0
+        length = np.where(_SLOT_DI * _SLOT_DJ != 0, grid.h * math.sqrt(2.0), grid.h)
+        weights = grid.local_density(mid.ravel()).reshape(jj.shape) * length
+        weights[~on] = math.inf
+        grid._slots[todo] = weights
+        grid._filled[todo] = True
+    return grid._slots[nodes]
 
 
 def dijkstra(*args, **kwargs):
@@ -164,8 +189,12 @@ def _path_weight(grid: PathMetricGrid, a: int, b: int) -> float:
     steps = np.arange(max(abs(di), abs(dj)) + 1)
     i = ia + np.sign(di) * np.minimum(steps, abs(di))
     j = ja + np.sign(dj) * np.minimum(steps, abs(dj))
-    nodes = j * grid.n_cols + i
-    return float(grid.graph[nodes[:-1], nodes[1:]].sum())
+    # the slot of each step (di, dj): its index among the nine cells round a
+    # node, less the node's own
+    k = 3 * np.diff(j) + np.diff(i) + 4
+    slots = k - (k > 4)
+    weights = _slot_weights(grid, (j * grid.n_cols + i)[:-1])
+    return float(weights[np.arange(len(slots)), slots].sum())
 
 
 def _ellipse_rows(grid: PathMetricGrid, a: int, b: int, reach: float):
@@ -237,42 +266,38 @@ def _search_graph(grid: PathMetricGrid, a: int, b: int, limit: float):
     An edge of length l on such a path weighs at least rho * l, rho the last
     of ``_weight_bounds``, so every node v on it has rho * h * (|v - a| +
     |v - b|) <= limit: it lies in an ellipse with foci a and b (widened by a
-    relative 1e-9 for rounding).  Each row of it is one run of nodes, hence
-    one run of CSR entries; edges leaving the ellipse go to one sink node with
-    no edges.
+    relative 1e-9 for rounding).  Each local node keeps its eight slots, with
+    the weights of ``_slot_weights``; a slot whose neighbour lies outside the
+    ellipse, or off the grid (weight inf), points to one sink node with no
+    edges.
     """
     from scipy.sparse import csr_matrix
 
     n = grid.n_cols
-    graph = grid.graph
     rho = _weight_bounds(grid, a, b, limit)[-1]
     rows, first, last = _ellipse_rows(grid, a, b, limit / (rho * grid.h) * (1.0 + 1e-9))
     counts = last - first + 1
     base = np.zeros(len(rows) + 1, dtype=np.intp)  # local index of each row's first node
     np.cumsum(counts, out=base[1:])
     m = int(base[-1])
-    starts = rows * n + first
     local = np.arange(m)
-    nodes = np.repeat(starts - base[:-1], counts) + local  # global index of each local node
-    # local index of every node in rows j0 - 1 .. j1 + 1, which hold every
-    # neighbour of the ellipse; the sink m for the nodes outside it
-    offset = (int(rows[0]) - 1) * n
-    lookup = np.full((len(rows) + 2) * n, m, dtype=np.int32)
-    lookup[nodes - offset] = local
-    # each row's nodes own one run of CSR entries, copied whole
-    e0 = graph.indptr[starts]
-    e1 = graph.indptr[starts + counts]
-    spans = list(zip(e0.tolist(), e1.tolist()))
-    targets = np.concatenate([graph.indices[i:j] for i, j in spans])
-    elen = e1 - e0
-    shift = e0 - (np.cumsum(elen) - elen)  # global minus local entry index, per row
-    indptr = np.empty(m + 2, dtype=np.int32)
-    indptr[:m] = graph.indptr[nodes] - np.repeat(shift, counts)
-    indptr[m:] = len(targets)  # the sink has no edges
-    sub = csr_matrix((np.concatenate([graph.data[i:j] for i, j in spans]),
-                      lookup[np.subtract(targets, offset, dtype=np.intp)], indptr),
+    nodes = np.repeat(rows * n + first - base[:-1], counts) + local  # each one's global index
+    j0 = int(rows[0]) - 1
+
+    def cell(v):
+        """Index of node v in a lookup over rows j0 .. j1 + 1, which hold every
+        neighbour of the ellipse, padded by a column on each side."""
+        return (v // n - j0) * (n + 2) + v % n + 1
+
+    # the local index of each node of the ellipse, the sink m for all others
+    cells = cell(nodes)
+    lookup = np.full((len(rows) + 2) * (n + 2), m, dtype=np.int32)
+    lookup[cells] = local
+    targets = lookup[cells[:, None] + _SLOT_DJ * (n + 2) + _SLOT_DI]
+    indptr = np.minimum(8 * np.arange(m + 2, dtype=np.int32), 8 * m)  # the sink has no edges
+    sub = csr_matrix((_slot_weights(grid, nodes).ravel(), targets.ravel(), indptr),
                      shape=(m + 1, m + 1))
-    return sub, int(lookup[a - offset]), int(lookup[b - offset])
+    return sub, int(lookup[cell(a)]), int(lookup[cell(b)])
 
 
 def _pair_distance(grid: PathMetricGrid, a: int, b: int) -> np.float64:

@@ -733,6 +733,23 @@ def test_render_escape_time_needs_no_cloud(tmp_path):
     assert (tmp_path / "render.ppm").stat().st_size == len(b"P6\n8 8\n255\n") + 8 * 8 * 3
 
 
+@pytest.mark.parametrize("c, layer", [(["--c-re", "-2"], "density-rho"),
+                                      (["--c-re", "0", "--c-im", "1"], "distance-to-P")],
+                         ids=["c=-2-density-rho", "c=i-distance-to-P"])
+def test_render_past_the_squares_float_range_is_silent(tmp_path, c, layer):
+    # pixel centres near 1e200 square past the float range in the direct
+    # cloud search: every distance is inf, as the tree gives it, with no warning
+    argv = ["render", *c, "--bbox", "-1e200", "1e200", "-1e200", "1e200", "--width", "4",
+            "--height", "4", "--layer", layer, "--out", str(tmp_path)]
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-m", "expmetric.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert (tmp_path / "render.ppm").exists()
+
+
 # ------------------------------------------------------- benchmark harness
 
 

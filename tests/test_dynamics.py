@@ -199,6 +199,27 @@ def test_cloud_search_matches_kdtree_bitwise(m):
     assert all(cloud.dist_many(np.array([z]))[0] == d for z, d in zip(zs[:500], got[:500]))
 
 
+def test_cloud_search_past_the_float_range_matches_kdtree():
+    # squares past the float range: the direct search gives inf, silently,
+    # at every point where the tree does
+    import warnings
+
+    from scipy.spatial import cKDTree
+
+    cloud = em.build_postcritical_cloud(em.critical_orbit(em.UnicriticalMap(2, -2), 50)[0])
+    assert cloud._tree is None
+    centres = -1e200 + 0.5e200 * (np.arange(4) + 0.5)  # a 4x4 render of that box
+    zs = (centres[None, :] + 1j * centres[:, None]).ravel()
+    zs = np.append(zs, [3e153 + 0j, 1e154j, 0j])  # about where the squares overflow
+    expected, _ = cKDTree(np.column_stack([cloud.points.real, cloud.points.imag])).query(
+        np.column_stack([zs.real, zs.imag]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cloud.dist_many(zs)
+    assert np.array_equal(got, expected)
+    assert np.isinf(got[:16]).all() and np.isfinite(got[-1])
+
+
 @pytest.mark.parametrize("shape", [(3, 2), (2, 2), (1, 1, 1)])
 def test_cloud_refuses_points_not_one_dimensional(shape):
     # an (m, 2) array of real columns is not read as 2m points

@@ -11,7 +11,7 @@ from scipy.sparse.csgraph import dijkstra
 import expmetric as em
 from expmetric.gridmetric import (
     ANISOTROPY_FACTOR, HoelderFit, _ellipse_rows, _pair_distance, _path_weight, _search_graph,
-    _weight_bounds,
+    _slot_weights, _weight_bounds,
 )
 from expmetric.metrics import Variant
 
@@ -111,20 +111,76 @@ def test_grid_csr_matches_coo_construction(metric, bbox, resolution):
     assert (graph != graph.T).nnz == 0
 
 
+@pytest.mark.parametrize("metric, bbox", [(cheb_metric(), _SQUARE), (None, (0j, 1 + 0.001j))],
+                         ids=["rho-c=-2", "one-row"])
+def test_slots_off_the_grid_weigh_inf(metric, bbox):
+    grid = em.build_grid(metric, bbox, 16)
+    weights = _slot_weights(grid, np.arange(grid.n_cols * grid.n_rows))
+    assert np.isinf(weights).sum() == weights.size - grid.graph.nnz
+    assert np.isfinite(grid.graph.data).all()
+
+
+def _holder_grid(monkeypatch, tmp_path, c, resolution, seed):
+    """build_grid's arguments in one holder command, and the grid it built."""
+    from expmetric import cli
+
+    calls = []
+    build = cli.build_grid
+
+    def keep_grid(*args):
+        calls.append((args, build(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, "build_grid", keep_grid)
+    assert cli.main(["holder", "--c-re", str(c.real), "--c-im", str(c.imag),
+                     "--grid-res", str(resolution), "--seed", str(seed),
+                     "--out", str(tmp_path)]) == 0
+    (call,) = calls
+    return call
+
+
+@pytest.mark.parametrize("c", [-2, 1j])
+def test_holder_fill_order_leaves_the_graph_unchanged(monkeypatch, tmp_path, c):
+    # holder's searches fill part of the slot table, in their own order; the
+    # whole graph read after them is that of a fresh grid and of the reference
+    args, grid = _holder_grid(monkeypatch, tmp_path, complex(c), 128, 0)
+    assert 0 < grid._filled.mean() < 1
+    graph = grid.graph
+    for expected in (em.build_grid(*args).graph, coo_grid_graph(*args)):
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(graph, attr), getattr(expected, attr)), attr
+
+
+@pytest.mark.parametrize("c, share", [(-2, 0.10), (1j, 0.25)])
+def test_holder_fills_few_nodes(monkeypatch, tmp_path, c, share):
+    # seed 1 at 512 columns: the search ellipses and explicit paths of the 80
+    # pairs touch under a tenth of the grid at c = -2, under a quarter at c = i
+    _, grid = _holder_grid(monkeypatch, tmp_path, complex(c), 512, 1)
+    assert grid._filled.mean() <= share
+
+
 def test_grid_build_peak_traced_memory():
-    # writing the CSR arrays in place peaks at 36 MB here, where building
-    # through COO, concatenating, converting and sorting peaked at 128 MB.
-    # A small build first pays SciPy's lazy imports outside the traced one.
+    # the build allocates the slot table, 64 bytes a node (16.8 MB here), and
+    # computes no weight
     metric = cheb_metric()
-    em.build_grid(metric, _SQUARE, 64)
     tracemalloc.start()
     try:
         grid = em.build_grid(metric, _SQUARE, 512)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 20e6
     assert grid.graph.nnz == 2 * (2 * 512 * 511 + 2 * 511 * 511)
-    assert peak < 80e6
+
+
+def test_grid_build_computes_no_density(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_grid computed a density")
+
+    metric = cheb_metric()
+    monkeypatch.setattr(em.SingularMetric, "density_array", refuse)
+    grid = em.build_grid(metric, _SQUARE, 128)
+    assert not grid._filled.any()
 
 
 def test_grid_resolution_ceiling():
@@ -230,10 +286,16 @@ def weights_per_length(grid):
     return coo, coo.data / np.where(diagonal, grid.h * math.sqrt(2.0), grid.h)
 
 
-def test_rho_min_is_the_least_weight_per_unit_length():
-    for metric in (None, cheb_metric(), _metric(Variant.RHO, 1j, 2)):
+def test_rho_min_bounds_every_weight_per_unit_length():
+    # the bound _weight_bounds starts from: no edge weighs less than rho_min
+    # times its length, on either singular density and the Euclidean grid
+    for metric in (None, cheb_metric(), _metric(Variant.RHO, 1j, 2),
+                   _metric(Variant.SIGMA, 1j, 2), _metric(Variant.SIGMA, 0.2j, 3)):
         grid = em.build_grid(metric, _SQUARE, 64)
-        assert grid.rho_min == weights_per_length(grid)[1].min()
+        least = weights_per_length(grid)[1].min()
+        assert grid.rho_min <= least
+        if metric is None:
+            assert grid.rho_min == least == 1.0
 
 
 def test_search_graph_euclidean_grid_matches_whole_grid():
