@@ -10,6 +10,7 @@ ratios weighted by the singular density are fitted for exponential growth.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
@@ -20,6 +21,7 @@ import numpy as np
 from .dynamics import (  # noqa: F401
     PostcriticalCloud,
     UnicriticalMap,
+    _polar_preimage,
     orbit_derivative_magnitude,
     preimage_branch,
     set_diameter,
@@ -64,16 +66,25 @@ class BackwardDiskOrbit:
 
     def __post_init__(self):
         self.points = [complex(self.z0)]
-        angles = 2.0 * math.pi * np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
-        offsets = self.epsilon * np.exp(1j * angles)
+        offsets, diam = _level_zero_disk(self.epsilon)
         self.boundary = [self.z0 + offsets]
         self.offsets = [offsets]
-        self.diams = [float(set_diameter(offsets))]
+        self.diams = [diam]
         self.labels = [None]  # level 0 is the reference disk, not a pullback
 
     @property
     def depth(self) -> int:
         return len(self.points) - 1
+
+
+@functools.lru_cache(maxsize=8)
+def _level_zero_disk(epsilon: float) -> Tuple[np.ndarray, float]:
+    """The offsets of the level-0 polygon of radius ``epsilon``, read-only
+    because every orbit of that radius shares them, and their diameter."""
+    angles = 2.0 * math.pi * np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
+    offsets = epsilon * np.exp(1j * angles)
+    offsets.flags.writeable = False
+    return offsets, float(set_diameter(offsets))
 
 
 def _phase_steps(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -117,8 +128,9 @@ def _extend(fmap: UnicriticalMap, orbits: List[BackwardDiskOrbit], roots: List[i
     The phase of prev - c is unwrapped along each polygon; its integer jumps
     give each sample's sheet, and the winding number W around c sets the
     number of turns, d / gcd(W, d): one for a univalent level, d for a
-    critical one.  Each sample is lifted by ``preimage_branch``, starting from
-    the preimage of the polygon's first sample nearest the new center."""
+    critical one.  Each sample is lifted by the formula of ``preimage_branch``
+    from the phase already taken and |prev - c|^(1/d), starting from the
+    preimage of the polygon's first sample nearest the new center."""
     d = fmap.d
     centers = preimage_branch(fmap, np.array([orbit.points[-1] for orbit in orbits]),
                               np.array(roots))
@@ -126,6 +138,7 @@ def _extend(fmap: UnicriticalMap, orbits: List[BackwardDiskOrbit], roots: List[i
     prev_offsets = np.stack([orbit.offsets[-1] for orbit in orbits])
     u = prev - fmap.c
     phase, steps, winding = _phase_steps(u)
+    modulus = np.abs(u) ** (1.0 / d)  # |w| for every preimage w of each sample
     coarse = ~u.all(axis=1) | (np.abs(steps).max(axis=1) > MAX_PHASE_STEP)
     # cumulative sums run along each row, in the order of a single polygon's
     unwrapped = phase[:, :1] + np.concatenate(
@@ -135,18 +148,20 @@ def _extend(fmap: UnicriticalMap, orbits: List[BackwardDiskOrbit], roots: List[i
     for t in set(turns[~coarse].tolist()):
         rows = np.flatnonzero((turns == t) & ~coarse)
         z_n = centers[rows, None]
-        start = np.abs(preimage_branch(fmap, prev[rows, :1], np.arange(d)) - z_n).argmin(axis=1)
+        start = np.abs(_polar_preimage(d, modulus[rows, :1], phase[rows, :1], np.arange(d))
+                       - z_n).argmin(axis=1)
         branch = (start[:, None, None] + sheets[rows, None, :]
                   + winding[rows, None, None] * np.arange(t)[:, None]) % d
-        lifted = preimage_branch(fmap, prev[rows, None, :], branch).reshape(len(rows), -1)
+        lifted = _polar_preimage(d, modulus[rows, None, :], phase[rows, None, :],
+                                 branch).reshape(len(rows), -1)
         # on the center's sheet w - z_n = (w^d - z_n^d) / sum_j w^j z_n^(d-1-j),
         # and w^d - z_n^d is the previous offset: exact in relative terms
         offsets = lifted - z_n
         on_sheet = np.abs(offsets) < 0.5 * math.sin(math.pi / d) * np.abs(z_n)
         w = lifted[on_sheet]
         z = np.broadcast_to(z_n, lifted.shape)[on_sheet]
-        offsets[on_sheet] = np.tile(prev_offsets[rows], (1, t))[on_sheet] / sum(
-            w**j * z ** (d - 1 - j) for j in range(d))
+        offsets[on_sheet] = np.tile(prev_offsets[rows], (1, t))[on_sheet] / (sum(
+            (w**j * z ** (d - 1 - j) for j in range(1, d - 1)), z ** (d - 1)) + w ** (d - 1))
         diams = set_diameter(offsets)
         labels = _labels(fmap, orbits[0].cloud, winding[rows], lifted)
         for r, i in enumerate(rows):
@@ -198,7 +213,8 @@ def pull_back_orbits(
     rngs: List[np.random.Generator],
 ) -> Optional[Tuple[int, str]]:
     """Extend every orbit by ``steps`` levels, all of them one level at a time:
-    orbit i draws its root at each level from ``rngs[i]``, and orbits whose
+    orbit i draws the roots of all ``steps`` levels from ``rngs[i]`` in one
+    call, the same sequence as one draw a level, and orbits whose
     current polygons share a sample count and a cloud are lifted together.
     Each orbit keeps only its current polygon in ``boundary`` and
     ``offsets``; centres, diameters and labels keep every level.
@@ -211,14 +227,15 @@ def pull_back_orbits(
     orbit reached the depth."""
     refusal = None
     live = list(range(len(orbits)))
-    for _ in range(steps):
+    draws = [rng.integers(fmap.d, size=steps) for rng in rngs[:len(orbits)]]
+    for level in range(steps):
         groups = {}
         for i in live:
             key = (len(orbits[i].boundary[-1]), id(orbits[i].cloud))
             groups.setdefault(key, []).append(i)
         stopped = {}
         for group in groups.values():
-            roots = [int(rngs[i].integers(fmap.d)) for i in group]
+            roots = [int(draws[i][level]) for i in group]
             for pos in _extend(fmap, [orbits[i] for i in group], roots):
                 stopped[group[pos]] = SAMPLED_TOO_COARSELY
         for i in live:

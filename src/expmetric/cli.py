@@ -492,6 +492,9 @@ def _validate(cfg: ExperimentConfig, command: str) -> None:
     eps = cfg.epsilon
     if eps is not None and not (_is_number(eps) and 0 < eps < math.inf):
         raise SystemExit(f"invalid config: epsilon must be a positive number, got {eps!r}")
+    if eps is not None and eps < sys.float_info.min:
+        raise SystemExit("invalid config: epsilon must be at least the least normal float "
+                         f"{sys.float_info.min!r}, got {eps!r}")
     if cfg.d < 2:
         raise SystemExit(f"invalid config: d must be at least 2, got {cfg.d}")
     for name in ("orbit_n", "orbits"):

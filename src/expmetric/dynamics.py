@@ -34,8 +34,15 @@ JULIA_SAMPLE_STEPS = 36
 # on two shared x86-64 cores.
 MAX_SAMPLE_DEGREE = 256
 # Sample pairs whose distances set_diameter holds at once: 512 KiB of complex
-# differences, fifteen 64-gons of an expansion level or three 128-gons.
+# differences, fifteen 64-gons of an expansion level at every shift.
 DIAMETER_BLOCK_PAIRS = 32768
+# set_diameter skips a shift whose edge bound, times 1 + this, is below the
+# largest distance at shift m // 2: far above the roundoff of a sum of up to
+# m // 2 edges.
+DIAMETER_SKIP_SLACK = 1e-9
+# Below this largest distance at shift m // 2, set_diameter keeps every shift:
+# subnormal distances lose the relative precision that the slack relies on.
+DIAMETER_SKIP_FLOOR = 2.0**-900
 
 # Clouds up to this size are searched point by point, larger ones by a KD-tree.
 # Per query, with SciPy already loaded, the tree wins between 32 and 64 points;
@@ -118,8 +125,14 @@ def preimage_branch(fmap: UnicriticalMap, z: np.ndarray, branch) -> np.ndarray:
     a 0-d z takes libm's scalar pow, which can differ from NumPy's array pow
     in the last bit."""
     u = np.asarray(z) - fmap.c
-    arg = np.angle(u) / fmap.d + 2.0 * math.pi * branch / fmap.d
-    return np.abs(u) ** (1.0 / fmap.d) * np.exp(1j * arg)
+    return _polar_preimage(fmap.d, np.abs(u) ** (1.0 / fmap.d), np.angle(u), branch)
+
+
+def _polar_preimage(d: int, root: np.ndarray, phase: np.ndarray, branch) -> np.ndarray:
+    """Root number ``branch`` of w^d = u from ``root`` = |u|^(1/d) and
+    ``phase`` = arg u, all three broadcast together: the formula of
+    ``preimage_branch``, for callers that hold the polar form already."""
+    return root * np.exp(1j * (phase / d + 2.0 * math.pi * branch / d))
 
 
 def orbit_derivative_magnitude(fmap: UnicriticalMap, z: complex, n: int) -> float:
@@ -210,28 +223,56 @@ def set_diameter(samples: np.ndarray) -> np.ndarray:
     polygon of a (..., m) array.  Sample i is compared with sample i + k
     (mod m) for the shifts k = 0 .. m // 2, which meet every pair at least
     once: the shifted samples are a window sliding over each polygon followed
-    by its first m // 2 samples, taken in blocks of about
-    ``DIAMETER_BLOCK_PAIRS`` pairs: several whole polygons, or a run of the
-    shifts of one polygon too large for that.  ``|z_i - z_j|`` and ``|z_j - z_i|`` are
-    the same float, and shift 0 keeps the diagonal, so this is the maximum of
-    the full m x m matrix of distances bit for bit: a distance past the float
+    by its first m // 2 samples.  ``|z_i - z_j|`` and ``|z_j - z_i|`` are the
+    same float, and shift 0 keeps the diagonal, so this is the maximum of the
+    full m x m matrix of distances bit for bit: a distance past the float
     range is inf, and a non-finite sample gives NaN (inf - inf on the
-    diagonal), without a warning."""
+    diagonal), without a warning.
+
+    The shifts below a first one are skipped, because none of their pairs
+    can hold the maximum.  Along the polygon, samples k apart are joined by a
+    path of k edges (the shift-1 distances), so their distance is at most
+    the sum of the polygon's k longest edges.  A polygon skips every shift
+    whose sum, times 1 + ``DIAMETER_SKIP_SLACK``, is below its largest
+    distance at shift m // 2; the slack covers the roundoff of the sums and
+    distances, so each skipped pair's computed distance is below a computed
+    distance that the maximum keeps, and the result keeps its bits.  The
+    first shift is the least over the polygons of one call, and a polygon
+    whose distance at shift m // 2 is not finite or is below
+    ``DIAMETER_SKIP_FLOOR`` keeps every shift, so NaN, inf and subnormal
+    distances are met as before.  The kept shifts are taken in blocks of
+    about ``DIAMETER_BLOCK_PAIRS`` pairs: several whole polygons, or a run
+    of the shifts of one polygon too large for that."""
     m = samples.shape[-1]
     polygons = samples.reshape(-1, m)
     h = m // 2
     shifted = sliding_window_view(
         np.concatenate([polygons, polygons[:, :h]], axis=1), m, axis=1)
-    ks = max(1, DIAMETER_BLOCK_PAIRS // m)  # shifts a block
-    g = max(1, DIAMETER_BLOCK_PAIRS // (m * (h + 1)))  # polygons a block
     out = np.empty(len(polygons))
     with np.errstate(over="ignore", invalid="ignore"):
+        first = _first_shift(polygons, shifted) if h else 0
+        ks = max(1, DIAMETER_BLOCK_PAIRS // m)  # shifts a block
+        g = max(1, DIAMETER_BLOCK_PAIRS // (m * (h + 1 - first)))  # polygons a block
         for j in range(0, len(polygons), g):
             rows = polygons[j:j + g, None, :]
             out[j:j + g] = np.maximum.reduce(
                 [np.abs(rows - shifted[j:j + g, k:k + ks]).max(axis=(1, 2))
-                 for k in range(0, h + 1, ks)])
+                 for k in range(first, h + 1, ks)])
     return out.reshape(samples.shape[:-1])
+
+
+def _first_shift(polygons: np.ndarray, shifted: np.ndarray) -> int:
+    """The least shift that ``set_diameter`` must compare over ``polygons``,
+    an (n, m) array with m >= 2, and ``shifted``, their sliding windows."""
+    h = polygons.shape[1] // 2
+    lower = np.abs(polygons - shifted[:, h]).max(axis=1)
+    # the h longest edges of each polygon, longest first, summed
+    edges = np.sort(np.abs(polygons - shifted[:, 1]), axis=1)[:, :-h - 1:-1]
+    bound = np.cumsum(edges, axis=1) * (1.0 + DIAMETER_SKIP_SLACK)
+    # shift 0 and every shift whose bound stays below the lower bound
+    skipped = 1 + (bound < lower[:, None]).sum(axis=1)
+    usable = (DIAMETER_SKIP_FLOOR <= lower) & (lower < math.inf)
+    return int(np.where(usable, skipped, 0).min(initial=h))
 
 
 def build_postcritical_cloud(orbit) -> PostcriticalCloud:

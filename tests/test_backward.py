@@ -8,8 +8,10 @@ import pytest
 
 import expmetric as em
 from expmetric.backward import (
+    MAX_PHASE_STEP,
     BackwardDiskOrbit,
     CaseLabel,
+    _labels,
     _log_derivatives,
     _phase_steps,
     classify_level,
@@ -310,6 +312,96 @@ def test_pull_back_orbits_refuses_the_lowest_numbered_orbit():
     assert [orbit.depth for orbit in batch] == [0, 1, 1]
 
 
+def reference_pull_back(fmap, cloud, disks, steps, rngs):
+    """The level step of pull_back_orbits written plainly, one orbit at a
+    time: a scalar draw of each root at each level, every sample lifted by
+    ``preimage_branch`` on every turn, the on-sheet denominator as the sum of
+    all d terms w^j z^(d-1-j), a level-0 disk built for each orbit and
+    full-matrix diameters.  Returns the orbits' states (centres, current
+    polygon, current offsets, diameters, labels) and the refusal."""
+    d = fmap.d
+    angles = 2.0 * math.pi * np.arange(64) / 64
+    states = []
+    for z0, eps in disks:
+        offsets = eps * np.exp(1j * angles)
+        states.append({"points": [complex(z0)], "boundary": z0 + offsets, "offsets": offsets,
+                       "diams": [float(full_matrix_max(offsets))], "labels": [None]})
+
+    def lift(state, root):
+        center = preimage_branch(fmap, np.array([state["points"][-1]]), np.array([root]))
+        prev = state["boundary"][None, :]
+        u = prev - fmap.c
+        phase, steps, winding = _phase_steps(u)
+        if not u.all() or np.abs(steps).max() > MAX_PHASE_STEP:
+            return False
+        unwrapped = phase[:, :1] + np.concatenate(
+            (np.zeros((1, 1)), np.cumsum(steps[:, :-1], axis=1)), axis=1)
+        sheets = np.rint((unwrapped - phase) / (2.0 * math.pi)).astype(int)
+        t = d // math.gcd(int(winding[0]), d)
+        z_n = center[:, None]
+        start = np.abs(preimage_branch(fmap, prev[:, :1], np.arange(d)) - z_n).argmin(axis=1)
+        branch = (start[:, None, None] + sheets[:, None, :]
+                  + winding[:, None, None] * np.arange(t)[:, None]) % d
+        lifted = preimage_branch(fmap, prev[:, None, :], branch).reshape(1, -1)
+        offsets = lifted - z_n
+        on_sheet = np.abs(offsets) < 0.5 * math.sin(math.pi / d) * np.abs(z_n)
+        w = lifted[on_sheet]
+        z = np.broadcast_to(z_n, lifted.shape)[on_sheet]
+        offsets[on_sheet] = np.tile(state["offsets"][None, :], (1, t))[on_sheet] / sum(
+            w**j * z ** (d - 1 - j) for j in range(d))
+        state["points"].append(complex(center[0]))
+        state["boundary"], state["offsets"] = lifted[0], offsets[0]
+        state["diams"].append(float(full_matrix_max(offsets[0])))
+        state["labels"] += _labels(fmap, cloud, winding, lifted)
+        return True
+
+    refusal = None
+    live = list(range(len(states)))
+    for _ in range(steps):
+        stopped = {}
+        for i in live:
+            state = states[i]
+            if not lift(state, int(rngs[i].integers(d))):
+                stopped[i] = SAMPLED_TOO_COARSELY
+            elif (state["labels"][-1] is CaseLabel.CRITICAL
+                  and state["labels"].count(CaseLabel.CRITICAL) > 1):
+                stopped[i] = f"level {len(state['points']) - 1} is its second critical level"
+        if stopped:
+            refusal = min(stopped), stopped[min(stopped)]
+            live = [i for i in live if i < refusal[0]]
+    return states, refusal
+
+
+@pytest.mark.parametrize("fmap", [cheb(), map_i(), em.UnicriticalMap(3, 0.2j)],
+                         ids=["c=-2", "c=i", "d=3"])
+@pytest.mark.parametrize("radius", [1e-3, 3.0], ids=["small", "large"])
+def test_pull_back_orbits_matches_the_reference_level_step(fmap, radius):
+    # small Julia disks and disks at the critical value, which are critical at
+    # level 1, reach the depth; Julia disks of radius 3 meet the critical
+    # value again and the run refuses
+    cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 50)[0])
+    bases = em.sample_julia_points(fmap, 6, np.random.default_rng(11))
+    disks = [(z, radius) for z in bases] + [(fmap.c + 0.001, 0.003), (fmap.c - 0.001j, 0.003)]
+    depth = 20
+
+    def rngs():
+        return [np.random.default_rng([11, k]) for k in range(len(disks))]
+
+    ref, ref_refusal = reference_pull_back(fmap, cloud, disks, depth, rngs())
+    batch = [BackwardDiskOrbit(fmap, z, eps, cloud=cloud) for z, eps in disks]
+    refusal = pull_back_orbits(fmap, batch, depth, rngs())
+    assert refusal == ref_refusal
+    assert (refusal is None) == (radius < 1)
+    for orbit, state in zip(batch, ref):
+        assert orbit.points == state["points"]
+        assert orbit.diams == state["diams"]
+        assert orbit.labels == state["labels"]
+        assert orbit.boundary[0].tobytes() == state["boundary"].tobytes()
+        assert orbit.offsets[0].tobytes() == state["offsets"].tobytes()
+    # the disks at the critical value pass one critical level
+    assert all(state["labels"].count(CaseLabel.CRITICAL) == 1 for state in ref[-2:])
+
+
 def full_matrix_max(s):
     # the m x m distances of a few polygons at a time, at most 16 MiB of them
     m = s.shape[-1]
@@ -321,8 +413,50 @@ def full_matrix_max(s):
     return np.concatenate(out).reshape(s.shape[:-1])
 
 
+def first_kept_shift(s):
+    # set_diameter's skip, restated: a polygon skips shift 0 and every shift k
+    # whose k longest edges sum, times 1 + 1e-9, below its largest distance at
+    # shift m // 2, unless that distance is not finite or is below 2**-900;
+    # one call starts at the least first shift over its polygons
+    m = s.shape[-1]
+    h = m // 2
+    polygons = s.reshape(-1, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower = np.abs(polygons - np.roll(polygons, -h, axis=1)).max(axis=1)
+        edges = -np.sort(-np.abs(polygons - np.roll(polygons, -1, axis=1)), axis=1)
+        bound = np.cumsum(edges[:, :h], axis=1) * (1 + 1e-9)
+        first = [1 + int((b < low).sum()) if np.isfinite(low) and low >= 2.0**-900 else 0
+                 for b, low in zip(bound, lower)]
+    return min(first + [h])
+
+
+def ordered_polygons(m):
+    # polygons whose samples run in order along a closed curve, where the
+    # edge bound skips the short shifts
+    t = 2 * math.pi * np.arange(m) / m
+    circle = np.exp(1j * t) + (0.3 - 0.2j)
+    ellipse = 10 * np.cos(t) + 1j * np.sin(t)
+    needle = 1e-6 * np.exp(1j * t) + np.cos(t) * np.exp(0.7j)
+    star = np.exp(1j * t) * np.where(np.arange(m) % 2, 0.2, 1.0)
+    # sample 0 lies 100 away from the others and sample 1 is the farthest of
+    # them, so the maximum is an edge, at shift 1, which the bound must keep
+    long_edge = 100 + 1e-3 * np.exp(1j * t)
+    long_edge[0] = 0
+    long_edge[1 % m] += 1e-3
+    return {"circle": circle, "ellipse": ellipse, "needle": needle, "star": star,
+            "long edge": long_edge}
+
+
+@pytest.fixture(scope="module")
+def critical_128_gon():
+    orbit = fresh_orbit(map_i(), map_i().c + 0.001, 0.003)
+    pull_back(map_i(), orbit, 3, np.random.default_rng(5))
+    assert orbit.labels[1] is CaseLabel.CRITICAL and len(orbit.offsets[3]) == 128
+    return orbit.offsets[3]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 63, 64, 65, 128, 1000])
-def test_polygon_diameter_blocks_match_full_matrix(m):
+def test_polygon_diameter_blocks_match_full_matrix(m, critical_128_gon):
     rng = np.random.default_rng(m)
     samples = rng.normal(size=m) + 1j * rng.normal(size=m)
     # the farthest pair at shift m // 2, and across the wrap-around (the last
@@ -344,12 +478,28 @@ def test_polygon_diameter_blocks_match_full_matrix(m):
     one_block = DIAMETER_BLOCK_PAIRS // (m * (m // 2 + 1))
     cases += [rng.normal(size=(3, 7, m)) + 1j * rng.normal(size=(3, 7, m)),
               np.resize(np.stack(cases), (one_block + 2, m))]
+    ordered = ordered_polygons(m)
+    round_cases = [ordered["circle"], ordered["ellipse"],
+                   np.stack([ordered["circle"], ordered["needle"]])]
+    if m == 128:
+        round_cases.append(critical_128_gon)
+    scaled = [scale * ordered["circle"] for scale in (1e-310, 1e-200, 1e300)]
+    # a walk on the grid of the least subnormal, whose distances round so far
+    # that shifts the edge bound would skip hold the maximum
+    walk = np.array([0, 1 - 1j, 1 - 1j, 2 - 2j, 3 - 2j, 2 - 1j, 1, 1j, -1 + 2j, 1j]) * 5e-324
+    cases += [*ordered.values(), *round_cases, *scaled, walk]
     for s in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             diam = set_diameter(s)
         assert diam.shape == s.shape[:-1]
         assert np.array_equal(diam, full_matrix_max(s), equal_nan=True)
+    if m > 1:  # the skip runs past the diagonal on round polygons
+        assert all(first_kept_shift(s) > 0 for s in round_cases + scaled[1:])
+        if m >= 64:
+            assert all(first_kept_shift(s) > m // 8 for s in round_cases + scaled[1:])
+    # a subnormal polygon keeps every shift
+    assert first_kept_shift(scaled[0]) == 0
     assert np.isnan(set_diameter(nonfinite[1]))
     if m > 1:  # one sample has diameter 0
         assert set_diameter(overflowing) == math.inf

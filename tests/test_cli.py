@@ -398,11 +398,19 @@ def test_expansion_rejects_bad_input(tmp_path, argv, config, message):
     # memory grows with the disk-levels pulled back
     (["expansion", "--orbits", "300", "--depth", "1001"],
      "invalid config: expansion needs orbits x depth <= 300000, got 300 x 1001"),
+    # a subnormal disk's diameters lose relative precision and underflow
+    (["expansion", "--orbits", "3", "--epsilon", "1e-310", "--depth", "12"],
+     r"^invalid config: epsilon must be at least the least normal float "
+     r"2\.2250738585072014e-308, got 1e-310$"),
+    (["expansion", "--orbits", "3", "--epsilon", "1e-320", "--depth", "12"],
+     "least normal float 2.2250738585072014e-308, got 1e-320"),
+    (["classify", "--epsilon", "5e-324"], "least normal float 2.2250738585072014e-308, got 5e-324"),
 ], ids=["holder-grid-res-8", "holder-grid-res-1000000", "rays-depth-61", "render-depth-61",
         "config-missing", "expansion-d-100000", "orbit-n-100001", "render-orbit-n-1e9",
         "expansion-orbits-1e11", "render-ray-overflow-d-100", "expansion-epsilon-1e308",
         "rays-repeated-angle", "rays-no-angle", "render-repeated-ray", "expansion-depth-1101",
-        "expansion-orbits-300-depth-1001"])
+        "expansion-orbits-300-depth-1001", "expansion-epsilon-1e-310", "expansion-epsilon-1e-320",
+        "classify-epsilon-5e-324"])
 def test_commands_reject_bad_input(tmp_path, monkeypatch, capfd, argv, message):
     monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings():
