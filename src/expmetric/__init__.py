@@ -13,7 +13,6 @@ from .dynamics import (
     build_postcritical_cloud,
     classify_parameter,
     critical_orbit,
-    green_potential,
     julia_distance_estimate,
     orbit_derivative_magnitude,
     sample_julia_points,

@@ -169,7 +169,7 @@ def cmd_classify(config: ExperimentConfig) -> dict:
 
 def cmd_expansion(config: ExperimentConfig) -> dict:
     fmap, _, cloud = resolve_parameter(config, gated=True)
-    metric = SingularMetric.for_degree(cloud, fmap.d, Variant.SIGMA)
+    metric = SingularMetric(cloud, fmap.d, Variant.SIGMA)
     eps = config.epsilon
     if eps is None:
         diam = cloud.diameter()
@@ -243,7 +243,7 @@ def holder_sample_pairs(cloud, rng: np.random.Generator) -> List[Tuple[complex, 
 
 def cmd_holder(config: ExperimentConfig) -> dict:
     fmap, _, cloud = resolve_parameter(config, gated=True)
-    metric = SingularMetric.for_degree(cloud, fmap.d, Variant.RHO)
+    metric = SingularMetric(cloud, fmap.d, Variant.RHO)
     pts = cloud.points
     cx = (pts.real.min() + pts.real.max()) / 2.0
     cy = (pts.imag.min() + pts.imag.max()) / 2.0
@@ -286,7 +286,7 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
     fmap, _, cloud = resolve_parameter(config)
     if cloud is None:
         raise SystemExit("refusing to run: critical orbit escapes; no bounded rays")
-    metric = SingularMetric.for_degree(cloud, fmap.d, Variant.RHO)
+    metric = SingularMetric(cloud, fmap.d, Variant.RHO)
 
     poly_rows = []
     entries = []
@@ -359,7 +359,7 @@ def cmd_render(config: ExperimentConfig, spec: RenderSpec) -> Path:
             rgb = to_rgb(distance_field(cloud, spec))
         else:
             variant = Variant.RHO if spec.layer == "density-rho" else Variant.SIGMA
-            metric = SingularMetric.for_degree(cloud, fmap.d, variant)
+            metric = SingularMetric(cloud, fmap.d, variant)
             rgb = to_rgb(density_field(metric, spec))
     try:
         for ray in trace_rays(fmap, spec.ray_angles, config.depth):

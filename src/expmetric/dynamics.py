@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import enum
 import functools
 import math
@@ -11,12 +12,10 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InsideJuliaError
-
-# Iterates beyond this modulus are treated as escaped for potential/distance
-# purposes; large enough that the Boettcher correction is below 1e-10.
+# Iterates beyond this modulus are treated as escaped by the Julia distance
+# estimate; large enough that the Boettcher correction is below 1e-10.
 POTENTIAL_ESCAPE_RADIUS = 1e10
-# Iterates the potential and the Julia distance estimate take to escape.
+# Iterates the Julia distance estimate takes to escape.
 POTENTIAL_MAX_ITER = 400
 # Most critical-orbit iterates a command takes: the cloud's deduplication is
 # quadratic in its size, 9.2 s at c = 1/4, whose 100000 iterates keep 48972
@@ -98,24 +97,24 @@ def critical_orbit(fmap: UnicriticalMap, n: int):
 
     Stops early when the modulus exceeds the escape radius; the escape index
     (1-based, position in the returned list) is returned alongside.  An
-    iterate that overflows has escaped and is recorded as infinite.
+    iterate that overflows, to inf or to NaN (inf - inf in a part), has
+    escaped and is recorded as infinite.
     """
     if n < 1:
         raise ValueError("need at least one iterate")
     r_esc = fmap.escape_radius()
     orbit = []
     z = 0.0 + 0.0j
-    escape_index = None
     for k in range(1, n + 1):
         try:
             z = fmap.evaluate(z)
         except OverflowError:
             z = complex(math.inf, 0.0)
+        if not abs(z) <= r_esc:  # escaped, or overflowed to inf or NaN
+            orbit.append(z if cmath.isfinite(z) else complex(math.inf, 0.0))
+            return orbit, k
         orbit.append(z)
-        if abs(z) > r_esc:
-            escape_index = k
-            break
-    return orbit, escape_index
+    return orbit, None
 
 
 def preimage_branch(fmap: UnicriticalMap, z: np.ndarray, branch) -> np.ndarray:
@@ -290,22 +289,6 @@ def build_postcritical_cloud(orbit) -> PostcriticalCloud:
     return PostcriticalCloud(kept[:m])
 
 
-def green_potential(fmap: UnicriticalMap, z: complex) -> float:
-    """Escape-rate potential G(z) = log|f^n(z)| / d^n at the first escape past
-    ``POTENTIAL_ESCAPE_RADIUS``; 0 when the orbit stays bounded within the
-    budget."""
-    w = complex(z)
-    for k in range(POTENTIAL_MAX_ITER + 1):
-        mag = abs(w)
-        if mag > POTENTIAL_ESCAPE_RADIUS:
-            return math.log(mag) / fmap.d ** k
-        if not math.isfinite(mag):
-            # overflow: iterate before it was already past any finite radius
-            return math.inf
-        w = fmap.evaluate(w)
-    return 0.0
-
-
 def _complex_product(ar, ai, br, bi):
     """(ar + i ai)(br + i bi) on split real and imaginary parts, with the
     operations and rounding of CPython's complex multiply."""
@@ -328,10 +311,10 @@ def _complex_power(xr, xi, n: int):
         xr, xi = _complex_product(xr, xi, xr, xi)
 
 
-def julia_distance_estimate(fmap: UnicriticalMap, z):
-    """Potential-theoretic estimate of dist(z, J) = sinh(G)/|grad G|, for a
-    point or an array of points, all iterated together; each point leaves the
-    iteration once it escapes.
+def julia_distance_estimate(fmap: UnicriticalMap, zs: np.ndarray) -> np.ndarray:
+    """Potential-theoretic estimate of dist(z, J) = sinh(G)/|grad G| at each
+    point of the 1-D array ``zs``, all iterated together; each point leaves
+    the iteration once it escapes.
 
     Accurate only up to a bounded multiplicative factor (factor-of-4 class near
     the Julia set); never use where exactness matters.  The orbit and its
@@ -340,15 +323,14 @@ def julia_distance_estimate(fmap: UnicriticalMap, z):
     each point's last step by ``math``, so up to degree 100 every estimate has
     the bits of the point-by-point loop over Python complex numbers (NumPy's
     complex multiply and ``abs``, and its log, exp and sinh, round
-    differently).  An array point gets NaN where that loop has no value: when
-    it does not escape within ``POTENTIAL_MAX_ITER`` iterates, or when its
-    orbit overflows where Python's complex power or ``abs`` raises
-    OverflowError.  A single such point raises InsideJuliaError.
+    differently).  A point gets NaN where that loop has no value: when it
+    does not escape within ``POTENTIAL_MAX_ITER`` iterates, or when its orbit
+    overflows where Python's complex power or ``abs`` raises OverflowError.
     """
-    zs = np.asarray(z, dtype=complex)
-    n = zs.size
+    zs = np.asarray(zs, dtype=complex)
+    n = len(zs)
     d, c = fmap.d, complex(fmap.c)
-    wr, wi = zs.real.ravel().copy(), zs.imag.ravel().copy()
+    wr, wi = zs.real.copy(), zs.imag.copy()
     dr, di = np.ones(n), np.zeros(n)
     idx = np.arange(n)
     steps = np.full(n, -1)  # the escape iterate, -1 until the point escapes
@@ -387,12 +369,7 @@ def julia_distance_estimate(fmap: UnicriticalMap, z):
         # |grad G| in log space to dodge overflow of |dw|
         log_grad = math.log(grad) - math.log(mag) - k * math.log(d)
         est[j] = math.sinh(g) * math.exp(-log_grad)
-    if zs.ndim == 0:
-        if math.isnan(est[0]):
-            raise InsideJuliaError(f"{complex(zs)} did not escape within "
-                                   f"{POTENTIAL_MAX_ITER} iterates, or overflowed")
-        return float(est[0])
-    return est.reshape(zs.shape)
+    return est
 
 
 def sample_julia_points(fmap: UnicriticalMap, count: int, rng: np.random.Generator) -> list:

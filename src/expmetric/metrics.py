@@ -28,17 +28,16 @@ class SingularMetric:
     over a finite postcritical cloud, with alpha = 1 - 1/d."""
 
     cloud: PostcriticalCloud
-    alpha: float
+    d: int
     variant: Variant = Variant.RHO
 
-    @classmethod
-    def for_degree(cls, cloud: PostcriticalCloud, d: int,
-                   variant: Variant = Variant.RHO) -> "SingularMetric":
-        return cls(cloud, 1.0 - 1.0 / d, variant)
-
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        if self.d < 2:
+            raise ValueError(f"degree must be >= 2, got {self.d}")
+
+    @property
+    def alpha(self) -> float:
+        return 1.0 - 1.0 / self.d
 
     def density(self, z: complex) -> float:
         """Metric density at z, the one-point case of ``density_array``; +inf

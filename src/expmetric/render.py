@@ -80,19 +80,22 @@ def _fill_field(spec: RenderSpec, values) -> np.ndarray:
 
 def escape_time_field(fmap: UnicriticalMap, spec: RenderSpec) -> np.ndarray:
     """Per pixel, the k at which |f^(k+1)(z)| first exceeds the escape
-    radius, or ESCAPE_MAX_ITER; only the pixels still bounded are iterated."""
+    radius, or ESCAPE_MAX_ITER; only the pixels still bounded are iterated.
+    An iterate that overflows, to inf or to NaN, has escaped, without a
+    warning."""
     r_esc = fmap.escape_radius()
 
     def counts(w):
         out = np.full(w.size, ESCAPE_MAX_ITER, dtype=float)
         idx = np.arange(w.size)
-        for k in range(ESCAPE_MAX_ITER):
-            w = w ** fmap.d + fmap.c
-            escaped = np.abs(w) > r_esc
-            out[idx[escaped]] = k
-            idx, w = idx[~escaped], w[~escaped]
-            if not idx.size:
-                break
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(ESCAPE_MAX_ITER):
+                w = w ** fmap.d + fmap.c
+                bounded = np.abs(w) <= r_esc  # False past it, at inf and at NaN
+                out[idx[~bounded]] = k
+                idx, w = idx[bounded], w[bounded]
+                if not idx.size:
+                    break
         return out
 
     return _fill_field(spec, counts)

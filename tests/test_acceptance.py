@@ -282,7 +282,7 @@ def test_criterion_4_metric_expansion(runs):
     orbit = BackwardDiskOrbit(fmap, 0.0, 0.1, cloud=cloud)
     pull_back(fmap, orbit, 1, 0)
     spot = expansion_ratios(
-        orbit, SingularMetric.for_degree(cloud, 2, Variant.SIGMA)).ratios[0]
+        orbit, SingularMetric(cloud, 2, Variant.SIGMA)).ratios[0]
     spot_ok = abs(spot - 2.0 * math.sqrt(2.0 - SQRT2)) < 1e-12
     secs = runs["expansion-cheb"]["seconds"] + runs["expansion-i"]["seconds"]
     ok = (not lam_bad
@@ -351,7 +351,7 @@ def test_criterion_7_hoelder_equivalence():
     for c in (-2.0 + 0.0j, 1j):
         fmap = em.UnicriticalMap(2, c)
         cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 2000)[0])
-        metric = SingularMetric.for_degree(cloud, 2, Variant.RHO)
+        metric = SingularMetric(cloud, 2, Variant.RHO)
         grid = em.build_grid(metric, bbox, 512)
         rng = np.random.default_rng(6)
         pairs = [(a, b) for a, b in cli.holder_sample_pairs(cloud, rng)

@@ -577,7 +577,7 @@ def test_expansion_ratio_first_level_oracle():
     # R_1 = |f'(sqrt 2)| sigma(0) / sigma(sqrt 2) = 2 sqrt(2 - sqrt 2)
     fmap = cheb()
     cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 50)[0])
-    metric = SingularMetric.for_degree(cloud, 2, Variant.SIGMA)
+    metric = SingularMetric(cloud, 2, Variant.SIGMA)
     orbit = fresh_orbit(fmap, 0, 0.1)
     pull_back(fmap, orbit, 1, 0)
     rep = expansion_ratios(orbit, metric)
@@ -594,7 +594,7 @@ def test_accumulated_derivative_oracle_at_depth_80():
     orbit = BackwardDiskOrbit(fmap, complex(math.cos(1.0), math.sin(1.0)), 0.01,
                               cloud=cloud)
     pull_back(fmap, orbit, 80, np.random.default_rng(2))
-    rep = expansion_ratios(orbit, SingularMetric.for_degree(cloud, 2, Variant.SIGMA))
+    rep = expansion_ratios(orbit, SingularMetric(cloud, 2, Variant.SIGMA))
     assert rep.levels == list(range(1, 81))
     assert rep.ratios == pytest.approx([2.0**n for n in range(1, 81)], rel=1e-12)
 
@@ -602,7 +602,7 @@ def test_accumulated_derivative_oracle_at_depth_80():
 def test_expansion_fit_grows_exponentially():
     fmap = cheb()
     cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 50)[0])
-    metric = SingularMetric.for_degree(cloud, 2, Variant.SIGMA)
+    metric = SingularMetric(cloud, 2, Variant.SIGMA)
     orbit = fresh_orbit(fmap, 0, 0.05)
     pull_back(fmap, orbit, 20, np.random.default_rng(11))
     rep = expansion_ratios(orbit, metric)
@@ -614,7 +614,7 @@ def test_expansion_fit_grows_exponentially():
 def test_expansion_skips_levels_on_the_cloud():
     fmap = cheb()
     cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 50)[0])
-    metric = SingularMetric.for_degree(cloud, 2, Variant.SIGMA)
+    metric = SingularMetric(cloud, 2, Variant.SIGMA)
     orbit = fresh_orbit(fmap, 0, 0.1)
     # synthetic continuation: level 1 lands exactly on the cloud point 2
     orbit.points += [2 + 0j, SQRT2 + 0j]
@@ -627,7 +627,7 @@ def test_expansion_skips_levels_on_the_cloud():
 def test_expansion_all_levels_skipped_rejected():
     fmap = cheb()
     cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 50)[0])
-    metric = SingularMetric.for_degree(cloud, 2, Variant.SIGMA)
+    metric = SingularMetric(cloud, 2, Variant.SIGMA)
     orbit = fresh_orbit(fmap, 0, 0.1)
     orbit.points.append(2 + 0j)
     orbit.labels.append(CaseLabel.UNIVALENT_MEETS_P)
@@ -638,7 +638,7 @@ def test_expansion_all_levels_skipped_rejected():
 def test_expansion_ratio_past_the_float_range_rejected():
     fmap = cheb()
     cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 50)[0])
-    metric = SingularMetric.for_degree(cloud, 2, Variant.SIGMA)
+    metric = SingularMetric(cloud, 2, Variant.SIGMA)
     orbit = fresh_orbit(fmap, 0, 0.1)
     # synthetic continuation far out: each level adds log 2 + log 1e100 to
     # log|(f^n)'|, so R_n passes the float range at level 3

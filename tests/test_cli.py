@@ -67,6 +67,10 @@ def test_classify_overflowing_orbit_escapes(tmp_path, capsys):
     out = run(["classify", "--d", "1000000", "--c-re", "-2", "--out", str(tmp_path)], capsys)
     assert json.loads(out) == {"escape_index": 2, "iterates_used": 2, "kind": "escaping",
                                "recurrence_gap": 2.0}
+    # c^2 + c overflows to NaN + NaN i: inf - inf in its real part
+    out = run(["classify", "--c-re", "1e200", "--c-im", "1e200", "--out", str(tmp_path)], capsys)
+    assert json.loads(out) == {"escape_index": 2, "iterates_used": 2, "kind": "escaping",
+                               "recurrence_gap": abs(complex(1e200, 1e200))}
 
 
 def test_classify_recurrent_and_c_i(tmp_path, capsys):
@@ -715,6 +719,10 @@ def test_render_rejects_empty_pixmap(tmp_path, size):
     (["holder", "--c-re", "-2", "--grid-res", "16"],
      "degenerate fitted exponent .* at grid_res 16; try a larger --grid-res"),
     (["rays", "--c-re", "1"], "refusing to run: critical orbit escapes; no bounded rays"),
+    # the second critical iterate overflows to NaN: the orbit escapes
+    (["holder", "--c-re", "1e200", "--c-im", "1e200"], "parameter classified escaping "),
+    (["expansion", "--c-re", "1e200", "--c-im", "1e200"], "parameter classified escaping "),
+    (["rays", "--c-re", "1e200", "--c-im", "1e200"], "critical orbit escapes; no bounded rays"),
     (["render", "--c-re", "-2", "--bbox", "0", "0", "0", "0", "--rays", "0.25"],
      "bbox needs finite corners"),
     (["render", "--c-re", "-2", "--bbox", "0", "0", "0", "0"], "bbox needs finite corners"),
@@ -725,8 +733,8 @@ def test_render_rejects_empty_pixmap(tmp_path, size):
       "--width", "4", "--height", "4", "--layer", "density-rho"],
      "invalid render: bbox width and height must be finite, got inf x inf"),
 ], ids=["escaping-density-rho", "escaping-density-sigma", "escaping-distance-to-P",
-        "holder-degenerate-fit", "rays-escaping", "bbox-empty-with-ray", "bbox-empty", "bbox-nan",
-        "bbox-span-overflows"])
+        "holder-degenerate-fit", "rays-escaping", "holder-nan-orbit", "expansion-nan-orbit",
+        "rays-nan-orbit", "bbox-empty-with-ray", "bbox-empty", "bbox-nan", "bbox-span-overflows"])
 def test_commands_refuse_what_they_cannot_report(tmp_path, capfd, argv, message):
     with pytest.raises(SystemExit, match=message) as exc:
         cli.main([*argv, "--out", str(tmp_path / "out")])

@@ -18,7 +18,7 @@ from expmetric.metrics import Variant
 
 def cheb_metric():
     cloud = em.build_postcritical_cloud(em.critical_orbit(em.UnicriticalMap(2, -2), 50)[0])
-    return em.SingularMetric.for_degree(cloud, 2, Variant.RHO)
+    return em.SingularMetric(cloud, 2, Variant.RHO)
 
 
 def uniform_grid(res=64, half=3.0):
@@ -84,7 +84,7 @@ def coo_grid_graph(metric, bbox, resolution):
 
 def _metric(variant, c, d):
     cloud = em.build_postcritical_cloud(em.critical_orbit(em.UnicriticalMap(d, c), 50)[0])
-    return em.SingularMetric.for_degree(cloud, d, variant)
+    return em.SingularMetric(cloud, d, variant)
 
 
 _SQUARE = (complex(-3, -3), complex(3, 3))
@@ -352,7 +352,7 @@ def _cloud_grid(variant, c, resolution, margin):
     pts = cloud.points
     bbox = (complex(pts.real.min() - margin, pts.imag.min() - margin),
             complex(pts.real.max() + margin, pts.imag.max() + margin))
-    metric = None if variant is None else em.SingularMetric.for_degree(cloud, 2, variant)
+    metric = None if variant is None else em.SingularMetric(cloud, 2, variant)
     return em.build_grid(metric, bbox, resolution), cloud
 
 
@@ -432,7 +432,7 @@ def test_largest_holder_pair_searches_half_its_rho_min_ellipse(c):
     pts = cloud.points
     centre = complex(pts.real.max() + pts.real.min(), pts.imag.max() + pts.imag.min()) / 2.0
     half = max(np.ptp(pts.real), np.ptp(pts.imag)) / 2.0 + 1.0
-    grid = em.build_grid(em.SingularMetric.for_degree(cloud, 2, Variant.RHO),
+    grid = em.build_grid(em.SingularMetric(cloud, 2, Variant.RHO),
                          (centre - complex(half, half), centre + complex(half, half)), 512)
     sizes = []
     for a, b in _holder_node_pairs(grid, cloud, 0):
@@ -524,7 +524,7 @@ def test_holder_fit_straddling_cloud_in_band():
     from expmetric.cli import holder_sample_pairs
 
     cloud = em.build_postcritical_cloud(em.critical_orbit(em.UnicriticalMap(2, -2), 50)[0])
-    metric = em.SingularMetric.for_degree(cloud, 2, Variant.RHO)
+    metric = em.SingularMetric(cloud, 2, Variant.RHO)
     grid = em.build_grid(metric, (complex(-2.55, -2.55), complex(2.56, 2.56)), 512)
     rng = np.random.default_rng(6)
     pairs = [(a, b) for a, b in holder_sample_pairs(cloud, rng)

@@ -19,9 +19,9 @@ def cheb_cloud():
 
 
 def test_density_oracles():
-    rho = em.SingularMetric.for_degree(cheb_cloud(), 2, Variant.RHO)
+    rho = em.SingularMetric(cheb_cloud(), 2, Variant.RHO)
     assert rho.density(0) == pytest.approx(1 + 2 ** -0.5, rel=1e-12)
-    sigma = em.SingularMetric.for_degree(cheb_cloud(), 2, Variant.SIGMA)
+    sigma = em.SingularMetric(cheb_cloud(), 2, Variant.SIGMA)
     assert sigma.density(SQRT2) == pytest.approx((2 - SQRT2) ** -0.5, rel=1e-12)
     assert rho.density(2) == math.inf
     assert sigma.density(-2) == math.inf
@@ -33,8 +33,8 @@ def test_density_oracles():
 
 
 def test_density_bounds_by_variant():
-    rho = em.SingularMetric.for_degree(cheb_cloud(), 2, Variant.RHO)
-    sigma = em.SingularMetric.for_degree(cheb_cloud(), 2, Variant.SIGMA)
+    rho = em.SingularMetric(cheb_cloud(), 2, Variant.RHO)
+    sigma = em.SingularMetric(cheb_cloud(), 2, Variant.SIGMA)
     for z in (0.5 + 0.5j, 3, -1j, 0.1):
         assert rho.density(z) >= 1.0
         assert sigma.density(z) > 0.0
@@ -42,7 +42,7 @@ def test_density_bounds_by_variant():
 
 @pytest.mark.parametrize("variant", [Variant.RHO, Variant.SIGMA])
 def test_density_is_the_one_point_density_array(variant):
-    metric = em.SingularMetric.for_degree(cheb_cloud(), 2, variant)
+    metric = em.SingularMetric(cheb_cloud(), 2, variant)
     rng = np.random.default_rng(5)
     zs = list(rng.uniform(-3, 3, 20) + 1j * rng.uniform(-3, 3, 20)) + [2, -2, 0j]
     for z in zs:
@@ -57,15 +57,17 @@ def test_density_is_the_one_point_density_array(variant):
 
 def test_alpha_matches_degree():
     for d in (2, 3, 5):
-        metric = em.SingularMetric.for_degree(cheb_cloud(), d)
-        assert metric.alpha == pytest.approx(1 - 1 / d)
+        metric = em.SingularMetric(cheb_cloud(), d)
+        assert metric.d == d and metric.alpha == 1.0 - 1.0 / d
+    with pytest.raises(ValueError, match="degree must be >= 2"):
+        em.SingularMetric(cheb_cloud(), 1)
 
 
 def test_density_cloud_sandwich():
     # coarser cloud (subset) has larger distances, hence smaller rho
     m = em.UnicriticalMap(2, 1j)
-    small = em.SingularMetric.for_degree(em.build_postcritical_cloud(em.critical_orbit(m, 2)[0]), 2)
-    full = em.SingularMetric.for_degree(em.build_postcritical_cloud(em.critical_orbit(m, 50)[0]), 2)
+    small = em.SingularMetric(em.build_postcritical_cloud(em.critical_orbit(m, 2)[0]), 2)
+    full = em.SingularMetric(em.build_postcritical_cloud(em.critical_orbit(m, 50)[0]), 2)
     rng = np.random.default_rng(0)
     for _ in range(50):
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))

@@ -38,7 +38,7 @@ def whole_escape_time_field(fmap, spec):
     r_esc = fmap.escape_radius()
     for k in range(ESCAPE_MAX_ITER):
         w = w ** fmap.d + fmap.c
-        escaped = np.abs(w) > r_esc
+        escaped = ~(np.abs(w) <= r_esc)  # past it, inf or NaN
         counts[idx[escaped]] = k
         idx, w = idx[~escaped], w[~escaped]
         if not idx.size:
@@ -66,7 +66,7 @@ def whole_field(layer, fmap, spec):
     if layer == "distance-to-P":
         return cloud.dist_many(whole_pixel_grid(spec).ravel()).reshape(spec.height, spec.width)
     variant = Variant.RHO if layer == "density-rho" else Variant.SIGMA
-    metric = SingularMetric.for_degree(cloud, fmap.d, variant)
+    metric = SingularMetric(cloud, fmap.d, variant)
     density = metric.density_array(whole_pixel_grid(spec).ravel())
     return np.log1p(density).reshape(spec.height, spec.width)
 
@@ -78,7 +78,7 @@ def blocked_field(layer, fmap, spec):
     if layer == "distance-to-P":
         return distance_field(cloud, spec)
     variant = Variant.RHO if layer == "density-rho" else Variant.SIGMA
-    return density_field(SingularMetric.for_degree(cloud, fmap.d, variant), spec)
+    return density_field(SingularMetric(cloud, fmap.d, variant), spec)
 
 
 BBOX = (-2.5 - 2.5j, 2.5 + 2.5j)
@@ -99,6 +99,20 @@ def test_blocked_render_equals_whole_array(layer, width, height, d, c):
     got = blocked_field(layer, fmap, spec)
     assert np.array_equal(got, want)
     assert np.array_equal(to_rgb(got), whole_to_rgb(want))
+
+
+def test_escape_time_counts_an_overflowing_iterate_as_escaped(tmp_path, capfd):
+    # z^3 of a pixel 5e199 or more from 0 overflows to inf or to NaN (inf - inf
+    # in a part): it has escaped at k = 0; the centre pixel 0 -> -2 -> -10 at k = 1
+    spec = RenderSpec((-1e200 - 1e200j, 1e200 + 1e200j), 5, 5)
+    want = np.zeros((5, 5))
+    want[2, 2] = 1
+    assert np.array_equal(escape_time_field(em.UnicriticalMap(3, -2), spec), want)
+    # and NumPy warns of none of it
+    assert cli.main(["render", "--layer", "escape-time", "--d", "3", "--width", "5",
+                     "--height", "5", "--bbox", "-1e200", "1e200", "-1e200", "1e200",
+                     "--out", str(tmp_path)]) == 0
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("logged", [False, True], ids=["linear", "log"])
