@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
@@ -54,8 +55,8 @@ class BackwardDiskOrbit:
     epsilon: float
     cloud: Optional[PostcriticalCloud] = None
     points: List[complex] = field(init=False)
-    # the polygons of the last len(boundary) levels: all of them after
-    # pull_back, the current one after pull_back_orbits
+    # the current polygon after pull_back_orbits, every level's after
+    # pull_back (read only by bench/tracing.py and tests)
     boundary: List[np.ndarray] = field(init=False)
     # boundary samples minus the level's center, kept apart because the
     # absolute samples lose all relative precision once the diameter nears
@@ -96,25 +97,25 @@ def _phase_steps(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return phase, steps, np.rint(steps.sum(axis=-1) / (2.0 * math.pi)).astype(int)
 
 
-def _labels(fmap: UnicriticalMap, cloud: Optional[PostcriticalCloud],
-            prev_windings: np.ndarray, polys: np.ndarray) -> List[CaseLabel]:
+def _labels(cloud: Optional[PostcriticalCloud], critical: bool,
+            polys: np.ndarray) -> List[CaseLabel]:
     """Pullback case of each row of ``polys``, one orbit's level n polygon a
-    row: Critical when its level n-1 polygon winds around the critical value
-    (mod d), as ``prev_windings`` says, Univalent-MeetsP when the level n
+    row, all lifted with one turn count: Critical when ``critical`` says the
+    lift ran more than one turn, else Univalent-MeetsP when the level n
     polygon winds around a cloud point, else Univalent-NoP."""
-    critical = prev_windings % fmap.d != 0
+    if critical:
+        return [CaseLabel.CRITICAL] * len(polys)
     meets = np.zeros(len(polys), dtype=bool)
     if cloud is not None:
         pts = cloud.points
         re, im = polys.real, polys.imag
-        in_box = (~critical[:, None]
-                  & (re.min(axis=1)[:, None] <= pts.real) & (pts.real <= re.max(axis=1)[:, None])
+        in_box = ((re.min(axis=1)[:, None] <= pts.real) & (pts.real <= re.max(axis=1)[:, None])
                   & (im.min(axis=1)[:, None] <= pts.imag) & (pts.imag <= im.max(axis=1)[:, None]))
         for p in np.flatnonzero(in_box.any(axis=0)):
             rows = np.flatnonzero(in_box[:, p] & ~meets)
             meets[rows] = _phase_steps(polys[rows] - pts[p])[2] != 0
-    return [CaseLabel.CRITICAL if crit else CaseLabel.UNIVALENT_MEETS_P if meet
-            else CaseLabel.UNIVALENT_NO_P for crit, meet in zip(critical, meets)]
+    return [CaseLabel.UNIVALENT_MEETS_P if meet else CaseLabel.UNIVALENT_NO_P
+            for meet in meets]
 
 
 def _extend(fmap: UnicriticalMap, orbits: List[BackwardDiskOrbit], roots: List[int]) -> List[int]:
@@ -127,10 +128,11 @@ def _extend(fmap: UnicriticalMap, orbits: List[BackwardDiskOrbit], roots: List[i
 
     The phase of prev - c is unwrapped along each polygon; its integer jumps
     give each sample's sheet, and the winding number W around c sets the
-    number of turns, d / gcd(W, d): one for a univalent level, d for a
-    critical one.  Each sample is lifted by the formula of ``preimage_branch``
-    from the phase already taken and |prev - c|^(1/d), starting from the
-    preimage of the polygon's first sample nearest the new center."""
+    number of turns, d / gcd(W, d): one for a univalent level, more for a
+    critical one, which is what labels the level Critical.  Each sample is
+    lifted by the formula of ``preimage_branch`` from the phase already taken
+    and |prev - c|^(1/d), starting from the preimage of the polygon's first
+    sample nearest the new center."""
     d = fmap.d
     centers = preimage_branch(fmap, np.array([orbit.points[-1] for orbit in orbits]),
                               np.array(roots))
@@ -163,7 +165,7 @@ def _extend(fmap: UnicriticalMap, orbits: List[BackwardDiskOrbit], roots: List[i
         offsets[on_sheet] = np.tile(prev_offsets[rows], (1, t))[on_sheet] / (sum(
             (w**j * z ** (d - 1 - j) for j in range(1, d - 1)), z ** (d - 1)) + w ** (d - 1))
         diams = set_diameter(offsets)
-        labels = _labels(fmap, orbits[0].cloud, winding[rows], lifted)
+        labels = _labels(orbits[0].cloud, t > 1, lifted)
         for r, i in enumerate(rows):
             orbit = orbits[i]
             orbit.points.append(complex(centers[i]))
@@ -175,16 +177,10 @@ def _extend(fmap: UnicriticalMap, orbits: List[BackwardDiskOrbit], roots: List[i
 
 
 def classify_level(orbit: BackwardDiskOrbit, n: int) -> CaseLabel:
-    """Pullback case at level n: Critical when the level n-1 polygon winds
-    around the critical value (mod d), Univalent-MeetsP when the level n
-    polygon winds around a cloud point, else Univalent-NoP.  The orbit must
-    keep the polygons of both levels."""
-    first = orbit.depth + 1 - len(orbit.boundary)  # the first level with a kept polygon
-    if not first < n <= orbit.depth:
+    """Pullback case at level n, as the lift recorded it."""
+    if not 1 <= n <= orbit.depth:
         raise ValueError(f"level {n} not populated")
-    winding = _phase_steps(orbit.boundary[n - 1 - first] - orbit.fmap.c)[2]
-    return _labels(orbit.fmap, orbit.cloud, winding[None],
-                   orbit.boundary[n - first][None])[0]
+    return orbit.labels[n]
 
 
 def pull_back(
@@ -196,7 +192,8 @@ def pull_back(
     """Extend the orbit by ``steps`` inverse images: the center by root number
     ``branch`` of ``preimage_branch``, or by one drawn from ``branch`` at each
     level when it is a generator; the boundary by the continuous lift; plus
-    diameters and case labels.  Every level's polygon is kept."""
+    diameters and case labels.  Every level's polygon is kept, which only
+    bench/tracing.py and tests read."""
     random = isinstance(branch, np.random.Generator)
     if not random and not 0 <= branch < fmap.d:
         raise ValueError(f"branch must lie in 0..{fmap.d - 1}, got {branch!r}")
@@ -313,9 +310,10 @@ def shrink_fit(orbit: BackwardDiskOrbit) -> Tuple[float, float]:
     Returns (C0, theta); theta >= 1 is reported as-is, falsifying contraction."""
     if orbit.depth < MIN_FIT_LEVELS:
         raise ValueError(f"need at least {MIN_FIT_LEVELS} pullback levels")
-    zero = np.flatnonzero(np.asarray(orbit.diams) == 0.0)
-    if zero.size:
-        raise ValueError(f"the diameter at level {zero[0]} underflows to 0")
+    # a subnormal diameter has lost relative precision, as a zero has lost all
+    tiny = np.flatnonzero(np.asarray(orbit.diams) < sys.float_info.min)
+    if tiny.size:
+        raise ValueError(f"the diameter at level {tiny[0]} underflows to {orbit.diams[tiny[0]]!r}")
     ns = np.arange(orbit.depth + 1, dtype=float)
     logs = np.log(orbit.diams)
     slope, intercept = np.polyfit(ns, logs, 1)

@@ -130,11 +130,11 @@ def _report_header(config: ExperimentConfig, cloud: Optional[PostcriticalCloud])
 
 
 def write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:  # NaN or infinity has no JSON form
         raise SystemExit(f"refusing to write {path}: {exc}")
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text(text + "\n")
     tmp.replace(path)
@@ -319,7 +319,7 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
             for r in RHO_LENGTH_RADII:
                 try:
                     scaling_rows.append((theta, r, rho_length_of_ray(ray, metric, r)))
-                except (DomainError, RayTracingError) as exc:  # no ray point near the landing
+                except DomainError as exc:  # no ray point near the landing
                     failures.append({"theta": theta, "radius": r, "error": str(exc)})
         else:
             failures.append({"theta": theta, "error": "no landing estimate"})
@@ -332,7 +332,7 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
         report["john"] = {
             "constant": jr.constant,
             "worst_point": [jr.worst_point.real, jr.worst_point.imag],
-            "ray_count": jr.ray_count,
+            "ray_count": len(entries),
             "per_ray": [
                 {"theta": e.theta, "constant": e.constant} for e in entries
             ],

@@ -6,6 +6,7 @@ import cmath
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -69,8 +70,10 @@ class UnicriticalMap:
         return self.d * z ** (self.d - 1)
 
     def escape_radius(self) -> float:
-        # |z| > max(2, |c|) + 1 guarantees monotone escape for z^d + c
-        return max(2.0, abs(self.c)) + 1.0
+        # |z| > max(2, |c|) + 1 guarantees monotone escape for z^d + c; hypot
+        # is abs without its OverflowError, and past the float range only an
+        # infinite modulus exceeds the radius
+        return min(max(2.0, math.hypot(self.c.real, self.c.imag)) + 1.0, sys.float_info.max)
 
 
 class OrbitKind(enum.Enum):
@@ -110,7 +113,7 @@ def critical_orbit(fmap: UnicriticalMap, n: int):
             z = fmap.evaluate(z)
         except OverflowError:
             z = complex(math.inf, 0.0)
-        if not abs(z) <= r_esc:  # escaped, or overflowed to inf or NaN
+        if not math.hypot(z.real, z.imag) <= r_esc:  # escaped, or overflowed to inf or NaN
             orbit.append(z if cmath.isfinite(z) else complex(math.inf, 0.0))
             return orbit, k
         orbit.append(z)
@@ -156,7 +159,7 @@ def classify_parameter(orbit, escape_index: Optional[int]) -> OrbitClassificatio
     recurrence.  The non-recurrence gap is the min of |f^n(0)| over the
     computed orbit; verdicts are configuration-dependent, never certificates.
     """
-    gap = min(abs(z) for z in orbit)
+    gap = min(math.hypot(z.real, z.imag) for z in orbit)
     if escape_index is not None:
         return OrbitClassification(OrbitKind.ESCAPING, gap, len(orbit), escape_index)
     if gap > 2 * RECURRENCE_DELTA:

@@ -177,8 +177,6 @@ def john_constant_along_ray(ray: ExternalRay, dist_to_julia: np.ndarray) -> John
 class JohnReport:
     constant: float
     worst_point: complex
-    ray_count: int
-    entries: List[JohnRayEntry]
 
 
 def john_report(entries: List[JohnRayEntry]) -> JohnReport:
@@ -186,7 +184,7 @@ def john_report(entries: List[JohnRayEntry]) -> JohnReport:
     dist(z, J) never exceeds the path length to the boundary and any excess
     comes from the factor-bounded distance estimator."""
     worst = min(entries, key=lambda e: e.constant)
-    return JohnReport(min(1.0, worst.constant), worst.worst_point, len(entries), list(entries))
+    return JohnReport(min(1.0, worst.constant), worst.worst_point)
 
 
 def rho_length_of_ray(ray: ExternalRay, metric: SingularMetric, from_radius: float) -> float:

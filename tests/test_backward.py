@@ -1,6 +1,7 @@
 """Backward disk orbits: branches, lifts, case labels, and expansion fits."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -105,7 +106,7 @@ def test_winding_number_oracles():
 
 
 def test_point_in_polygon_oracles():
-    # polygon membership, as classify_level tests it: a nonzero winding number
+    # polygon membership, as _labels tests it: a nonzero winding number
     sq = unit_square()
     assert _phase_steps(sq)[2] != 0
     assert _phase_steps(sq - (-0.9 - 0.9j))[2] != 0
@@ -272,8 +273,8 @@ def test_pull_back_orbits_matches_one_orbit_at_a_time(fmap):
         assert len(orbit.boundary) == len(orbit.offsets) == 1
         assert orbit.boundary[0].tobytes() == ref.boundary[-1].tobytes()
         assert orbit.offsets[0].tobytes() == ref.offsets[-1].tobytes()
-        # the labeller serves classify_level too, on one orbit
-        assert [classify_level(ref, n) for n in range(1, depth + 1)] == ref.labels[1:]
+        # classify_level reads the recorded case, on a batch orbit too
+        assert [classify_level(orbit, n) for n in range(1, depth + 1)] == ref.labels[1:]
     assert {len(orbit.boundary[0]) for orbit in batch} == {64, 64 * fmap.d}
     assert {lab for orbit in batch for lab in orbit.labels[1:]} == set(CaseLabel)
 
@@ -352,7 +353,7 @@ def reference_pull_back(fmap, cloud, disks, steps, rngs):
         state["points"].append(complex(center[0]))
         state["boundary"], state["offsets"] = lifted[0], offsets[0]
         state["diams"].append(float(full_matrix_max(offsets[0])))
-        state["labels"] += _labels(fmap, cloud, winding, lifted)
+        state["labels"] += _labels(cloud, winding[0] % d != 0, lifted)
         return True
 
     refusal = None
@@ -679,6 +680,12 @@ def test_shrink_fit_refuses_an_underflowed_diameter():
     with np.errstate(all="raise"):
         with pytest.raises(ValueError, match="the diameter at level 7 underflows to 0"):
             shrink_fit(orbit)
+        # below the least normal float a diameter has lost relative precision
+        orbit.diams[7:] = [sys.float_info.min / 2] * 6
+        with pytest.raises(ValueError, match=r"the diameter at level 7 underflows to 1\.1125"):
+            shrink_fit(orbit)
+        orbit.diams[7:] = [sys.float_info.min] * 6
+        assert shrink_fit(orbit)[1] < 1.0
 
 
 def test_shrink_fit_needs_depth():

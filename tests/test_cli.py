@@ -723,6 +723,17 @@ def test_render_rejects_empty_pixmap(tmp_path, size):
     (["holder", "--c-re", "1e200", "--c-im", "1e200"], "parameter classified escaping "),
     (["expansion", "--c-re", "1e200", "--c-im", "1e200"], "parameter classified escaping "),
     (["rays", "--c-re", "1e200", "--c-im", "1e200"], "critical orbit escapes; no bounded rays"),
+    # |c| overflows a float: c itself has escaped, and the recurrence gap |c|
+    # has no JSON form
+    *[([cmd, "--c-re", "1.7e308", "--c-im", "1.7e308"], message) for cmd, message in (
+        ("classify", "^refusing to write .*classify.json: Out of range float values "),
+        ("holder", "parameter classified escaping "),
+        ("expansion", "parameter classified escaping "),
+        ("rays", "critical orbit escapes; no bounded rays"))],
+    # the disk's diameters fall below the least normal float by level 2
+    (["expansion", "--c-re", "-2", "--orbits", "3", "--epsilon", "2.2250738585072014e-308",
+      "--depth", "30"],
+     "^refusing to report: orbit 0: the diameter at level 2 underflows to 1.39405580834"),
     (["render", "--c-re", "-2", "--bbox", "0", "0", "0", "0", "--rays", "0.25"],
      "bbox needs finite corners"),
     (["render", "--c-re", "-2", "--bbox", "0", "0", "0", "0"], "bbox needs finite corners"),
@@ -734,7 +745,9 @@ def test_render_rejects_empty_pixmap(tmp_path, size):
      "invalid render: bbox width and height must be finite, got inf x inf"),
 ], ids=["escaping-density-rho", "escaping-density-sigma", "escaping-distance-to-P",
         "holder-degenerate-fit", "rays-escaping", "holder-nan-orbit", "expansion-nan-orbit",
-        "rays-nan-orbit", "bbox-empty-with-ray", "bbox-empty", "bbox-nan", "bbox-span-overflows"])
+        "rays-nan-orbit", "classify-c-past-float-range", "holder-c-past-float-range",
+        "expansion-c-past-float-range", "rays-c-past-float-range", "expansion-subnormal-diameter",
+        "bbox-empty-with-ray", "bbox-empty", "bbox-nan", "bbox-span-overflows"])
 def test_commands_refuse_what_they_cannot_report(tmp_path, capfd, argv, message):
     with pytest.raises(SystemExit, match=message) as exc:
         cli.main([*argv, "--out", str(tmp_path / "out")])
@@ -744,9 +757,10 @@ def test_commands_refuse_what_they_cannot_report(tmp_path, capfd, argv, message)
 
 
 def test_render_escape_time_needs_no_cloud(tmp_path):
-    cli.main(["render", "--c-re", "1", "--width", "8", "--height", "8",
-              "--out", str(tmp_path)])
-    assert (tmp_path / "render.ppm").stat().st_size == len(b"P6\n8 8\n255\n") + 8 * 8 * 3
+    # at |c| past the float range every pixel's first iterate has escaped
+    for c in (["--c-re", "1"], ["--c-re", "1.7e308", "--c-im", "1.7e308"]):
+        cli.main(["render", *c, "--width", "8", "--height", "8", "--out", str(tmp_path)])
+        assert (tmp_path / "render.ppm").stat().st_size == len(b"P6\n8 8\n255\n") + 8 * 8 * 3
 
 
 @pytest.mark.parametrize("c, layer", [(["--c-re", "-2"], "density-rho"),

@@ -1,6 +1,7 @@
 """Iteration, classification, cloud, and potential tests against hand oracles."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -89,6 +90,20 @@ def test_critical_orbit_escape_flag():
     # (-2)^1000000 overflows a double: that iterate has escaped
     orbit, esc = em.critical_orbit(em.UnicriticalMap(1_000_000, -2), 10)
     assert orbit == [-2, complex(math.inf, 0)] and esc == 2
+
+
+def test_escape_past_the_float_range_of_c():
+    # |c| overflows a float though both parts are finite: the escape radius is
+    # the largest float, and c itself, of infinite modulus, has escaped
+    big = em.UnicriticalMap(2, complex(1.7e308, 1.7e308))
+    assert big.escape_radius() == sys.float_info.max
+    orbit, esc = em.critical_orbit(big, 10)
+    assert orbit == [big.c] and esc == 1
+    cls = em.classify_parameter(orbit, esc)
+    assert cls.kind is em.OrbitKind.ESCAPING and cls.recurrence_gap == math.inf
+    # wherever |c| is finite, hypot gives abs's bits
+    for c in (complex(1e308, 1e308), 1 + 1j, 0.3 - 0.7j, -2, 0):
+        assert em.UnicriticalMap(2, c).escape_radius() == max(2.0, abs(c)) + 1.0
 
 
 def test_classify_parameter_oracles():

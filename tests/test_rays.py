@@ -213,8 +213,9 @@ def test_john_constant_square_map_is_one():
     for e in entries:
         assert e.constant == pytest.approx(1.0, abs=0.05)
     rep = john_report(entries)
-    assert rep.ray_count == 8
     assert 0.95 <= rep.constant <= 1.0
+    worst = min(entries, key=lambda e: e.constant)
+    assert (rep.constant, rep.worst_point) == (min(1.0, worst.constant), worst.worst_point)
 
 
 def test_john_constant_chebyshev_positive_and_stable():
@@ -230,8 +231,8 @@ def test_john_constant_chebyshev_positive_and_stable():
 def test_john_report_clamps_at_one():
     entries = [JohnRayEntry(0.0, 2.5, 1 + 0j), JohnRayEntry(0.5, 3.0, -1 + 0j)]
     rep = john_report(entries)
-    assert rep.constant == 1.0
-    assert rep.entries[0].constant == 2.5  # raw per-ray values preserved
+    assert (rep.constant, rep.worst_point) == (1.0, 1 + 0j)
+    assert entries[0].constant == 2.5  # raw per-ray values untouched
 
 
 def test_john_constant_requires_landing():
