@@ -49,7 +49,6 @@ from .gridmetric import (
 )
 from .rays import (
     ExternalRay,
-    JohnReport,
     john_constant_along_ray,
     john_report,
     rho_length_of_ray,

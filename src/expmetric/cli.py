@@ -190,9 +190,13 @@ def cmd_expansion(config: ExperimentConfig) -> dict:
     for k, (z0, orbit) in enumerate(zip(bases, orbits)):
         try:
             rep = expansion_ratios(orbit, metric)
-            c0, theta = shrink_fit(orbit)
         except ValueError as exc:
             raise SystemExit(f"refusing to report: orbit {k}: {exc}; try a smaller --depth")
+        try:
+            c0, theta = shrink_fit(orbit)
+        except ValueError as exc:  # a diameter underflows
+            raise SystemExit(f"refusing to report: orbit {k}: {exc}; "
+                             "try a larger --epsilon or a smaller --depth")
         for lvl, ratio in zip(rep.levels, rep.ratios):
             rows.append((k, lvl, ratio))
         for lab, v in rep.case_counts.items():
@@ -294,9 +298,8 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
     failures = []
     try:
         rays = trace_rays(fmap, angles, config.depth)
-    except RayTracingError as exc:
-        rays = []
-        failures.extend({"theta": theta, "error": str(exc)} for theta in angles)
+    except RayTracingError as exc:  # the Boettcher start overflows at a high degree
+        raise SystemExit(f"refusing to trace rays: {exc}")
     # one array pass over the points of every landed ray, a row of depth + 1
     # a ray; the John ratio skips the points at arclength 0 from the landing,
     # which often lie on J and would iterate to the budget, so they are left NaN

@@ -81,12 +81,12 @@ class PathMetricGrid:
 
         n = self.n_cols * self.n_rows
         nodes = np.arange(n)
-        jj, ii, on = _slot_neighbours(self, nodes)
+        weights = _slot_weights(self, nodes)
+        on = np.isfinite(weights)  # a slot is an edge exactly where it has a weight
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(on.sum(axis=1, dtype=np.int32), out=indptr[1:])
-        return csr_matrix((_slot_weights(self, nodes)[on],
-                           (jj * self.n_cols + ii)[on].astype(np.int32), indptr),
-                          shape=(n, n))
+        targets = nodes[:, None] + (_SLOT_DJ * self.n_cols + _SLOT_DI)
+        return csr_matrix((weights[on], targets[on].astype(np.int32), indptr), shape=(n, n))
 
 
 def build_grid(
@@ -140,14 +140,6 @@ def build_grid(
                           np.empty((n, 8)), np.zeros(n, dtype=bool))
 
 
-def _slot_neighbours(grid: PathMetricGrid, nodes: np.ndarray):
-    """Row and column of the neighbour in each of ``nodes``' eight slots, as
-    (len(nodes), 8) arrays, and whether it lies on the grid."""
-    j, i = np.divmod(nodes, grid.n_cols)
-    jj, ii = j[:, None] + _SLOT_DJ, i[:, None] + _SLOT_DI
-    return jj, ii, (ii >= 0) & (ii < grid.n_cols) & (jj >= 0) & (jj < grid.n_rows)
-
-
 def _slot_weights(grid: PathMetricGrid, nodes: np.ndarray) -> np.ndarray:
     """The eight edge-slot weights of each of ``nodes``, a (len(nodes), 8)
     array; inf where the neighbour lies off the grid.
@@ -160,13 +152,13 @@ def _slot_weights(grid: PathMetricGrid, nodes: np.ndarray) -> np.ndarray:
     todo = nodes[~grid._filled[nodes]]
     if len(todo):
         j, i = np.divmod(todo, grid.n_cols)
-        jj, ii, on = _slot_neighbours(grid, todo)
+        jj, ii = j[:, None] + _SLOT_DJ, i[:, None] + _SLOT_DI
         mid = np.empty(jj.shape, dtype=complex)
         mid.real = ((grid.lo.real + grid.h * i)[:, None] + (grid.lo.real + grid.h * ii)) / 2.0
         mid.imag = ((grid.lo.imag + grid.h * j)[:, None] + (grid.lo.imag + grid.h * jj)) / 2.0
         length = np.where(_SLOT_DI * _SLOT_DJ != 0, grid.h * math.sqrt(2.0), grid.h)
         weights = grid.local_density(mid.ravel()).reshape(jj.shape) * length
-        weights[~on] = math.inf
+        weights[(ii < 0) | (ii >= grid.n_cols) | (jj < 0) | (jj >= grid.n_rows)] = math.inf
         grid._slots[todo] = weights
         grid._filled[todo] = True
     return grid._slots[nodes]

@@ -4,7 +4,7 @@ estimation along rays, and singular-metric length accounting."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -173,18 +173,12 @@ def john_constant_along_ray(ray: ExternalRay, dist_to_julia: np.ndarray) -> John
     return JohnRayEntry(ray.theta, float(ratios.min()), ray.polyline[k])
 
 
-@dataclass(frozen=True)
-class JohnReport:
-    constant: float
-    worst_point: complex
-
-
-def john_report(entries: List[JohnRayEntry]) -> JohnReport:
-    """Aggregate per-ray infima; the reported constant is capped at 1 since
-    dist(z, J) never exceeds the path length to the boundary and any excess
-    comes from the factor-bounded distance estimator."""
+def john_report(entries: List[JohnRayEntry]) -> JohnRayEntry:
+    """The worst ray's entry, its constant capped at 1 since dist(z, J) never
+    exceeds the path length to the boundary and any excess comes from the
+    factor-bounded distance estimator."""
     worst = min(entries, key=lambda e: e.constant)
-    return JohnReport(min(1.0, worst.constant), worst.worst_point)
+    return replace(worst, constant=min(1.0, worst.constant))
 
 
 def rho_length_of_ray(ray: ExternalRay, metric: SingularMetric, from_radius: float) -> float:

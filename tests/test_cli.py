@@ -387,6 +387,8 @@ def test_expansion_rejects_bad_input(tmp_path, argv, config, message):
     # exp overflows at the top of a degree-100 ray
     (["render", "--d", "100", "--rays", "0.1", "--width", "4", "--height", "4",
       "--depth", "2"], "refusing to render: the Boettcher-regime start overflows at degree 100"),
+    (["rays", "--d", "100", "--c-re", "0.1", "--angles", "0.1", "--depth", "2"],
+     "refusing to trace rays: the Boettcher-regime start overflows at degree 100"),
     # the disk's diameter 2 epsilon is past the float range
     (["expansion", "--epsilon", "1e308"], r"^refusing to continue: orbit 0 at epsilon 1e\+308: "
      "level 2 is its second critical level; try a smaller --epsilon$"),
@@ -411,16 +413,17 @@ def test_expansion_rejects_bad_input(tmp_path, argv, config, message):
     (["classify", "--epsilon", "5e-324"], "least normal float 2.2250738585072014e-308, got 5e-324"),
 ], ids=["holder-grid-res-8", "holder-grid-res-1000000", "rays-depth-61", "render-depth-61",
         "config-missing", "expansion-d-100000", "orbit-n-100001", "render-orbit-n-1e9",
-        "expansion-orbits-1e11", "render-ray-overflow-d-100", "expansion-epsilon-1e308",
-        "rays-repeated-angle", "rays-no-angle", "render-repeated-ray", "expansion-depth-1101",
-        "expansion-orbits-300-depth-1001", "expansion-epsilon-1e-310", "expansion-epsilon-1e-320",
-        "classify-epsilon-5e-324"])
+        "expansion-orbits-1e11", "render-ray-overflow-d-100", "rays-ray-overflow-d-100",
+        "expansion-epsilon-1e308", "rays-repeated-angle", "rays-no-angle", "render-repeated-ray",
+        "expansion-depth-1101", "expansion-orbits-300-depth-1001", "expansion-epsilon-1e-310",
+        "expansion-epsilon-1e-320", "classify-epsilon-5e-324"])
 def test_commands_reject_bad_input(tmp_path, monkeypatch, capfd, argv, message):
     monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SystemExit, match=message) as exc:
-            cli.main([*argv, "--c-re", "-2", "--out", str(tmp_path / "out")])
+            # c = -2 unless the row names its own
+            cli.main([argv[0], "--c-re", "-2", *argv[1:], "--out", str(tmp_path / "out")])
     assert "\n" not in str(exc.value.code)
     assert not (tmp_path / "out").exists()
     assert capfd.readouterr().err == ""
@@ -730,10 +733,12 @@ def test_render_rejects_empty_pixmap(tmp_path, size):
         ("holder", "parameter classified escaping "),
         ("expansion", "parameter classified escaping "),
         ("rays", "critical orbit escapes; no bounded rays"))],
-    # the disk's diameters fall below the least normal float by level 2
+    # the disk's diameters fall below the least normal float by level 2, even
+    # at the least depth allowed
     (["expansion", "--c-re", "-2", "--orbits", "3", "--epsilon", "2.2250738585072014e-308",
-      "--depth", "30"],
-     "^refusing to report: orbit 0: the diameter at level 2 underflows to 1.39405580834"),
+      "--depth", "10"],
+     r"^refusing to report: orbit 0: the diameter at level 2 underflows to 1\.39405580834"
+     r".*; try a larger --epsilon or a smaller --depth$"),
     (["render", "--c-re", "-2", "--bbox", "0", "0", "0", "0", "--rays", "0.25"],
      "bbox needs finite corners"),
     (["render", "--c-re", "-2", "--bbox", "0", "0", "0", "0"], "bbox needs finite corners"),
