@@ -493,7 +493,7 @@ def _validate(cfg: ExperimentConfig, command: str) -> None:
         raise SystemExit("invalid config: c must be finite, got "
                          f"[{cfg.c.real!r}, {cfg.c.imag!r}]")
     eps = cfg.epsilon
-    if eps is not None and not (_is_number(eps) and 0 < eps < math.inf):
+    if eps is not None and not (_is_number(eps) and 0 < eps <= sys.float_info.max):
         raise SystemExit(f"invalid config: epsilon must be a positive number, got {eps!r}")
     if eps is not None and eps < sys.float_info.min:
         raise SystemExit("invalid config: epsilon must be at least the least normal float "
@@ -550,9 +550,7 @@ def _parse_angles(text: str) -> List[float]:
     return angles
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    config = _config_from_args(args)
+def _run(args, config: ExperimentConfig) -> None:
     if args.command == "classify":
         report = cmd_classify(config)
         print(json.dumps(report["classification"], sort_keys=True))
@@ -588,6 +586,15 @@ def main(argv=None) -> int:
             raise SystemExit(f"invalid render: {exc}")
         path = cmd_render(config, spec)
         print(str(path))
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    config = _config_from_args(args)
+    try:
+        _run(args, config)
+    except OSError as exc:  # a writer's mkdir or write: --out is a file, or lies under one
+        raise SystemExit(f"refusing to write: {exc}")
     return 0
 
 

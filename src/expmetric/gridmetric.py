@@ -189,33 +189,6 @@ def _path_weight(grid: PathMetricGrid, a: int, b: int) -> float:
     return float(weights[np.arange(len(slots)), slots].sum())
 
 
-def _ellipse_rows(grid: PathMetricGrid, a: int, b: int, reach: float):
-    """Rows, first and last columns of the nodes v with |v - a| + |v - b| <=
-    reach, distances in node spacings: per row an interval, clipped to the grid
-    (empty where first > last)."""
-    ja, ia = divmod(a, grid.n_cols)
-    jb, ib = divmod(b, grid.n_cols)
-    cx, cy = (ia + ib) / 2.0, (ja + jb) / 2.0
-    semi, focal = reach / 2.0, math.hypot(ib - ia, jb - ja) / 2.0
-    ux, uy = ((ib - ia) / (2.0 * focal), (jb - ja) / (2.0 * focal)) if focal else (1.0, 0.0)
-    # squared semi-axes, the minor one as a product, accurate for thin ellipses
-    major2, minor2 = semi * semi, max((semi - focal) * (semi + focal), 0.0)
-    ey2 = major2 * uy * uy + minor2 * ux * ux  # squared half-height
-    ey = math.sqrt(ey2)
-    rows = np.arange(max(math.ceil(cy - ey), 0), min(math.floor(cy + ey), grid.n_rows - 1) + 1)
-    y = rows - cy
-    if ey2 > 0.0:
-        # the row at height y meets the ellipse in the chord cx + centre +- half:
-        # the roots of its quadratic in x, without the cancelling discriminant
-        centre = ux * uy * (major2 - minor2) * y / ey2
-        half = np.sqrt(major2 * minor2 * np.maximum(ey2 - y * y, 0.0)) / ey2
-    else:  # a horizontal segment or a point, on the one row cy
-        centre, half = 0.0, np.full(len(rows), semi)
-    first = np.clip(np.ceil(cx + centre - half), 0, grid.n_cols).astype(np.intp)
-    last = np.minimum(np.floor(cx + centre + half), grid.n_cols - 1).astype(np.intp)
-    return rows, first, np.maximum(last, first - 1)
-
-
 def _weight_bounds(grid: PathMetricGrid, a: int, b: int, limit: float) -> List[float]:
     """Rising lower bounds rho_0, rho_1, ... on the weight per unit length of
     every edge that an a-b path of weight <= limit can use.
@@ -256,40 +229,43 @@ def _search_graph(grid: PathMetricGrid, a: int, b: int, limit: float):
     as (csr_matrix, local a, local b).
 
     An edge of length l on such a path weighs at least rho * l, rho the last
-    of ``_weight_bounds``, so every node v on it has rho * h * (|v - a| +
-    |v - b|) <= limit: it lies in an ellipse with foci a and b (widened by a
-    relative 1e-9 for rounding).  Each local node keeps its eight slots, with
-    the weights of ``_slot_weights``; a slot whose neighbour lies outside the
-    ellipse, or off the grid (weight inf), points to one sink node with no
-    edges.
+    of ``_weight_bounds``, so every node v on it has |v - a| + |v - b| <=
+    reach = limit / (rho * h), in node spacings (widened by a relative 1e-9
+    for rounding): it lies in an ellipse with foci a and b, hence within
+    reach / 2 of their midpoint c in each coordinate (2 |v - c| <= |v - a| +
+    |v - b|).  The local nodes are those of that square, clipped to the grid,
+    that satisfy the inequality, in increasing order.  Each keeps its eight
+    slots, with the weights of ``_slot_weights``; a slot whose neighbour lies
+    outside the ellipse, or off the grid (weight inf), points to one sink
+    node with no edges.
     """
     from scipy.sparse import csr_matrix
 
     n = grid.n_cols
     rho = _weight_bounds(grid, a, b, limit)[-1]
-    rows, first, last = _ellipse_rows(grid, a, b, limit / (rho * grid.h) * (1.0 + 1e-9))
-    counts = last - first + 1
-    base = np.zeros(len(rows) + 1, dtype=np.intp)  # local index of each row's first node
-    np.cumsum(counts, out=base[1:])
-    m = int(base[-1])
-    local = np.arange(m)
-    nodes = np.repeat(rows * n + first - base[:-1], counts) + local  # each one's global index
-    j0 = int(rows[0]) - 1
-
-    def cell(v):
-        """Index of node v in a lookup over rows j0 .. j1 + 1, which hold every
-        neighbour of the ellipse, padded by a column on each side."""
-        return (v // n - j0) * (n + 2) + v % n + 1
-
-    # the local index of each node of the ellipse, the sink m for all others
-    cells = cell(nodes)
-    lookup = np.full((len(rows) + 2) * (n + 2), m, dtype=np.int32)
-    lookup[cells] = local
-    targets = lookup[cells[:, None] + _SLOT_DJ * (n + 2) + _SLOT_DI]
+    reach = limit / (rho * grid.h) * (1.0 + 1e-9)
+    ja, ia = divmod(a, n)
+    jb, ib = divmod(b, n)
+    j = np.arange(max(math.ceil((ja + jb - reach) / 2.0), 0),
+                  min(math.floor((ja + jb + reach) / 2.0), grid.n_rows - 1) + 1)[:, None]
+    i = np.arange(max(math.ceil((ia + ib - reach) / 2.0), 0),
+                  min(math.floor((ia + ib + reach) / 2.0), n - 1) + 1)
+    # the square padded by a node on each side, which holds every neighbour of
+    # the ellipse; the offsets are integers, so each square root is correctly rounded
+    inside = np.zeros((len(j) + 2, len(i) + 2), dtype=bool)
+    inside[1:-1, 1:-1] = (np.sqrt((j - ja) ** 2 + (i - ia) ** 2)
+                          + np.sqrt((j - jb) ** 2 + (i - ib) ** 2) <= reach)
+    nodes = (j * n + i)[inside[1:-1, 1:-1]]  # each local node's global index, increasing
+    cells = np.flatnonzero(inside)
+    m = len(cells)
+    lookup = np.full(inside.size, m, dtype=np.int32)  # local indices, the sink m off the ellipse
+    lookup[cells] = np.arange(m)
+    targets = lookup[cells[:, None] + _SLOT_DJ * inside.shape[1] + _SLOT_DI]
     indptr = np.minimum(8 * np.arange(m + 2, dtype=np.int32), 8 * m)  # the sink has no edges
     sub = csr_matrix((_slot_weights(grid, nodes).ravel(), targets.ravel(), indptr),
                      shape=(m + 1, m + 1))
-    return sub, int(lookup[cell(a)]), int(lookup[cell(b)])
+    local_a, local_b = np.searchsorted(nodes, (a, b))
+    return sub, int(local_a), int(local_b)
 
 
 def _pair_distance(grid: PathMetricGrid, a: int, b: int) -> np.float64:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -352,12 +353,14 @@ def test_config_unknown_field_rejected(tmp_path):
     (["--c-im", "inf"], None, r"c must be finite, got \[-2.0, inf\]"),
     ([], {"c": [0, math.inf]}, r"c must be finite, got \[0.0, inf\]"),
     ([], {"c": [10**400, 0]}, "c must be finite, got "),
+    ([], {"epsilon": 10**400}, "epsilon must be a positive number, got 1000"),
     ([], {"out_dir": 5}, "out_dir must be a string, got 5"),
     ([], {"fmap": 1}, "unknown field 'fmap'"),
     ([], [1, 2], "expected a JSON object, got list"),
     ([], {"orbit_n": 100001}, "orbit_n must be <= 100000, got 100001"),
 ], ids=["orbits-0", "depth-5", "epsilon-negative", "config-d-string", "seed-negative",
-        "c-re-nan", "c-im-inf", "config-c-inf", "config-c-huge-int", "config-out-dir-number",
+        "c-re-nan", "c-im-inf", "config-c-inf", "config-c-huge-int", "config-epsilon-huge-int",
+        "config-out-dir-number",
         "config-method-name", "config-not-object", "config-orbit-n-100001"])
 def test_expansion_rejects_bad_input(tmp_path, argv, config, message):
     if config is not None:
@@ -758,6 +761,21 @@ def test_commands_refuse_what_they_cannot_report(tmp_path, capfd, argv, message)
         cli.main([*argv, "--out", str(tmp_path / "out")])
     assert "\n" not in str(exc.value.code)
     assert not (tmp_path / "out").exists()
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["rays", "--angles", "0.25", "--depth", "5"],
+                                  ["render", "--width", "4", "--height", "4", "--depth", "5"]],
+                         ids=["classify", "rays", "render"])
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
+def test_commands_refuse_an_out_that_is_a_file(tmp_path, capfd, argv, under):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / under if under else taken
+    with pytest.raises(SystemExit, match=f"^refusing to write: .*'{re.escape(str(out))}'$") as exc:
+        cli.main([*argv, "--c-re", "-2", "--out", str(out)])
+    assert "\n" not in str(exc.value.code)
+    assert taken.read_text() == "kept\n" and sorted(tmp_path.iterdir()) == [taken]
     assert capfd.readouterr().err == ""
 
 

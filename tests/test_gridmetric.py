@@ -10,7 +10,7 @@ from scipy.sparse.csgraph import dijkstra
 
 import expmetric as em
 from expmetric.gridmetric import (
-    ANISOTROPY_FACTOR, HoelderFit, _ellipse_rows, _pair_distance, _path_weight, _search_graph,
+    ANISOTROPY_FACTOR, HoelderFit, _pair_distance, _path_weight, _search_graph,
     _slot_weights, _weight_bounds,
 )
 from expmetric.metrics import Variant
@@ -367,12 +367,14 @@ def _holder_node_pairs(grid, cloud, seed):
 
 
 def _ellipse_nodes(grid, a, b, limit, rho):
-    """Node mask of the ellipse that _search_graph takes for the bound rho."""
-    rows, first, last = _ellipse_rows(grid, a, b, limit / (rho * grid.h) * (1.0 + 1e-9))
-    inside = np.zeros((grid.n_rows, grid.n_cols), dtype=bool)
-    for j, i0, i1 in zip(rows, first, last):
-        inside[j, i0:i1 + 1] = True
-    return inside.ravel()
+    """Node mask of the ellipse that _search_graph takes for the bound rho: the
+    nodes v with |v - a| + |v - b| <= limit / (rho h) node spacings (widened
+    by a relative 1e-9), tested at every node of the grid."""
+    j, i = np.divmod(np.arange(grid.n_cols * grid.n_rows), grid.n_cols)
+    ja, ia = divmod(a, grid.n_cols)
+    jb, ib = divmod(b, grid.n_cols)
+    return (np.sqrt((i - ia) ** 2 + (j - ja) ** 2) + np.sqrt((i - ib) ** 2 + (j - jb) ** 2)
+            <= limit / (rho * grid.h) * (1.0 + 1e-9))
 
 
 @pytest.mark.parametrize("variant", [Variant.RHO, Variant.SIGMA])
@@ -438,7 +440,11 @@ def test_largest_holder_pair_searches_half_its_rho_min_ellipse(c):
     for a, b in _holder_node_pairs(grid, cloud, 0):
         limit = _path_weight(grid, a, b) * (1.0 + 1e-9)
         before = _ellipse_nodes(grid, a, b, limit, grid.rho_min).sum()
-        sizes.append((before, _search_graph(grid, a, b, limit)[0].shape[0] - 1))
+        after = _search_graph(grid, a, b, limit)[0].shape[0] - 1  # less the sink
+        # the square round the ellipse is filtered to the ellipse's nodes
+        rho = _weight_bounds(grid, a, b, limit)[-1]
+        assert after == _ellipse_nodes(grid, a, b, limit, rho).sum()
+        sizes.append((before, after))
     before, after = max(sizes)
     assert after <= before / 2
 
