@@ -42,7 +42,7 @@ from .dynamics import (
     julia_distance_estimate,
     sample_julia_points,
 )
-from .errors import DomainError, InsideJuliaError, RayTracingError
+from .errors import InsideJuliaError, RayTracingError
 from .gridmetric import (
     MAX_GRID_RES,
     MIN_RESOLUTION,
@@ -53,9 +53,10 @@ from .gridmetric import (
     verify_lower_bound,
 )
 from .metrics import SingularMetric, Variant
-# trace_ray is not called here but stays importable: bench/tracing.py wraps it by this name
-from .rays import MAX_RAY_DEPTH, john_constant_along_ray, john_report, rho_length_of_ray, trace_ray, trace_rays  # noqa: F401
-from .render import LAYERS, RenderSpec, density_field, distance_field, escape_time_field, overlay_polyline, to_rgb, write_ppm
+from .rays import MAX_RAY_DEPTH, NO_POINT_INSIDE, john_constant_along_ray, john_report, rho_lengths, trace_rays
+# not called here but importable: bench/tracing.py wraps them by these names
+from .rays import rho_length_of_ray, trace_ray  # noqa: F401
+from .render import LAYERS, RenderSpec, density_field, distance_field, escape_time_field, overlay_polyline, replacing, to_rgb, write_ppm
 
 OUTPUT_DIR_ENV = "EXPMETRIC_OUT"
 # Most disks expansion pulls back: at c = -2 and depth 30, 10000 orbits peak
@@ -134,22 +135,17 @@ def write_json(path: Path, obj) -> None:
         text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:  # NaN or infinity has no JSON form
         raise SystemExit(f"refusing to write {path}: {exc}")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text + "\n")
-    tmp.replace(path)
+    with replacing(path) as tmp:
+        tmp.write_text(text + "\n")
 
 
 def write_csv(path: Path, header: List[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", newline="") as fh:
+    with replacing(path) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
                              for v in row])
-    tmp.replace(path)
 
 
 def cmd_classify(config: ExperimentConfig) -> dict:
@@ -310,6 +306,8 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
     dists = np.full(shape, math.nan)
     dists[along] = julia_distance_estimate(fmap, points[along])
     ray_dists = iter(dists)
+    # one density pass for every landed ray at every radius, a column a ray
+    ray_lengths = iter(rho_lengths(landed, metric, RHO_LENGTH_RADII).T)
     for ray in rays:
         theta = ray.theta
         for g, z in zip(ray.potentials, ray.polyline):
@@ -319,11 +317,11 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
                 entries.append(john_constant_along_ray(ray, next(ray_dists)))
             except InsideJuliaError as exc:  # a ray point within roundoff of J
                 failures.append({"theta": theta, "error": str(exc)})
-            for r in RHO_LENGTH_RADII:
-                try:
-                    scaling_rows.append((theta, r, rho_length_of_ray(ray, metric, r)))
-                except DomainError as exc:  # no ray point near the landing
-                    failures.append({"theta": theta, "radius": r, "error": str(exc)})
+            for r, length in zip(RHO_LENGTH_RADII, next(ray_lengths)):
+                if math.isnan(length):  # no ray point near the landing
+                    failures.append({"theta": theta, "radius": r, "error": NO_POINT_INSIDE})
+                else:
+                    scaling_rows.append((theta, r, float(length)))
         else:
             failures.append({"theta": theta, "error": "no landing estimate"})
 

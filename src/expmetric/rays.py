@@ -20,8 +20,11 @@ TOP_POTENTIAL = 1.0
 # Pull-back sub-levels per level.
 SUBSTEPS = 4
 MAX_RAY_DEPTH = 60
-# Midpoint-rule subdivisions of each polyline segment in rho_length_of_ray.
+# Midpoint-rule subdivisions of each polyline segment in rho_lengths, whose
+# midpoints over all rays and radii take their densities in one pass.
 RHO_LENGTH_REFINE = 8
+# Why a rho-length has no value: no ray point lies in its disk.
+NO_POINT_INSIDE = "no ray points inside B(base, 2r)"
 
 
 @dataclass(frozen=True)
@@ -54,9 +57,11 @@ def trace_rays(fmap: UnicriticalMap, thetas: Sequence[float], depth: int) -> Lis
     where the Boettcher map is the identity, so z = exp(g + 2 pi i alpha)
     there; below, z[t, alpha] is the branch of f^-1(z[t - s, d alpha])
     nearest z[t - 1, alpha].  The angles alpha -> d alpha mod 1 are followed
-    exactly, as fractions, and all of them are pulled back together, one array
-    step per sub-level.  The landing estimate is the last point when the last
-    two differ by less than LANDING_TOL, else the Aitken limit of the tail.
+    exactly, as fractions, and all of them are pulled back together: the s
+    sub-levels of a block draw their candidate roots in one array call and
+    pick the nearest one a sub-level at a time.  The landing estimate is the
+    last point when the last two differ by less than LANDING_TOL, else the
+    Aitken limit of the tail.
     """
     for theta in thetas:
         if not 0.0 <= theta < 1.0:
@@ -95,11 +100,16 @@ def trace_rays(fmap: UnicriticalMap, thetas: Sequence[float], depth: int) -> Lis
     if not np.isfinite(z[:s]).all():
         raise RayTracingError(f"the Boettcher-regime start overflows at degree {d}")
     branches = np.arange(d)[:, None]
-    for t in range(s, n_sub):
-        n = reach[(n_sub - 1 - t) // s]
-        cands = preimage_branch(fmap, z[t - s, image[:n]], branches)
-        pick = np.argmin(np.abs(cands - z[t - 1, :n]), axis=0)
-        z[t, :n] = cands[pick, np.arange(n)]
+    # block k holds the sub-levels t >= s with (n_sub - 1 - t) // s = k: they
+    # share n = reach[k] and take their candidates from block k + 1, so one
+    # call draws a block's candidates; only the nearest-branch pick runs a
+    # sub-level at a time
+    for k in range(chain - 1, -1, -1):
+        lo, hi, n = max(s, n_sub - (k + 1) * s), n_sub - k * s, reach[k]
+        cands = preimage_branch(fmap, z[lo - s:hi - s, image[:n]][:, None], branches)
+        for t, level in enumerate(cands, lo):
+            pick = np.argmin(np.abs(level - z[t - 1, :n]), axis=0)
+            z[t, :n] = level[pick, np.arange(n)]
 
     points = z[top::s][:, [order[Fraction(theta)] for theta in thetas]]
     potentials = [g0 / d**k for k in range(depth + 1)]
@@ -181,43 +191,72 @@ def john_report(entries: List[JohnRayEntry]) -> JohnRayEntry:
     return replace(worst, constant=min(1.0, worst.constant))
 
 
-def rho_length_of_ray(ray: ExternalRay, metric: SingularMetric, from_radius: float) -> float:
-    """Midpoint-rule rho-length of the part of the ray inside B(base, 2r),
-    where base is the landing estimate.
+def rho_lengths(rays: Sequence[ExternalRay], metric: SingularMetric,
+                radii: Sequence[float]) -> np.ndarray:
+    """Midpoint-rule rho-length of the part of each ray inside B(base, 2r),
+    where base is its landing estimate: entry [i, j] for ``radii[i]`` and
+    ``rays[j]``, NaN where no point of the ray lies in the disk.  The rays
+    share one depth.
 
     Each polyline segment is subdivided ``RHO_LENGTH_REFINE`` times; the
     density is integrable (alpha < 1) so the sum converges under refinement
-    even when the landing point lies on the singular set.
+    even when the landing point lies on the singular set.  The midpoints of
+    every ray and radius take their densities in one pass, and each
+    (radius, ray) entry is its own pairwise sum over its slice.
     """
-    if ray.landing is None:
+    if any(ray.landing is None for ray in rays):
         raise RayTracingError("ray has no landing estimate to use as base")
-    base = ray.landing
-    radius = 2.0 * from_radius
-    pts = np.array(ray.polyline)
-    inside = np.abs(pts - base) <= radius
-    if not inside.any():
-        raise DomainError("no ray points inside B(base, 2r)")
-    keep = inside[:-1] | inside[1:]
-    a, b = pts[:-1][keep], pts[1:][keep]
-    # clip the segments that straddle the disk boundary
-    for k in np.flatnonzero(~inside[:-1][keep]):
-        a[k] = _clip_to_circle(a[k], b[k], base, radius)
-    for k in np.flatnonzero(~inside[1:][keep]):
-        b[k] = _clip_to_circle(b[k], a[k], base, radius)
+    if not rays or not radii:
+        return np.full((len(radii), len(rays)), math.nan)
+    pts = np.array([ray.polyline for ray in rays], dtype=complex)
+    base = np.array([ray.landing for ray in rays], dtype=complex)
+    disk = 2.0 * np.asarray(radii, dtype=float)
+    inside = np.abs(pts - base[:, None]) <= disk[:, None, None]
+    lengths = np.where(inside.any(axis=2), 0.0, math.nan)
+    # the segments with an end in the disk, in (radius, ray, segment) order
+    i, j, seg = np.nonzero(inside[..., :-1] | inside[..., 1:])
+    a, b = pts[j, seg], pts[j, seg + 1]
+    # clip the segments that straddle the disk boundary; a kept segment has
+    # at most one end outside
+    a_out = ~inside[i, j, seg]
+    cut = np.flatnonzero(a_out | ~inside[i, j, seg + 1])
+    flip = a_out[cut]
+    edge = _clip_to_circle(np.where(flip, a[cut], b[cut]), np.where(flip, b[cut], a[cut]),
+                           base[j[cut]], disk[i[cut]])
+    a[cut[flip]] = edge[flip]
+    b[cut[~flip]] = edge[~flip]
     ts = (np.arange(RHO_LENGTH_REFINE) + 0.5) / RHO_LENGTH_REFINE
     mids = a[:, None] + (b - a)[:, None] * ts
     dens = metric.density_array(mids.ravel()).reshape(mids.shape)
     sums = np.where(np.isfinite(dens), dens, 0.0).sum(axis=1)
-    return float(np.sum(sums * (np.abs(b - a) / RHO_LENGTH_REFINE)))
+    terms = sums * (np.abs(b - a) / RHO_LENGTH_REFINE)
+    starts = np.flatnonzero(np.diff(i * len(rays) + j, prepend=-1)).tolist()
+    for start, end in zip(starts, [*starts[1:], len(terms)]):
+        lengths[i[start], j[start]] = terms[start:end].sum()
+    return lengths
 
 
-def _clip_to_circle(outside: complex, inside: complex, center: complex, radius: float) -> complex:
-    lo, hi = 0.0, 1.0  # parameter from inside toward outside
+def rho_length_of_ray(ray: ExternalRay, metric: SingularMetric, from_radius: float) -> float:
+    """The rho-length of ``rho_lengths`` for one ray and one radius; refused
+    when no point of the ray lies in the disk."""
+    length = rho_lengths([ray], metric, [from_radius])[0, 0]
+    if math.isnan(length):
+        raise DomainError(NO_POINT_INSIDE)
+    return float(length)
+
+
+def _clip_to_circle(outside: np.ndarray, inside: np.ndarray, center: np.ndarray,
+                    radius: np.ndarray) -> np.ndarray:
+    """Where each segment from ``inside`` to ``outside`` meets the circle
+    |z - center| = radius, by 60 bisection steps on its parameter.  The
+    moduli come from ``np.hypot``, which rounds as Python's complex ``abs``
+    does; NumPy's complex ``abs`` differs in the last bit."""
+    step = outside - inside
+    lo, hi = np.zeros(len(step)), np.ones(len(step))
     for _ in range(60):
         mid = (lo + hi) / 2.0
-        z = inside + (outside - inside) * mid
-        if abs(z - center) <= radius:
-            lo = mid
-        else:
-            hi = mid
-    return inside + (outside - inside) * lo
+        w = inside + step * mid - center
+        held = np.hypot(w.real, w.imag) <= radius
+        lo = np.where(held, mid, lo)
+        hi = np.where(held, hi, mid)
+    return inside + step * lo

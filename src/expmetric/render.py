@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -151,11 +152,23 @@ def overlay_polyline(rgb: np.ndarray, spec: RenderSpec, polyline) -> None:
     rgb[j[on], i[on]] = 255
 
 
-def write_ppm(path: Path, rgb: np.ndarray) -> None:
-    h, w, _ = rgb.shape
+@contextmanager
+def replacing(path: Path) -> Iterator[Path]:
+    """``<path>.tmp`` for the block to write, renamed onto ``path`` when the
+    block ends; a failed write or rename removes it and re-raises."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
+    try:
+        yield tmp
+        tmp.replace(path)
+    except BaseException:
+        with suppress(OSError):  # the first error is the one to report
+            tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_ppm(path: Path, rgb: np.ndarray) -> None:
+    h, w, _ = rgb.shape
+    with replacing(path) as tmp, open(tmp, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(np.ascontiguousarray(rgb, dtype=np.uint8).data)  # no copy of a pixmap
-    tmp.replace(path)

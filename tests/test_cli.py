@@ -1,5 +1,6 @@
 """End-to-end command-line contract: reports, gates, config, determinism."""
 
+import dataclasses
 import importlib.util
 import io
 import json
@@ -575,6 +576,26 @@ def test_rays_records_ray_point_on_julia_set_as_failure(tmp_path, capsys):
     assert report["john"]["per_ray"][0]["theta"] == 0.1
 
 
+def test_rays_records_a_disk_with_no_ray_point_as_failure(tmp_path, monkeypatch, capsys):
+    # the 0.1-ray lies in the upper half-plane; with its landing moved 0.3
+    # below the axis, B(base, 0.4) holds its tail and the smaller disks no
+    # point of it, so its last three radii are failures, in radius order
+    def traced(fmap, thetas, depth):
+        moved, *others = rays.trace_rays(fmap, thetas, depth)
+        return [dataclasses.replace(moved, landing=moved.landing - 0.3j), *others]
+
+    monkeypatch.setattr(cli, "trace_rays", traced)
+    assert cli.main(["rays", "--c-re", "-2", "--angles", "0.1,0.3", "--depth", "20",
+                     "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == "3 tracing failure(s) recorded\n"
+    report = json.loads((tmp_path / "rays.json").read_text())
+    assert report["failures"] == [{"theta": 0.1, "radius": r, "error": "no ray points inside B(base, 2r)"}
+                                  for r in (0.1, 0.05, 0.025)]
+    rows = [row.split(",")[:2] for row in
+            (tmp_path / "rho_length.csv").read_text().splitlines()[1:]]
+    assert rows == [["0.1", "0.2"]] + [["0.3", repr(r)] for r in cli.RHO_LENGTH_RADII]
+
+
 # ----------------------------------------------------------------- expansion
 
 
@@ -776,6 +797,22 @@ def test_commands_refuse_an_out_that_is_a_file(tmp_path, capfd, argv, under):
         cli.main([*argv, "--c-re", "-2", "--out", str(out)])
     assert "\n" not in str(exc.value.code)
     assert taken.read_text() == "kept\n" and sorted(tmp_path.iterdir()) == [taken]
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv, report", [
+    (["classify"], "classify.json"),
+    (["rays", "--angles", "0.25", "--depth", "5"], "rays.csv"),
+    (["render", "--width", "4", "--height", "4", "--depth", "5"], "render.ppm"),
+], ids=["json", "csv", "ppm"])
+def test_a_failed_write_leaves_no_tmp_file(tmp_path, capfd, argv, report):
+    # a directory at the report's name makes the final rename fail
+    out = tmp_path / "out"
+    (out / report).mkdir(parents=True)
+    with pytest.raises(SystemExit, match=f"^refusing to write: .*'{re.escape(str(out / report))}'$") as exc:
+        cli.main([*argv, "--c-re", "-2", "--out", str(out)])
+    assert "\n" not in str(exc.value.code)
+    assert [p.name for p in out.iterdir()] == [report]
     assert capfd.readouterr().err == ""
 
 

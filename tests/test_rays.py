@@ -1,23 +1,33 @@
 """External-ray tracing, landing, John constants, and rho-lengths."""
 
 import cmath
+import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import expmetric as em
+from expmetric.cli import RHO_LENGTH_RADII
+from expmetric.dynamics import preimage_branch
 from expmetric.errors import DomainError, InsideJuliaError, RayTracingError
 from expmetric.metrics import SingularMetric, Variant
 from expmetric.rays import (
+    LANDING_TOL,
+    RHO_LENGTH_REFINE,
+    SUBSTEPS,
+    TOP_POTENTIAL,
     ExternalRay,
     JohnRayEntry,
     _aitken,
+    _boettcher_top,
     _extrapolated_landing,
     john_constant_along_ray,
     john_report,
     rho_length_of_ray,
+    rho_lengths,
     trace_ray,
     trace_rays,
 )
@@ -150,6 +160,65 @@ def test_batched_rays_match_single_rays_bit_for_bit():
             assert ray.landing == single.landing
 
 
+def reference_trace(fmap, thetas, depth):
+    """(polyline, landing) of each angle by the pull-back of ``trace_rays``
+    taken one array step a sub-level, each step drawing its own candidates."""
+    d, s, g0 = fmap.d, SUBSTEPS, TOP_POTENTIAL
+    above = max(0, math.ceil(s * math.log(_boettcher_top(fmap) / g0, d)))
+    top = above + s - 1
+    n_sub = top + depth * s + 1
+    order, reach = {}, []
+    fresh = [Fraction(theta) for theta in thetas]
+    for _ in range((n_sub - 1) // s + 1):
+        fresh = [a for a in dict.fromkeys(fresh) if a not in order]
+        for a in fresh:
+            order[a] = len(order)
+        reach.append(len(order))
+        fresh = [d * a % 1 for a in fresh]
+    angles = list(order)
+    image = np.array([order[d * a % 1] for a in angles[:reach[-2]]], dtype=int)
+    potential = g0 * float(d) ** ((top - np.arange(s)) / s)
+    z = np.full((n_sub, len(angles)), np.nan, dtype=complex)
+    z[:s] = np.exp(potential[:, None] + 2j * math.pi * np.array([float(a) for a in angles]))
+    branches = np.arange(d)[:, None]
+    for t in range(s, n_sub):
+        n = reach[(n_sub - 1 - t) // s]
+        cands = preimage_branch(fmap, z[t - s, image[:n]], branches)
+        pick = np.argmin(np.abs(cands - z[t - 1, :n]), axis=0)
+        z[t, :n] = cands[pick, np.arange(n)]
+    traced = []
+    for theta in thetas:
+        polyline = z[top::s, order[Fraction(theta)]].tolist()
+        if abs(polyline[-1] - polyline[-2]) < LANDING_TOL:
+            traced.append((polyline, polyline[-1]))
+        else:
+            traced.append((polyline, _extrapolated_landing(polyline)))
+    return traced
+
+
+FORTY_EIGHT = [k / 48 for k in range(48)]
+
+
+@pytest.mark.parametrize("d, c, thetas, depth", [
+    (2, -2 + 0j, FORTY_EIGHT, 50),
+    (2, 1j, FORTY_EIGHT, 50),
+    # periodic under doubling: 0, the 2-cycle 1/3, 2/3, the 3-cycle 1/7, 2/7, 4/7
+    (2, 1j, [0.0, 1 / 3, 2 / 3], 50),
+    (2, -2 + 0j, [1 / 7, 2 / 7, 4 / 7, 0.0], 50),
+    (3, 0.2j, [0.0, 0.1, 0.25, 0.5], 20),
+    # periodic under tripling: the 2-cycles 1/4, 3/4 and 1/8, 3/8
+    (3, 0.2j, [1 / 4, 3 / 4, 1 / 8, 3 / 8], 20),
+], ids=["c=-2", "c=i", "c=i-periodic", "c=-2-periodic", "d=3", "d=3-periodic"])
+def test_trace_rays_matches_one_sub_level_a_step(d, c, thetas, depth):
+    fmap = em.UnicriticalMap(d, c)
+    for ray, (polyline, landing) in zip(trace_rays(fmap, thetas, depth),
+                                        reference_trace(fmap, thetas, depth)):
+        assert np.array_equal(ray.polyline, polyline, equal_nan=True), ray.theta
+        assert (ray.landing is None) == (landing is None), ray.theta
+        if landing is not None:
+            assert np.array_equal([ray.landing], [landing], equal_nan=True), ray.theta
+
+
 def test_cubic_ray_follows_exact_angle_orbit():
     # z^3 has the radial rays exp(g + 2 pi i theta); in floating point
     # 0.1 * 3^m mod 1 is 0.02 turns off at m = 33 and 0.4 at m = 38, so only
@@ -257,6 +326,73 @@ def test_john_constant_takes_first_minimum_and_refuses_nan():
 def cheb_metric(variant=Variant.RHO):
     cloud = em.build_postcritical_cloud(em.critical_orbit(cheb(), 50)[0])
     return SingularMetric(cloud, 2, variant)
+
+
+def reference_rho_length(ray, metric, from_radius):
+    """The rho-length of one ray at one radius, each straddling segment
+    clipped by a scalar bisection with Python's ``abs``, and one density
+    call; NaN when no ray point lies in B(base, 2r)."""
+    base, radius = ray.landing, 2.0 * from_radius
+    pts = np.array(ray.polyline)
+    inside = np.abs(pts - base) <= radius
+    if not inside.any():
+        return math.nan
+    keep = inside[:-1] | inside[1:]
+    a, b = pts[:-1][keep], pts[1:][keep]
+    for k in np.flatnonzero(~inside[:-1][keep]):
+        a[k] = reference_clip(a[k], b[k], base, radius)
+    for k in np.flatnonzero(~inside[1:][keep]):
+        b[k] = reference_clip(b[k], a[k], base, radius)
+    ts = (np.arange(RHO_LENGTH_REFINE) + 0.5) / RHO_LENGTH_REFINE
+    mids = a[:, None] + (b - a)[:, None] * ts
+    dens = metric.density_array(mids.ravel()).reshape(mids.shape)
+    sums = np.where(np.isfinite(dens), dens, 0.0).sum(axis=1)
+    return float(np.sum(sums * (np.abs(b - a) / RHO_LENGTH_REFINE)))
+
+
+def reference_clip(outside, inside, center, radius):
+    lo, hi = 0.0, 1.0  # parameter from inside toward outside
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        z = inside + (outside - inside) * mid
+        if abs(z - center) <= radius:
+            lo = mid
+        else:
+            hi = mid
+    return inside + (outside - inside) * lo
+
+
+def reference_rho_lengths(rays, metric, radii):
+    return np.array([[reference_rho_length(ray, metric, r) for ray in rays] for r in radii])
+
+
+@pytest.mark.parametrize("c", [-2 + 0j, 1j], ids=["c=-2", "c=i"])
+def test_rho_lengths_match_one_ray_and_radius_at_a_time(c):
+    # the rays command's angles, depth, radii and cloud
+    fmap = em.UnicriticalMap(2, c)
+    metric = SingularMetric(em.build_postcritical_cloud(em.critical_orbit(fmap, 2000)[0]), 2)
+    rays = trace_rays(fmap, FORTY_EIGHT, 50)
+    got = rho_lengths(rays, metric, RHO_LENGTH_RADII)
+    assert got.shape == (len(RHO_LENGTH_RADII), 48)
+    assert np.isfinite(got).all()
+    assert np.array_equal(got, reference_rho_lengths(rays, metric, RHO_LENGTH_RADII))
+
+
+def test_rho_lengths_nan_where_no_ray_point_lies_in_the_disk():
+    # the 0.1-ray lies in the upper half-plane; with its landing moved 0.3
+    # below the axis, B(base, 0.4) holds its tail and the smaller disks none
+    metric = cheb_metric()
+    ray, other = trace_rays(cheb(), [0.1, 0.3], 20)
+    moved = dataclasses.replace(ray, landing=ray.landing - 0.3j)
+    got = rho_lengths([moved, other], metric, RHO_LENGTH_RADII)
+    assert np.isfinite(got[0, 0]) and np.isnan(got[1:, 0]).all()
+    assert np.isfinite(got[:, 1]).all()
+    want = reference_rho_lengths([moved, other], metric, RHO_LENGTH_RADII)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert rho_length_of_ray(moved, metric, 0.2) == got[0, 0]
+    with pytest.raises(DomainError, match=r"^no ray points inside B\(base, 2r\)$"):
+        rho_length_of_ray(moved, metric, 0.1)
+    assert rho_lengths([], metric, RHO_LENGTH_RADII).shape == (4, 0)
 
 
 def test_rho_length_matches_direct_quadrature():
