@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -139,13 +138,15 @@ def write_json(path: Path, obj) -> None:
         tmp.write_text(text + "\n")
 
 
-def write_csv(path: Path, header: List[str], rows) -> None:
-    with replacing(path) as tmp, open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
-                             for v in row])
+def write_csv(path: Path, header: List[str], columns: Sequence[np.ndarray]) -> None:
+    """One row per entry of the 1-D ``columns``, one column per field of
+    ``header``: floats as ``repr``, integers as ``str``, every line ended in
+    CRLF as ``csv.writer`` ends them; no field needs quoting."""
+    fields = [map(repr, col.tolist()) if col.dtype.kind == "f" else map(str, col.tolist())
+              for col in columns]
+    lines = [",".join(header), *map(",".join, zip(*fields))]
+    with replacing(path) as tmp:
+        tmp.write_bytes(("\r\n".join(lines) + "\r\n").encode())
 
 
 def cmd_classify(config: ExperimentConfig) -> dict:
@@ -180,7 +181,7 @@ def cmd_expansion(config: ExperimentConfig) -> dict:
         k, why = refusal
         raise SystemExit(f"refusing to continue: orbit {k} at epsilon {eps!r}: {why}; "
                          "try a smaller --epsilon")
-    rows = []
+    reports = []
     summaries = []
     case_totals = {}
     for k, (z0, orbit) in enumerate(zip(bases, orbits)):
@@ -193,8 +194,7 @@ def cmd_expansion(config: ExperimentConfig) -> dict:
         except ValueError as exc:  # a diameter underflows
             raise SystemExit(f"refusing to report: orbit {k}: {exc}; "
                              "try a larger --epsilon or a smaller --depth")
-        for lvl, ratio in zip(rep.levels, rep.ratios):
-            rows.append((k, lvl, ratio))
+        reports.append(rep)
         for lab, v in rep.case_counts.items():
             case_totals[lab] = case_totals.get(lab, 0) + v
         summaries.append(
@@ -215,7 +215,10 @@ def cmd_expansion(config: ExperimentConfig) -> dict:
     report["case_histogram"] = dict(sorted(case_totals.items()))
     report["min_lambda"] = min(s["lambda"] for s in summaries)
     report["max_theta"] = max(s["theta"] for s in summaries)
-    write_csv(config.out_dir / "expansion_ratios.csv", ["orbit", "level", "ratio"], rows)
+    write_csv(config.out_dir / "expansion_ratios.csv", ["orbit", "level", "ratio"],
+              [np.repeat(np.arange(len(reports)), [len(r.levels) for r in reports]),
+               np.concatenate([np.array(r.levels, dtype=int) for r in reports]),
+               np.concatenate([np.array(r.ratios, dtype=float) for r in reports])])
     write_json(config.out_dir / "expansion.json", report)
     return report
 
@@ -263,8 +266,7 @@ def cmd_holder(config: ExperimentConfig) -> dict:
                          "try a larger --grid-res")
     audit = verify_lower_bound(grid, pairs, dists)
     upper_c = uniform_upper_constant(seps, dists, metric.alpha)
-    rows = [(a.real, a.imag, b.real, b.imag, s, d)
-            for (a, b), s, d in zip(pairs, seps, dists)]
+    ends = np.array(pairs, dtype=complex)
     report = _report_header(config, cloud)
     report["grid"] = {"resolution": config.grid_res, "h": grid.h,
                       "n_cols": grid.n_cols, "n_rows": grid.n_rows}
@@ -274,7 +276,8 @@ def cmd_holder(config: ExperimentConfig) -> dict:
     report["lower_bound_audit"] = {"checked": audit["checked"],
                                    "violations": len(audit["violations"])}
     write_csv(config.out_dir / "holder_pairs.csv",
-              ["z0_re", "z0_im", "z1_re", "z1_im", "separation", "d_rho"], rows)
+              ["z0_re", "z0_im", "z1_re", "z1_im", "separation", "d_rho"],
+              [ends[:, 0].real, ends[:, 0].imag, ends[:, 1].real, ends[:, 1].imag, seps, dists])
     write_json(config.out_dir / "holder.json", report)
     return report
 
@@ -288,9 +291,7 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
         raise SystemExit("refusing to run: critical orbit escapes; no bounded rays")
     metric = SingularMetric(cloud, fmap.d, Variant.RHO)
 
-    poly_rows = []
     entries = []
-    scaling_rows = []
     failures = []
     try:
         rays = trace_rays(fmap, angles, config.depth)
@@ -299,19 +300,19 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
     # one array pass over the points of every landed ray, a row of depth + 1
     # a ray; the John ratio skips the points at arclength 0 from the landing,
     # which often lie on J and would iterate to the budget, so they are left NaN
+    polylines = np.array([ray.polyline for ray in rays],
+                         dtype=complex).reshape(len(rays), config.depth + 1)
     landed = [ray for ray in rays if ray.landing is not None]
-    shape = (len(landed), config.depth + 1)
-    points = np.array([ray.polyline for ray in landed], dtype=complex).reshape(shape)
-    along = np.array([ray.arclengths_from_landing() for ray in landed]).reshape(shape) > 0.0
-    dists = np.full(shape, math.nan)
+    points = polylines[[ray.landing is not None for ray in rays]]
+    along = np.array([ray.arclengths_from_landing() for ray in landed]).reshape(points.shape) > 0.0
+    dists = np.full(points.shape, math.nan)
     dists[along] = julia_distance_estimate(fmap, points[along])
     ray_dists = iter(dists)
-    # one density pass for every landed ray at every radius, a column a ray
-    ray_lengths = iter(rho_lengths(landed, metric, RHO_LENGTH_RADII).T)
+    # one density pass for every landed ray at every radius, a row a ray
+    lengths = rho_lengths(landed, metric, RHO_LENGTH_RADII).T
+    ray_lengths = iter(lengths)
     for ray in rays:
         theta = ray.theta
-        for g, z in zip(ray.potentials, ray.polyline):
-            poly_rows.append((theta, g, z.real, z.imag))
         if ray.landing is not None:
             try:
                 entries.append(john_constant_along_ray(ray, next(ray_dists)))
@@ -320,8 +321,6 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
             for r, length in zip(RHO_LENGTH_RADII, next(ray_lengths)):
                 if math.isnan(length):  # no ray point near the landing
                     failures.append({"theta": theta, "radius": r, "error": NO_POINT_INSIDE})
-                else:
-                    scaling_rows.append((theta, r, float(length)))
         else:
             failures.append({"theta": theta, "error": "no landing estimate"})
 
@@ -340,9 +339,16 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
         }
     report["landings"] = {repr(ray.theta): [ray.landing.real, ray.landing.imag]
                           for ray in rays if ray.landing is not None}
-    write_csv(config.out_dir / "rays.csv", ["theta", "potential", "re", "im"], poly_rows)
+    write_csv(config.out_dir / "rays.csv", ["theta", "potential", "re", "im"],
+              [np.repeat([ray.theta for ray in rays], config.depth + 1),
+               np.array([ray.potentials for ray in rays], dtype=float).ravel(),
+               polylines.real.ravel(), polylines.imag.ravel()])
+    # the rows of the finite lengths, ray by ray and radius by radius
+    found = ~np.isnan(lengths.ravel())
     write_csv(config.out_dir / "rho_length.csv", ["theta", "radius", "rho_length"],
-              scaling_rows)
+              [np.repeat([ray.theta for ray in landed], len(RHO_LENGTH_RADII))[found],
+               np.tile(RHO_LENGTH_RADII, len(landed))[found],
+               lengths.ravel()[found]])
     write_json(config.out_dir / "rays.json", report)
     return report
 

@@ -323,10 +323,11 @@ def julia_distance_estimate(fmap: UnicriticalMap, zs: np.ndarray) -> np.ndarray:
     the Julia set); never use where exactness matters.  The orbit and its
     derivative are iterated on split real and imaginary arrays with the
     operations of Python's complex arithmetic, the moduli taken by hypot, and
-    each point's last step by ``math``, so up to degree 100 every estimate has
-    the bits of the point-by-point loop over Python complex numbers (NumPy's
-    complex multiply and ``abs``, and its log, exp and sinh, round
-    differently).  A point gets NaN where that loop has no value: when it
+    the last step's log, sinh and exp by ``math`` mapped over lists (its
+    + - * / in NumPy, in the loop's order), so up to degree 100 every
+    estimate has the bits of the point-by-point loop over Python complex
+    numbers (NumPy's complex multiply and ``abs``, and its log, exp and sinh,
+    round differently).  A point gets NaN where that loop has no value: when it
     does not escape within ``POTENTIAL_MAX_ITER`` iterates, or when its orbit
     overflows where Python's complex power or ``abs`` raises OverflowError.
     """
@@ -366,13 +367,21 @@ def julia_distance_estimate(fmap: UnicriticalMap, zs: np.ndarray) -> np.ndarray:
             wr, wi = pr + c.real, pi + c.imag
     est = np.full(n, math.nan)
     escaped = steps >= 0
-    for j, k, mag, grad in zip(np.flatnonzero(escaped).tolist(), steps[escaped].tolist(),
-                               mags[escaped].tolist(), grads[escaped].tolist()):
-        g = math.log(mag) / d ** k
-        # |grad G| in log space to dodge overflow of |dw|
-        log_grad = math.log(grad) - math.log(mag) - k * math.log(d)
-        est[j] = math.sinh(g) * math.exp(-log_grad)
+    k = steps[escaped]
+    log_mag = _libm(math.log, mags[escaped])
+    # x / d ** k rounds d^k to a float correctly; here once for each k
+    ks, at = np.unique(k, return_inverse=True)
+    g = log_mag / np.array([float(d ** j) for j in ks.tolist()])[at]
+    # |grad G| in log space to dodge overflow of |dw|
+    log_grad = _libm(math.log, grads[escaped]) - log_mag - k * math.log(d)
+    est[escaped] = _libm(math.sinh, g) * _libm(math.exp, -log_grad)
     return est
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """The ``math`` function ``fn`` at each entry of ``x``, with the bits of
+    the C library, which NumPy's log, exp and sinh do not always have."""
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=len(x))
 
 
 def sample_julia_points(fmap: UnicriticalMap, count: int, rng: np.random.Generator) -> list:

@@ -57,7 +57,8 @@ def trace_rays(fmap: UnicriticalMap, thetas: Sequence[float], depth: int) -> Lis
     where the Boettcher map is the identity, so z = exp(g + 2 pi i alpha)
     there; below, z[t, alpha] is the branch of f^-1(z[t - s, d alpha])
     nearest z[t - 1, alpha].  The angles alpha -> d alpha mod 1 are followed
-    exactly, as fractions, and all of them are pulled back together: the s
+    exactly, as integer numerators over the least common denominator of the
+    thetas, and all of them are pulled back together: the s
     sub-levels of a block draw their candidate roots in one array call and
     pick the nearest one a sub-level at a time.  The landing estimate is the
     last point when the last two differ by less than LANDING_TOL, else the
@@ -79,21 +80,26 @@ def trace_rays(fmap: UnicriticalMap, thetas: Sequence[float], depth: int) -> Lis
 
     # every angle reached within `chain` steps of alpha -> d alpha, ordered by
     # the fewest steps from a requested angle: sub-level t needs the first
-    # reach[(n_sub - 1 - t) // s] of them
+    # reach[(n_sub - 1 - t) // s] of them.  An angle is its integer numerator
+    # over den, the least common denominator of the thetas as fractions.
+    fractions = [Fraction(theta) for theta in thetas]
+    den = math.lcm(*(f.denominator for f in fractions))
+    starts = [f.numerator * (den // f.denominator) for f in fractions]
     order = {}
     reach = []
-    fresh = [Fraction(theta) for theta in thetas]
+    fresh = starts
     for _ in range(chain + 1):
         fresh = [a for a in dict.fromkeys(fresh) if a not in order]
         for a in fresh:
             order[a] = len(order)
         reach.append(len(order))
-        fresh = [d * a % 1 for a in fresh]
+        fresh = [d * a % den for a in fresh]
     angles = list(order)
-    image = np.array([order[d * a % 1] for a in angles[:reach[-2]]], dtype=int)
+    image = np.array([order[d * a % den] for a in angles[:reach[-2]]], dtype=int)
 
     potential = g0 * float(d) ** ((top - np.arange(s)) / s)
-    turns = np.array([float(a) for a in angles])
+    # int / int rounds correctly, as float(Fraction) does
+    turns = np.array([a / den for a in angles])
     z = np.full((n_sub, len(angles)), np.nan, dtype=complex)
     with np.errstate(over="ignore"):  # an overflow is refused just below
         z[:s] = np.exp(potential[:, None] + 2j * math.pi * turns)
@@ -111,7 +117,7 @@ def trace_rays(fmap: UnicriticalMap, thetas: Sequence[float], depth: int) -> Lis
             pick = np.argmin(np.abs(level - z[t - 1, :n]), axis=0)
             z[t, :n] = level[pick, np.arange(n)]
 
-    points = z[top::s][:, [order[Fraction(theta)] for theta in thetas]]
+    points = z[top::s][:, [order[a] for a in starts]]
     potentials = [g0 / d**k for k in range(depth + 1)]
     rays = []
     for theta, column in zip(thetas, points.T):

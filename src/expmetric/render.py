@@ -138,18 +138,53 @@ def to_rgb(field: np.ndarray) -> np.ndarray:
 
 
 def overlay_polyline(rgb: np.ndarray, spec: RenderSpec, polyline) -> None:
-    """Mark the pixels nearest each densified polyline point in white."""
+    """Mark the pixels nearest each densified polyline point in white.
+
+    A segment takes two points a pixel of box width along it.  One that
+    would take more than a segment across the box diagonal is first clipped
+    to the box, widened by a pixel on each side, and dropped if it misses it:
+    in a zoomed box a segment of the ray can be 10^12 box widths long."""
     lo, hi = spec.bbox
+    width = hi.real - lo.real
+
+    def points(a, b) -> int:
+        return max(2, int(abs(b - a) / width * spec.width * 2))
+
+    most = points(lo, hi)
+    pad = complex(width / spec.width, (hi.imag - lo.imag) / spec.height)
     pts = np.array(polyline)
     dense = []
     for a, b in zip(pts[:-1], pts[1:]):
-        n = max(2, int(abs(b - a) / (hi.real - lo.real) * spec.width * 2))
+        n = points(a, b)
+        if n > most:
+            inside = _clip_to_box(a, b, lo - pad, hi + pad)
+            if inside is None:
+                continue
+            a, b = a + (b - a) * inside[0], a + (b - a) * inside[1]
+            n = points(a, b)
         dense.append(a + (b - a) * np.linspace(0, 1, n))
     z = np.concatenate(dense) if dense else pts
-    i = np.rint((z.real - lo.real) / (hi.real - lo.real) * (spec.width - 1)).astype(int)
-    j = np.rint((hi.imag - z.imag) / (hi.imag - lo.imag) * (spec.height - 1)).astype(int)
+    i = np.rint((z.real - lo.real) / width * (spec.width - 1))
+    j = np.rint((hi.imag - z.imag) / (hi.imag - lo.imag) * (spec.height - 1))
+    # tested as floats: a point far off the box has no integer pixel index
     on = (0 <= i) & (i < spec.width) & (0 <= j) & (j < spec.height)
-    rgb[j[on], i[on]] = 255
+    rgb[j[on].astype(int), i[on].astype(int)] = 255
+
+
+def _clip_to_box(a: complex, b: complex, lo: complex, hi: complex):
+    """The parameters (t0, t1) of the part of a + (b - a) t, 0 <= t <= 1,
+    inside the box from ``lo`` to ``hi``, or None if the segment misses it
+    (the Liang-Barsky clip)."""
+    t0, t1 = 0.0, 1.0
+    for step, low, high in ((b.real - a.real, lo.real - a.real, hi.real - a.real),
+                            (b.imag - a.imag, lo.imag - a.imag, hi.imag - a.imag)):
+        if step == 0.0:
+            if not low <= 0.0 <= high:
+                return None
+            continue
+        enter, leave = sorted((low / step, high / step))
+        t0, t1 = max(t0, enter), min(t1, leave)
+    return (t0, t1) if t0 <= t1 else None
 
 
 @contextmanager

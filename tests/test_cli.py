@@ -1,5 +1,6 @@
 """End-to-end command-line contract: reports, gates, config, determinism."""
 
+import csv
 import dataclasses
 import importlib.util
 import io
@@ -519,6 +520,34 @@ def test_write_json_refuses_non_finite(tmp_path):
     assert not path.exists()
 
 
+def row_wise_csv(path, header, rows):
+    """The row-at-a-time writer that ``write_csv`` replaced: csv.writer,
+    floats as repr(float(v)), anything else as the writer formats it."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                             for v in row])
+
+
+@pytest.mark.parametrize("rows", [40, 1, 0], ids=["rows", "one-row", "no-rows"])
+def test_write_csv_matches_the_row_wise_csv_writer(tmp_path, rows):
+    special = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 0.1, 1 / 3, 2.5, -7.0]
+    rng = np.random.default_rng(3)
+    floats = np.array((special * 4)[:rows], dtype=float)
+    scaled = rng.normal(size=rows) * 10.0 ** rng.integers(-20, 20, rows)
+    columns = [np.arange(rows), floats, scaled,
+               rng.integers(-2**62, 2**62, size=rows, dtype=np.int64), floats[::-1].copy()]
+    header = ["orbit", "special", "scaled", "int64", "reversed"]
+    cli.write_csv(tmp_path / "columns.csv", header, columns)
+    row_wise_csv(tmp_path / "rows.csv", header, zip(*columns))
+    written = (tmp_path / "columns.csv").read_bytes()
+    assert written == (tmp_path / "rows.csv").read_bytes()
+    if not rows:
+        assert written == b"orbit,special,scaled,int64,reversed\r\n"
+
+
 @pytest.mark.parametrize("command", ["classify", "expansion", "holder", "rays", "render"])
 def test_bare_command_parses_to_default_config(command, monkeypatch):
     monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
@@ -610,6 +639,41 @@ def test_expansion_report_and_csv(tmp_path, capsys):
     assert report["cloud_size"] == 2
     header = (tmp_path / "expansion_ratios.csv").read_text().splitlines()[0]
     assert header == "orbit,level,ratio"
+
+
+def test_expansion_ratios_match_the_chebyshev_closed_form(tmp_path, capsys, monkeypatch):
+    # at c = -2, z = 2 cos(theta) and f(z) = 2 cos(2 theta), P(f) = {-2, 2}
+    # and sigma = dist^(-1/2); the chain rule telescopes through sin 2x =
+    # 2 sin x cos x to R_n = 2^n g(phi) / g(theta_n) with phi = 2^n theta_n and
+    # g(x) = max(|cos x/2|, |sin x/2|).  g is even and 2 pi periodic, so g(phi)
+    # is g(arccos(z_0 / 2)), which spares the 2^n-fold error of forming phi.
+    seen = []
+
+    def recording(orbit, metric):
+        rep = backward.expansion_ratios(orbit, metric)
+        seen.append((list(orbit.points), rep))
+        return rep
+
+    monkeypatch.setattr(cli, "expansion_ratios", recording)
+    run(["expansion", "--c-re", "-2", "--orbits", "50", "--depth", "30", "--seed", "0",
+         "--out", str(tmp_path)], capsys)
+
+    def g(x):
+        return max(abs(math.cos(x / 2)), abs(math.sin(x / 2)))
+
+    def theta(z):
+        return math.acos(min(1.0, max(-1.0, z.real / 2)))
+
+    assert len(seen) == 50
+    for points, rep in seen:
+        assert all(abs(z.imag) <= 1e-12 for z in points)
+        for n, ratio in zip(rep.levels, rep.ratios):
+            closed = 2.0**n * g(theta(points[0])) / g(theta(points[n]))
+            assert ratio == pytest.approx(closed, rel=1e-10, abs=0), n
+            assert 2.0**n / math.sqrt(2) <= ratio <= math.sqrt(2) * 2.0**n, n
+    _, *rows = (tmp_path / "expansion_ratios.csv").read_text().splitlines()
+    assert rows == [f"{k},{n},{ratio!r}" for k, (_, rep) in enumerate(seen)
+                    for n, ratio in zip(rep.levels, rep.ratios)]
 
 
 def test_expansion_depth_60_writes_strict_json(tmp_path, capsys):
@@ -713,6 +777,31 @@ def test_render_ray_overlay_marks_white(tmp_path, capsys):
     _, _, rgb = read_ppm(tmp_path / "render.ppm")
     white = np.all(rgb == 255, axis=-1)
     assert white.any()
+
+
+def test_zoomed_render_clips_the_ray_overlay_to_the_box(tmp_path, capsys):
+    # a ray segment 1e12 box widths long took 476 TiB of densified points
+    run(["render", "--bbox", "-1e-12", "1e-12", "-1e-12", "1e-12", "--rays", "0.1",
+         "--width", "64", "--height", "64", "--depth", "10", "--out", str(tmp_path)], capsys)
+    _, _, rgb = read_ppm(tmp_path / "render.ppm")
+    assert not np.all(rgb == 255, axis=-1).any()  # the 0.1-ray lands near 1.618
+    # zoomed onto the middle of one of its segments, the clipped segment is
+    # a line through the box
+    a, b = em.trace_ray(em.UnicriticalMap(2, -2), 0.1, 10).polyline[3:5]
+    mid, half = (a + b) / 2, 1e-12
+    run(["render", "--bbox", repr(mid.real - half), repr(mid.real + half),
+         repr(mid.imag - half), repr(mid.imag + half), "--rays", "0.1",
+         "--width", "64", "--height", "64", "--depth", "10", "--out", str(tmp_path)], capsys)
+    _, _, rgb = read_ppm(tmp_path / "render.ppm")
+    rows, cols = np.nonzero(np.all(rgb == 255, axis=-1))
+    # pixel centres in box units, from the centre of the box
+    x, y = (cols / 63 - 0.5) * 2, (0.5 - rows / 63) * 2
+    u = (b - a) / abs(b - a)
+    off_line = np.abs(x * u.imag - y * u.real)
+    assert off_line.max() <= 2 / 63  # within a pixel of the segment's line
+    # it crosses the box: every column (or row) along its steeper axis is marked
+    steep = abs(u.imag) > abs(u.real)
+    assert len(np.unique(rows if steep else cols)) == 64
 
 
 def test_render_spec_limits():

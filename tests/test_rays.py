@@ -208,7 +208,15 @@ FORTY_EIGHT = [k / 48 for k in range(48)]
     (3, 0.2j, [0.0, 0.1, 0.25, 0.5], 20),
     # periodic under tripling: the 2-cycles 1/4, 3/4 and 1/8, 3/8
     (3, 0.2j, [1 / 4, 3 / 4, 1 / 8, 3 / 8], 20),
-], ids=["c=-2", "c=i", "c=i-periodic", "c=-2-periodic", "d=3", "d=3-periodic"])
+    # as fractions the angles have denominators from 2 to 2^58, so the
+    # integer orbits run over their least common multiple; 16/48 and 1/3 are
+    # one float, given twice
+    (3, 0.2j, FORTY_EIGHT + [0.1, 0.7, 1 / 3], 20),
+    (5, 0.4j, FORTY_EIGHT + [0.1, 0.7, 1 / 3], 20),
+    # exact rationals, whose odd denominators a common power of two does not hold
+    (2, 1j, [Fraction(1, 3), Fraction(1, 7), Fraction(2, 5), Fraction(1, 12)], 30),
+], ids=["c=-2", "c=i", "c=i-periodic", "c=-2-periodic", "d=3", "d=3-periodic",
+        "d=3-mixed-denominators", "d=5-mixed-denominators", "exact-rationals"])
 def test_trace_rays_matches_one_sub_level_a_step(d, c, thetas, depth):
     fmap = em.UnicriticalMap(d, c)
     for ray, (polyline, landing) in zip(trace_rays(fmap, thetas, depth),
@@ -229,6 +237,18 @@ def test_cubic_ray_follows_exact_angle_orbit():
         assert abs(cmath.phase(z) - 2 * math.pi * 0.1) < 1e-12
         assert abs(math.log(abs(z)) - g) < 1e-12
     assert abs(ray.landing - cmath.exp(0.2j * math.pi)) < 1e-12
+
+
+@pytest.mark.parametrize("c", [1j, -2 + 0j, 0.2 + 0.55j], ids=["c=i", "c=-2", "c=0.2+0.55i"])
+def test_quadratic_rays_half_a_turn_apart_are_negatives(c):
+    # z^2 + c is even, so z -> -z maps the theta-ray onto the (theta + 1/2)-ray;
+    # with angles j/64 the half turn is exact in floats
+    fmap = em.UnicriticalMap(2, c)
+    rays = trace_rays(fmap, [j / 64 for j in range(64)], 30)
+    for ray, opposite in zip(rays[:32], rays[32:]):
+        assert opposite.theta == ray.theta + 0.5
+        assert np.abs(np.array(opposite.polyline) + np.array(ray.polyline)).max() <= 1e-13, \
+            ray.theta
 
 
 def test_ray_equivariance_under_f():

@@ -16,6 +16,7 @@ from expmetric.render import (
     density_field,
     distance_field,
     escape_time_field,
+    overlay_polyline,
     to_rgb,
 )
 
@@ -147,3 +148,50 @@ def test_render_peak_memory(tmp_path, layer):
     finally:
         tracemalloc.stop()
     assert peak < 30e6
+
+
+def unclipped_overlay(rgb, spec, polyline):
+    """The overlay before segments were clipped: every segment densified at
+    two points a pixel of box width over its whole length."""
+    lo, hi = spec.bbox
+    pts = np.array(polyline)
+    dense = [a + (b - a) * np.linspace(0, 1, max(2, int(abs(b - a) / (hi.real - lo.real)
+                                                        * spec.width * 2)))
+             for a, b in zip(pts[:-1], pts[1:])]
+    z = np.concatenate(dense) if dense else pts
+    i = np.rint((z.real - lo.real) / (hi.real - lo.real) * (spec.width - 1)).astype(int)
+    j = np.rint((hi.imag - z.imag) / (hi.imag - lo.imag) * (spec.height - 1)).astype(int)
+    on = (0 <= i) & (i < spec.width) & (0 <= j) & (j < spec.height)
+    rgb[j[on], i[on]] = 255
+
+
+@pytest.mark.parametrize("c", [-2 + 0j, 1j], ids=["c=-2", "c=i"])
+@pytest.mark.parametrize("bbox, size", [(BBOX, 1024), ((-0.4 - 0.9j, 0.1 + 0.6j), 200)],
+                         ids=["bench-box", "part-box"])
+def test_overlay_unchanged_where_no_segment_is_clipped(c, bbox, size):
+    # no segment of these rays is longer than the box diagonal, so none is clipped
+    spec = RenderSpec(bbox, size, size)
+    want = np.zeros((size, size, 3), dtype=np.uint8)
+    got = want.copy()
+    for ray in em.trace_rays(em.UnicriticalMap(2, c), [k / 48 for k in range(48)], 50):
+        unclipped_overlay(want, spec, ray.polyline)
+        overlay_polyline(got, spec, ray.polyline)
+    assert want.any() and np.array_equal(got, want)
+
+
+def test_overlay_clips_long_segments_and_drops_misses():
+    # segments 1e12 box widths long, each 10^14 points unclipped
+    spec = RenderSpec((-1 - 1j, 1 + 1j), 32, 32)
+
+    def white(polyline):
+        rgb = np.zeros((32, 32, 3), dtype=np.uint8)
+        overlay_polyline(rgb, spec, polyline)
+        return np.all(rgb == 255, axis=-1)
+
+    assert np.array_equal(white([-1e12 - 1e12j, 1e12 + 1e12j]), np.eye(32, dtype=bool)[::-1])
+    # a third of a pixel above the box, a line rounds onto the top row, as
+    # its unclipped points did; well beside the box it marks nothing
+    top = np.zeros((32, 32), dtype=bool)
+    top[0] = True
+    assert np.array_equal(white([-1e12 + 1.02j, 1e12 + 1.02j]), top)
+    assert not white([-1e12 + 2j, 1e12 + 2j]).any()
