@@ -27,7 +27,6 @@ from .dynamics import (  # noqa: F401
     preimage_branch,
     set_diameter,
 )
-from .errors import SamplingResolutionError
 from .metrics import SingularMetric
 
 CLOUD_EXCLUSION = 1e-9
@@ -199,7 +198,7 @@ def pull_back(
         raise ValueError(f"branch must lie in 0..{fmap.d - 1}, got {branch!r}")
     for _ in range(steps):
         if _extend(fmap, [orbit], [int(branch.integers(fmap.d)) if random else branch]):
-            raise SamplingResolutionError(SAMPLED_TOO_COARSELY)
+            raise RuntimeError(SAMPLED_TOO_COARSELY)
     return orbit
 
 

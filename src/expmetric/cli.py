@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .dynamics import (
     julia_distance_estimate,
     sample_julia_points,
 )
-from .errors import InsideJuliaError, RayTracingError
 from .gridmetric import (
     MAX_GRID_RES,
     MIN_RESOLUTION,
@@ -52,7 +51,7 @@ from .gridmetric import (
     verify_lower_bound,
 )
 from .metrics import SingularMetric, Variant
-from .rays import MAX_RAY_DEPTH, NO_POINT_INSIDE, john_constant_along_ray, john_report, rho_lengths, trace_rays
+from .rays import MAX_RAY_DEPTH, NO_POINT_INSIDE, RayTracingError, john_constant_along_ray, john_report, rho_lengths, trace_rays
 # not called here but importable: bench/tracing.py wraps them by these names
 from .rays import rho_length_of_ray, trace_ray  # noqa: F401
 from .render import LAYERS, RenderSpec, density_field, distance_field, escape_time_field, overlay_polyline, replacing, to_rgb, write_ppm
@@ -95,21 +94,15 @@ class ExperimentConfig:
         return out
 
 
-class Parameter(NamedTuple):
+def resolve_parameter(
+    config: ExperimentConfig, gated: bool = False
+) -> Tuple[UnicriticalMap, OrbitClassification, Optional[PostcriticalCloud]]:
     """One c as every command sees it: the map, the classification of its
     critical orbit, and P(f) as the cloud of that orbit's first ``orbit_n``
-    points, None exactly when the orbit escapes."""
-
-    fmap: UnicriticalMap
-    classification: OrbitClassification
-    cloud: Optional[PostcriticalCloud]
-
-
-def resolve_parameter(config: ExperimentConfig, gated: bool = False) -> Parameter:
-    """The one place a command iterates the critical orbit, once: its
-    classification and its cloud are both read from that orbit.  With
-    ``gated``, a parameter outside the verified regime is refused before its
-    cloud is built."""
+    points, None exactly when the orbit escapes.  This is the one place a
+    command iterates the critical orbit, once: the classification and the
+    cloud are both read from it.  With ``gated``, a parameter outside the
+    verified regime is refused before its cloud is built."""
     fmap = UnicriticalMap(config.d, config.c)
     orbit, escape_index = critical_orbit(fmap, config.orbit_n)
     cls = classify_parameter(orbit, escape_index)
@@ -117,7 +110,7 @@ def resolve_parameter(config: ExperimentConfig, gated: bool = False) -> Paramete
         raise SystemExit(f"refusing to run: parameter classified {cls.kind.value} "
                          "(need bounded-nonrecurrent, the semihyperbolic regime)")
     cloud = None if cls.kind is OrbitKind.ESCAPING else build_postcritical_cloud(orbit)
-    return Parameter(fmap, cls, cloud)
+    return fmap, cls, cloud
 
 
 def _report_header(config: ExperimentConfig, cloud: Optional[PostcriticalCloud]) -> dict:
@@ -316,7 +309,7 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
         if ray.landing is not None:
             try:
                 entries.append(john_constant_along_ray(ray, next(ray_dists)))
-            except InsideJuliaError as exc:  # a ray point within roundoff of J
+            except RayTracingError as exc:  # a ray point within roundoff of J
                 failures.append({"theta": theta, "error": str(exc)})
             for r, length in zip(RHO_LENGTH_RADII, next(ray_lengths)):
                 if math.isnan(length):  # no ray point near the landing

@@ -66,9 +66,6 @@ class UnicriticalMap:
     def evaluate(self, z: complex) -> complex:
         return z ** self.d + self.c
 
-    def deriv(self, z: complex) -> complex:
-        return self.d * z ** (self.d - 1)
-
     def escape_radius(self) -> float:
         # |z| > max(2, |c|) + 1 guarantees monotone escape for z^d + c; hypot
         # is abs without its OverflowError, and past the float range only an

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import PostcriticalCloud
-from .errors import DomainError
 
 
 class Variant(enum.Enum):
@@ -64,9 +63,9 @@ def series_F_times_power(d: int, t: float) -> float:
     """F_d(t) * t^(1-1/d) as the finite geometric sum
     (1 + t^(2/d) + ... + t^((2d-2)/d)) / d, stable on all of [0, 1)."""
     if d < 2:
-        raise DomainError("degree must be >= 2")
+        raise ValueError("degree must be >= 2")
     if not 0.0 <= t < 1.0:
-        raise DomainError(f"t must lie in [0, 1), got {t}")
+        raise ValueError(f"t must lie in [0, 1), got {t}")
     if t == 0.0:
         return 1.0 / d
     u = t ** (2.0 / d)
@@ -82,7 +81,7 @@ def comparison_F(d: int, t: float) -> float:
     """Ratio of the one-cone-point orbifold density to the hyperbolic density
     at pseudo-hyperbolic distance t from the cone point."""
     if not 0.0 < t < 1.0:
-        raise DomainError(f"t must lie in (0, 1), got {t}")
+        raise ValueError(f"t must lie in (0, 1), got {t}")
     return series_F_times_power(d, t) * t ** (-(1.0 - 1.0 / d))
 
 
@@ -90,14 +89,14 @@ def comparison_F_closed_form(d: int, t: float) -> float:
     """(1 - t^2) / (d t^(1-1/d) (1 - t^(2/d))); cancels catastrophically as
     t -> 1, kept only as a cross-check against the series form."""
     if not 0.0 < t < 1.0:
-        raise DomainError(f"t must lie in (0, 1), got {t}")
+        raise ValueError(f"t must lie in (0, 1), got {t}")
     return (1.0 - t * t) / (d * t ** (1.0 - 1.0 / d) * (1.0 - t ** (2.0 / d)))
 
 
 def hyperbolic_density_disk(r: float, z: complex) -> float:
     """Hyperbolic density 2r / (r^2 - |z|^2) of B(0, r)."""
     if abs(z) >= r:
-        raise DomainError("z must lie inside B(0, r)")
+        raise ValueError("z must lie inside B(0, r)")
     return 2.0 * r / (r * r - abs(z) ** 2)
 
 
@@ -105,10 +104,10 @@ def orbifold_density_disk(d: int, z: complex) -> float:
     """Hyperbolic orbifold density of the unit disk with one cone point of
     order d at 0: 2 / (d |z|^(1-1/d) (1 - |z|^(2/d))).  +inf at the cone point."""
     if d < 2:
-        raise DomainError("degree must be >= 2")
+        raise ValueError("degree must be >= 2")
     t = abs(z)
     if t >= 1.0:
-        raise DomainError("z must lie inside the unit disk")
+        raise ValueError("z must lie inside the unit disk")
     if t == 0.0:
         return math.inf
     return 2.0 / (d * t ** (1.0 - 1.0 / d) * (1.0 - t ** (2.0 / d)))
@@ -130,9 +129,9 @@ class KoebeBounds:
 
 def koebe_bounds(deriv_mag: float, r: float, s: float) -> KoebeBounds:
     if deriv_mag <= 0.0:
-        raise DomainError("derivative magnitude must be positive")
+        raise ValueError("derivative magnitude must be positive")
     if not 0.0 <= s < r:
-        raise DomainError("need 0 <= s < r")
+        raise ValueError("need 0 <= s < r")
     u = s / r
     return KoebeBounds(
         lower=deriv_mag / (1.0 + u) ** 2,

@@ -11,7 +11,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .dynamics import UnicriticalMap, preimage_branch
-from .errors import DomainError, InsideJuliaError, RayTracingError
 from .metrics import SingularMetric
 
 LANDING_TOL = 1e-6
@@ -25,6 +24,11 @@ MAX_RAY_DEPTH = 60
 RHO_LENGTH_REFINE = 8
 # Why a rho-length has no value: no ray point lies in its disk.
 NO_POINT_INSIDE = "no ray points inside B(base, 2r)"
+
+
+class RayTracingError(RuntimeError):
+    """An external ray could not be traced, has no landing estimate, or has
+    a point whose orbit did not escape: the package's one exception type."""
 
 
 @dataclass(frozen=True)
@@ -66,9 +70,9 @@ def trace_rays(fmap: UnicriticalMap, thetas: Sequence[float], depth: int) -> Lis
     """
     for theta in thetas:
         if not 0.0 <= theta < 1.0:
-            raise DomainError(f"angle must lie in [0, 1) turns, got {theta}")
+            raise ValueError(f"angle must lie in [0, 1) turns, got {theta}")
     if not 1 <= depth <= MAX_RAY_DEPTH:
-        raise DomainError(f"depth must lie in 1..{MAX_RAY_DEPTH}, got {depth}")
+        raise ValueError(f"depth must lie in 1..{MAX_RAY_DEPTH}, got {depth}")
     if not thetas:
         return []
     d, s, g0 = fmap.d, SUBSTEPS, TOP_POTENTIAL
@@ -183,8 +187,8 @@ def john_constant_along_ray(ray: ExternalRay, dist_to_julia: np.ndarray) -> John
     ratios = np.asarray(dist_to_julia, dtype=float)[along] / arcs[along]
     if np.isnan(ratios).any():
         z = ray.polyline[along[np.isnan(ratios).argmax()]]
-        raise InsideJuliaError(f"no distance to J at ray point {z!r}: its orbit did not "
-                                "escape within the iterate budget")
+        raise RayTracingError(f"no distance to J at ray point {z!r}: its orbit did not "
+                              "escape within the iterate budget")
     k = along[ratios.argmin()]
     return JohnRayEntry(ray.theta, float(ratios.min()), ray.polyline[k])
 
@@ -247,7 +251,7 @@ def rho_length_of_ray(ray: ExternalRay, metric: SingularMetric, from_radius: flo
     when no point of the ray lies in the disk."""
     length = rho_lengths([ray], metric, [from_radius])[0, 0]
     if math.isnan(length):
-        raise DomainError(NO_POINT_INSIDE)
+        raise ValueError(NO_POINT_INSIDE)
     return float(length)
 
 

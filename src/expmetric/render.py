@@ -137,20 +137,26 @@ def to_rgb(field: np.ndarray) -> np.ndarray:
     return rgb
 
 
+# a box a few subnormals wide puts counts and pixel indices past the float
+# range; an infinite count is capped and an infinite index is off the box
+@np.errstate(over="ignore")
 def overlay_polyline(rgb: np.ndarray, spec: RenderSpec, polyline) -> None:
     """Mark the pixels nearest each densified polyline point in white.
 
     A segment takes two points a pixel of box width along it.  One that
-    would take more than a segment across the box diagonal is first clipped
-    to the box, widened by a pixel on each side, and dropped if it misses it:
-    in a zoomed box a segment of the ray can be 10^12 box widths long."""
+    would take more than two points a pixel along the diagonal of the box
+    widened by a pixel on each side, that diagonal measured in pixels along
+    each axis, is first clipped to the widened box, dropped if it misses it,
+    and takes at most that many points: in a zoomed box a segment of the ray
+    can be 10^12 box widths long, and a pixel of a thin box is far taller
+    than it is wide."""
     lo, hi = spec.bbox
     width = hi.real - lo.real
 
-    def points(a, b) -> int:
-        return max(2, int(abs(b - a) / width * spec.width * 2))
+    def points(a, b) -> float:
+        return abs(b - a) / width * spec.width * 2
 
-    most = points(lo, hi)
+    most = 2 * math.hypot(spec.width + 2, spec.height + 2)
     pad = complex(width / spec.width, (hi.imag - lo.imag) / spec.height)
     pts = np.array(polyline)
     dense = []
@@ -161,8 +167,8 @@ def overlay_polyline(rgb: np.ndarray, spec: RenderSpec, polyline) -> None:
             if inside is None:
                 continue
             a, b = a + (b - a) * inside[0], a + (b - a) * inside[1]
-            n = points(a, b)
-        dense.append(a + (b - a) * np.linspace(0, 1, n))
+            n = min(points(a, b), most)
+        dense.append(a + (b - a) * np.linspace(0, 1, max(2, int(n))))
     z = np.concatenate(dense) if dense else pts
     i = np.rint((z.real - lo.real) / width * (spec.width - 1))
     j = np.rint((hi.imag - z.imag) / (hi.imag - lo.imag) * (spec.height - 1))

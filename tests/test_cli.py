@@ -625,6 +625,28 @@ def test_rays_records_a_disk_with_no_ray_point_as_failure(tmp_path, monkeypatch,
     assert rows == [["0.1", "0.2"]] + [["0.3", repr(r)] for r in cli.RHO_LENGTH_RADII]
 
 
+@pytest.mark.parametrize("c", [-2 + 0j, 1j], ids=["c=-2", "c=i"])
+def test_rays_over_the_benchmark_angles_land_in_closed_form(tmp_path, capsys, c):
+    # the angles k/48 at depth 50: every ray lands with no recorded failure,
+    # on its closed-form landing where one is known, and f maps the landing
+    # of theta onto the landing of 2 theta
+    angles = [k / 48 for k in range(48)]
+    run(["rays", "--c-re", repr(c.real), "--c-im", repr(c.imag), "--depth", "50",
+         "--angles", ",".join(map(repr, angles)), "--out", str(tmp_path)], capsys)
+    report = json.loads((tmp_path / "rays.json").read_text())
+    assert report["failures"] == []
+    landing = [complex(*report["landings"][repr(theta)]) for theta in angles]
+    if c == -2:
+        known = {k: 2 * math.cos(2 * math.pi * k / 48) for k in range(48)}
+    else:
+        beta = (1 + np.sqrt(1 - 4 * c)) / 2
+        known = {0: beta, 8: c, 16: c * c + c, 32: (c * c + c) ** 2 + c, 4: 0, 28: 0}
+    for k, z in known.items():
+        assert abs(landing[k] - z) <= 1e-4, k
+    for k, z in enumerate(landing):
+        assert abs(z * z + c - landing[2 * k % 48]) <= 5e-4, k
+
+
 # ----------------------------------------------------------------- expansion
 
 
@@ -671,9 +693,35 @@ def test_expansion_ratios_match_the_chebyshev_closed_form(tmp_path, capsys, monk
             closed = 2.0**n * g(theta(points[0])) / g(theta(points[n]))
             assert ratio == pytest.approx(closed, rel=1e-10, abs=0), n
             assert 2.0**n / math.sqrt(2) <= ratio <= math.sqrt(2) * 2.0**n, n
+        # so every window R_b / R_a (R_0 = 1) is at least 2^(b-a) / sqrt 2: the
+        # envelope E(k) = min log(R_b / R_a) over b - a = k is k log 2 - log sqrt 2
+        # or more, which criterion 4 only samples
+        levels = np.array([0, *rep.levels])
+        logs = np.log([1.0, *rep.ratios])
+        ahead = levels[None, :] > levels[:, None]
+        rises = (logs[None, :] - logs[:, None])[ahead]
+        steps = (levels[None, :] - levels[:, None])[ahead]
+        assert np.all(rises >= steps * math.log(2) - math.log(math.sqrt(2)) - 1e-9)
     _, *rows = (tmp_path / "expansion_ratios.csv").read_text().splitlines()
     assert rows == [f"{k},{n},{ratio!r}" for k, (_, rep) in enumerate(seen)
                     for n, ratio in zip(rep.levels, rep.ratios)]
+
+
+def test_expansion_at_the_conjugate_parameter_is_conjugate(tmp_path, capsys):
+    # f at conj(c) is the conjugate of f at c, and for d = 2 a root's branch
+    # index survives conjugation: the same seed pulls back the conjugate
+    # disks, with the same labels and ratios up to roundoff
+    reports = {}
+    for name, c_im in (("c=i", "1"), ("c=-i", "-1")):
+        run(["expansion", "--c-re", "0", "--c-im", c_im, "--orbits", "50", "--depth", "30",
+             "--seed", "0", "--out", str(tmp_path / name)], capsys)
+        histogram = json.loads((tmp_path / name / "expansion.json").read_text())["case_histogram"]
+        _, *rows = (tmp_path / name / "expansion_ratios.csv").read_text().splitlines()
+        reports[name] = histogram, np.array([row.split(",") for row in rows], dtype=float)
+    (hist_i, rows_i), (hist_conj, rows_conj) = reports.values()
+    assert hist_i == hist_conj
+    assert np.array_equal(rows_i[:, :2], rows_conj[:, :2])
+    assert np.allclose(rows_conj[:, 2], rows_i[:, 2], rtol=1e-11, atol=0)
 
 
 def test_expansion_depth_60_writes_strict_json(tmp_path, capsys):
@@ -739,6 +787,24 @@ def test_holder_pairs_equal_whole_grid_dijkstra(tmp_path, monkeypatch, c, seed):
         rho0, rho1 = grid.local_density(np.array([z0, z1]))
         snap = abs(z0 - p0) * rho0 + abs(z1 - p1) * rho1
         assert d == whole + snap
+
+
+def test_holder_at_the_conjugate_parameter_measures_the_conjugate_pairs(tmp_path, monkeypatch,
+                                                                       capsys):
+    # c = -i's grid mirrors c = i's, so c = i's pairs, conjugated and measured on
+    # c = -i's own grid, keep their separations and their rho-distances
+    run(["holder", "--c-re", "0", "--c-im", "1", "--grid-res", "512", "--seed", "0",
+         "--out", str(tmp_path / "i")], capsys)
+    _, *rows = (tmp_path / "i" / "holder_pairs.csv").read_text().splitlines()
+    at_i = np.array([row.split(",") for row in rows], dtype=float)
+    mirrored = [(complex(x0, -y0), complex(x1, -y1)) for x0, y0, x1, y1, _, _ in at_i]
+    monkeypatch.setattr(cli, "holder_sample_pairs", lambda cloud, rng: mirrored)
+    run(["holder", "--c-re", "0", "--c-im", "-1", "--grid-res", "512", "--seed", "0",
+         "--out", str(tmp_path / "conj")], capsys)
+    _, *rows = (tmp_path / "conj" / "holder_pairs.csv").read_text().splitlines()
+    at_conj = np.array([row.split(",") for row in rows], dtype=float)
+    assert len(at_conj) == len(at_i) == cli.HOLDER_SCALES * cli.PAIRS_PER_SCALE
+    assert np.allclose(at_conj[:, 4:], at_i[:, 4:], rtol=1e-12, atol=0)
 
 
 # -------------------------------------------------------------------- render

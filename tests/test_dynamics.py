@@ -20,12 +20,6 @@ def test_evaluate_oracles():
     assert em.UnicriticalMap(2, 1j).evaluate(1j) == -1 + 1j
 
 
-def test_deriv_oracles():
-    assert em.UnicriticalMap(2, 0).deriv(0) == 0
-    assert em.UnicriticalMap(2, -2).deriv(3) == 6
-    assert em.UnicriticalMap(3, 0).deriv(2) == 12
-
-
 def test_degree_below_two_rejected():
     with pytest.raises(ValueError):
         em.UnicriticalMap(1, 0)
@@ -298,7 +292,7 @@ def scalar_julia_distance(fmap, z):
             g = math.log(mag) / fmap.d ** k
             log_grad = math.log(abs(dw)) - math.log(mag) - k * math.log(fmap.d)
             return math.sinh(g) * math.exp(-log_grad)
-        dw = fmap.deriv(w) * dw
+        dw = fmap.d * w ** (fmap.d - 1) * dw
         w = fmap.evaluate(w)
     return math.nan
 

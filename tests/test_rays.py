@@ -12,7 +12,6 @@ import pytest
 import expmetric as em
 from expmetric.cli import RHO_LENGTH_RADII
 from expmetric.dynamics import preimage_branch
-from expmetric.errors import DomainError, InsideJuliaError, RayTracingError
 from expmetric.metrics import SingularMetric, Variant
 from expmetric.rays import (
     LANDING_TOL,
@@ -21,6 +20,7 @@ from expmetric.rays import (
     TOP_POTENTIAL,
     ExternalRay,
     JohnRayEntry,
+    RayTracingError,
     _aitken,
     _boettcher_top,
     _extrapolated_landing,
@@ -57,11 +57,11 @@ def distances(ray, dist):
 
 
 def test_ray_domain_errors():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match=r"^angle must lie in \[0, 1\) turns, got 1\.0$"):
         trace_ray(cheb(), 1.0, 10)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match=r"^angle must lie in \[0, 1\) turns, got -0\.1$"):
         trace_ray(cheb(), -0.1, 10)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match=r"^depth must lie in 1\.\.60, got 61$"):
         trace_ray(cheb(), 0.25, 61)
 
 
@@ -239,16 +239,21 @@ def test_cubic_ray_follows_exact_angle_orbit():
     assert abs(ray.landing - cmath.exp(0.2j * math.pi)) < 1e-12
 
 
-@pytest.mark.parametrize("c", [1j, -2 + 0j, 0.2 + 0.55j], ids=["c=i", "c=-2", "c=0.2+0.55i"])
-def test_quadratic_rays_half_a_turn_apart_are_negatives(c):
-    # z^2 + c is even, so z -> -z maps the theta-ray onto the (theta + 1/2)-ray;
-    # with angles j/64 the half turn is exact in floats
-    fmap = em.UnicriticalMap(2, c)
-    rays = trace_rays(fmap, [j / 64 for j in range(64)], 30)
-    for ray, opposite in zip(rays[:32], rays[32:]):
-        assert opposite.theta == ray.theta + 0.5
-        assert np.abs(np.array(opposite.polyline) + np.array(ray.polyline)).max() <= 1e-13, \
-            ray.theta
+@pytest.mark.parametrize("d, c, depth", [(2, 1j, 30), (2, -2 + 0j, 30), (2, 0.2 + 0.55j, 30),
+                                         (3, 0.2j, 40), (5, 0.4j, 20)],
+                         ids=["c=i", "c=-2", "c=0.2+0.55i", "d=3", "d=5"])
+def test_quadratic_rays_half_a_turn_apart_are_negatives(d, c, depth):
+    # z^d + c commutes with z -> omega z, omega = e^(2 pi i / d), which maps
+    # the theta-ray onto the (theta + 1/d)-ray: the ray of theta + k/d is omega^k
+    # times the ray of theta, so at d = 2 the half turn negates it
+    fmap = em.UnicriticalMap(d, c)
+    rays = trace_rays(fmap, [Fraction(j, 32 * d) for j in range(32 * d)], depth)
+    for k in range(1, d):
+        omega_k = cmath.exp(2j * math.pi * k / d)
+        for ray, turned in zip(rays[:32], rays[32 * k:]):
+            assert turned.theta == ray.theta + Fraction(k, d)
+            assert np.abs(np.array(turned.polyline) - omega_k * np.array(ray.polyline)).max() \
+                <= 1e-13, (k, ray.theta)
 
 
 def test_ray_equivariance_under_f():
@@ -326,7 +331,7 @@ def test_john_report_clamps_at_one():
 
 def test_john_constant_requires_landing():
     ray = ExternalRay(0.0, [3 + 0j, 2.5 + 0j], [1.0, 0.5], None)
-    with pytest.raises(RayTracingError):
+    with pytest.raises(RayTracingError, match="^ray has no landing estimate$"):
         john_constant_along_ray(ray, distances(ray, dist_to_segment))
 
 
@@ -336,7 +341,7 @@ def test_john_constant_takes_first_minimum_and_refuses_nan():
     ray = ExternalRay(0.0, [3 + 0j, 2 + 0j, 1 + 0j, 0j], [1.0, 0.5, 0.25, 0.125], 0j)
     entry = john_constant_along_ray(ray, np.array([1.0, 1.0, 1 / 3, math.nan]))
     assert (entry.constant, entry.worst_point) == (1 / 3, 3 + 0j)
-    with pytest.raises(InsideJuliaError, match=r"ray point \(2\+0j\)"):
+    with pytest.raises(RayTracingError, match=r"^no distance to J at ray point \(2\+0j\)"):
         john_constant_along_ray(ray, np.array([1.0, math.nan, 1.0, 1.0]))
 
 
@@ -410,7 +415,7 @@ def test_rho_lengths_nan_where_no_ray_point_lies_in_the_disk():
     want = reference_rho_lengths([moved, other], metric, RHO_LENGTH_RADII)
     assert np.array_equal(got, want, equal_nan=True)
     assert rho_length_of_ray(moved, metric, 0.2) == got[0, 0]
-    with pytest.raises(DomainError, match=r"^no ray points inside B\(base, 2r\)$"):
+    with pytest.raises(ValueError, match=r"^no ray points inside B\(base, 2r\)$"):
         rho_length_of_ray(moved, metric, 0.1)
     assert rho_lengths([], metric, RHO_LENGTH_RADII).shape == (4, 0)
 
@@ -466,13 +471,13 @@ def test_rho_length_scaling_exponent():
 def test_rho_length_rejects_faraway_base():
     # a landing far from every point of the polyline leaves no point in B(base, 2r)
     ray = ExternalRay(0.0, [3 + 0j, 2.5 + 0j], [1.0, 0.5], 100 + 100j)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match=r"^no ray points inside B\(base, 2r\)$"):
         rho_length_of_ray(ray, cheb_metric(), 0.05)
 
 
 def test_rho_length_requires_landing_or_base():
     ray = ExternalRay(0.0, [3 + 0j, 2.5 + 0j], [1.0, 0.5], None)
-    with pytest.raises(RayTracingError):
+    with pytest.raises(RayTracingError, match="^ray has no landing estimate to use as base$"):
         rho_length_of_ray(ray, cheb_metric(), 0.1)
 
 

@@ -195,3 +195,22 @@ def test_overlay_clips_long_segments_and_drops_misses():
     top[0] = True
     assert np.array_equal(white([-1e12 + 1.02j, 1e12 + 1.02j]), top)
     assert not white([-1e12 + 2j, 1e12 + 2j]).any()
+
+
+@pytest.mark.parametrize("xmin, xmax", [("-1e-9", "1e-9"), ("0", "1e-300"), ("0", "5e-324")],
+                         ids=["1e-9", "1e-300", "subnormal"])
+def test_overlay_on_a_thin_box_counts_pixels_along_each_axis(tmp_path, capfd, xmin, xmax):
+    # a pixel of this box is up to 10^323 times taller than it is wide: counted
+    # in pixels of box width, the ray's segments took 10^10 points or more
+    assert cli.main(["render", "--c-re", "-2", "--bbox", xmin, xmax, "-2", "2",
+                     "--width", "8", "--height", "8", "--rays", "0.25", "--depth", "10",
+                     "--out", str(tmp_path)]) == 0
+    assert capfd.readouterr().err == ""
+    if xmin == "-1e-9":
+        # the 1/4-ray at c = -2 is 2i sinh(g) for g from 1 down to 2^-10: the
+        # centre column, from above the box down to the row of 0.002i
+        pixels = (tmp_path / "render.ppm").read_bytes()[-8 * 8 * 3:]
+        white = np.all(np.frombuffer(pixels, dtype=np.uint8).reshape(8, 8, 3) == 255, axis=-1)
+        want = np.zeros((8, 8), dtype=bool)
+        want[:4, 4] = True
+        assert np.array_equal(white, want)
