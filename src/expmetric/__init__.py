@@ -50,7 +50,6 @@ from .gridmetric import (
 from .rays import (
     ExternalRay,
     john_constant_along_ray,
-    john_report,
     rho_length_of_ray,
     trace_ray,
     trace_rays,

@@ -51,7 +51,8 @@ from .gridmetric import (
     verify_lower_bound,
 )
 from .metrics import SingularMetric, Variant
-from .rays import MAX_RAY_DEPTH, NO_POINT_INSIDE, RayTracingError, john_constant_along_ray, john_report, rho_lengths, trace_rays
+from .rays import (MAX_RAY_DEPTH, NO_DISTANCE, NO_POINT_INSIDE, RayTracingError,
+                   arclengths_from_landing, john_constant_along_ray, rho_lengths, trace_rays)
 # not called here but importable: bench/tracing.py wraps them by these names
 from .rays import rho_length_of_ray, trace_ray  # noqa: F401
 from .render import LAYERS, RenderSpec, density_field, distance_field, escape_time_field, overlay_polyline, replacing, to_rgb, write_ppm
@@ -284,8 +285,6 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
         raise SystemExit("refusing to run: critical orbit escapes; no bounded rays")
     metric = SingularMetric(cloud, fmap.d, Variant.RHO)
 
-    entries = []
-    failures = []
     try:
         rays = trace_rays(fmap, angles, config.depth)
     except RayTracingError as exc:  # the Boettcher start overflows at a high degree
@@ -297,38 +296,45 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
                          dtype=complex).reshape(len(rays), config.depth + 1)
     landed = [ray for ray in rays if ray.landing is not None]
     points = polylines[[ray.landing is not None for ray in rays]]
-    along = np.array([ray.arclengths_from_landing() for ray in landed]).reshape(points.shape) > 0.0
+    arcs = arclengths_from_landing(points)
+    along = arcs > 0.0
     dists = np.full(points.shape, math.nan)
     dists[along] = julia_distance_estimate(fmap, points[along])
-    ray_dists = iter(dists)
+    ratios, worst = john_constant_along_ray(arcs, dists)
+    # a NaN ratio: a ray point within roundoff of J, whose orbit did not escape
+    john = ~np.isnan(ratios)
     # one density pass for every landed ray at every radius, a row a ray
     lengths = rho_lengths(landed, metric, RHO_LENGTH_RADII).T
-    ray_lengths = iter(lengths)
+    failures = []
+    rows = iter(range(len(landed)))
     for ray in rays:
-        theta = ray.theta
-        if ray.landing is not None:
-            try:
-                entries.append(john_constant_along_ray(ray, next(ray_dists)))
-            except RayTracingError as exc:  # a ray point within roundoff of J
-                failures.append({"theta": theta, "error": str(exc)})
-            for r, length in zip(RHO_LENGTH_RADII, next(ray_lengths)):
-                if math.isnan(length):  # no ray point near the landing
-                    failures.append({"theta": theta, "radius": r, "error": NO_POINT_INSIDE})
-        else:
-            failures.append({"theta": theta, "error": "no landing estimate"})
+        if ray.landing is None:
+            failures.append({"theta": ray.theta, "error": "no landing estimate"})
+            continue
+        i = next(rows)
+        if not john[i]:
+            failures.append({"theta": ray.theta,
+                             "error": NO_DISTANCE.format(complex(points[i, worst[i]]))})
+        failures.extend({"theta": ray.theta, "radius": r, "error": NO_POINT_INSIDE}
+                        for r, length in zip(RHO_LENGTH_RADII, lengths[i])
+                        if math.isnan(length))  # no ray point near the landing
 
     report = _report_header(config, cloud)
     report["depth"] = config.depth
     report["failures"] = failures
-    if entries:
-        jr = john_report(entries)
+    if john.any():
+        # the first worst ray, its constant capped at 1: dist(z, J) never
+        # exceeds the path length to the boundary, and any excess comes from
+        # the factor-bounded distance estimator
+        k = np.flatnonzero(john)[ratios[john].argmin()]
+        z = complex(points[k, worst[k]])
+        per_ray = [{"theta": ray.theta, "constant": constant}
+                   for ray, constant, ok in zip(landed, ratios.tolist(), john) if ok]
         report["john"] = {
-            "constant": jr.constant,
-            "worst_point": [jr.worst_point.real, jr.worst_point.imag],
-            "ray_count": len(entries),
-            "per_ray": [
-                {"theta": e.theta, "constant": e.constant} for e in entries
-            ],
+            "constant": min(1.0, float(ratios[k])),
+            "worst_point": [z.real, z.imag],
+            "ray_count": len(per_ray),
+            "per_ray": per_ray,
         }
     report["landings"] = {repr(ray.theta): [ray.landing.real, ray.landing.imag]
                           for ray in rays if ray.landing is not None}

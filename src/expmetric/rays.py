@@ -4,9 +4,9 @@ estimation along rays, and singular-metric length accounting."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,11 +24,14 @@ MAX_RAY_DEPTH = 60
 RHO_LENGTH_REFINE = 8
 # Why a rho-length has no value: no ray point lies in its disk.
 NO_POINT_INSIDE = "no ray points inside B(base, 2r)"
+# Why a John ratio has no value, for the first ray point with no distance to J.
+NO_DISTANCE = ("no distance to J at ray point {!r}: its orbit did not escape "
+               "within the iterate budget")
 
 
 class RayTracingError(RuntimeError):
-    """An external ray could not be traced, has no landing estimate, or has
-    a point whose orbit did not escape: the package's one exception type."""
+    """The Boettcher start of a ray overflows, or a ray has no landing
+    estimate to measure from: the package's one exception type."""
 
 
 @dataclass(frozen=True)
@@ -38,11 +41,12 @@ class ExternalRay:
     potentials: List[float]
     landing: Optional[complex]
 
-    def arclengths_from_landing(self) -> np.ndarray:
-        """Cumulative Euclidean arclength from the deep end of the polyline."""
-        pts = np.array(self.polyline)
-        segs = np.abs(np.diff(pts))
-        return np.concatenate([[0.0], np.cumsum(segs[::-1])])[::-1]
+
+def arclengths_from_landing(polylines: np.ndarray) -> np.ndarray:
+    """Cumulative Euclidean arclength of each row of the ``(rays, points)``
+    array ``polylines`` from its deep end, summed from that end."""
+    tails = np.cumsum(np.abs(np.diff(polylines, axis=1))[:, ::-1], axis=1)[:, ::-1]
+    return np.concatenate([tails, np.zeros((len(polylines), 1))], axis=1)
 
 
 def _boettcher_top(fmap: UnicriticalMap) -> float:
@@ -166,39 +170,18 @@ def _extrapolated_landing(polyline: List[complex]) -> Optional[complex]:
     return latest
 
 
-@dataclass(frozen=True)
-class JohnRayEntry:
-    theta: float
-    constant: float
-    worst_point: complex
-
-
-def john_constant_along_ray(ray: ExternalRay, dist_to_julia: np.ndarray) -> JohnRayEntry:
-    """inf over ray points of dist(z, J) / arclength(landing -> z): the John
-    condition specialized to geodesics terminating on the boundary.
-    ``dist_to_julia`` holds the distance of each polyline point; points at
-    arclength 0 are skipped, and of equal ratios the first is the worst."""
-    if ray.landing is None:
-        raise RayTracingError("ray has no landing estimate")
-    arcs = ray.arclengths_from_landing()
-    along = np.flatnonzero(arcs > 0.0)
-    if not along.size:
-        return JohnRayEntry(ray.theta, math.inf, ray.polyline[0])
-    ratios = np.asarray(dist_to_julia, dtype=float)[along] / arcs[along]
-    if np.isnan(ratios).any():
-        z = ray.polyline[along[np.isnan(ratios).argmax()]]
-        raise RayTracingError(f"no distance to J at ray point {z!r}: its orbit did not "
-                              "escape within the iterate budget")
-    k = along[ratios.argmin()]
-    return JohnRayEntry(ray.theta, float(ratios.min()), ray.polyline[k])
-
-
-def john_report(entries: List[JohnRayEntry]) -> JohnRayEntry:
-    """The worst ray's entry, its constant capped at 1 since dist(z, J) never
-    exceeds the path length to the boundary and any excess comes from the
-    factor-bounded distance estimator."""
-    worst = min(entries, key=lambda e: e.constant)
-    return replace(worst, constant=min(1.0, worst.constant))
+def john_constant_along_ray(arcs: np.ndarray,
+                            dists: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row, the least of dist(z, J) / arclength(landing -> z) over the ray
+    points at positive arclength, and its column: the John condition
+    specialized to geodesics terminating on the boundary.  ``arcs`` holds the
+    ``arclengths_from_landing`` of each point and ``dists`` its distance to J.
+    Of equal ratios the first is the worst; a row with a NaN ratio reads NaN
+    at its first NaN, and one with no point at positive arclength inf at
+    column 0."""
+    ratios = np.divide(dists, arcs, out=np.full(arcs.shape, math.inf), where=arcs > 0.0)
+    worst = ratios.argmin(axis=1)
+    return ratios[np.arange(len(worst)), worst], worst
 
 
 def rho_lengths(rays: Sequence[ExternalRay], metric: SingularMetric,

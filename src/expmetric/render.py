@@ -143,21 +143,25 @@ def to_rgb(field: np.ndarray) -> np.ndarray:
 def overlay_polyline(rgb: np.ndarray, spec: RenderSpec, polyline) -> None:
     """Mark the pixels nearest each densified polyline point in white.
 
-    A segment takes two points a pixel of box width along it.  One that
-    would take more than two points a pixel along the diagonal of the box
-    widened by a pixel on each side, that diagonal measured in pixels along
-    each axis, is first clipped to the widened box, dropped if it misses it,
-    and takes at most that many points: in a zoomed box a segment of the ray
-    can be 10^12 box widths long, and a pixel of a thin box is far taller
-    than it is wide."""
+    A segment takes two points a pixel along it, counted in pixels along the
+    axis whose pixels are smaller (width on a tie), so that it leaves no gap
+    along either axis.  One that would take more than two points a pixel
+    along the diagonal of the box widened by a pixel on each side, that
+    diagonal measured in pixels along each axis, is first clipped to the
+    widened box, dropped if it misses it, and takes at most that many
+    points: in a zoomed box a segment of the ray can be 10^12 box widths
+    long, and a pixel of a thin box is far taller than it is wide."""
     lo, hi = spec.bbox
-    width = hi.real - lo.real
+    width, height = hi.real - lo.real, hi.imag - lo.imag
+    extent, pixels = width, spec.width
+    if height / spec.height < width / spec.width:
+        extent, pixels = height, spec.height
 
     def points(a, b) -> float:
-        return abs(b - a) / width * spec.width * 2
+        return abs(b - a) / extent * pixels * 2
 
     most = 2 * math.hypot(spec.width + 2, spec.height + 2)
-    pad = complex(width / spec.width, (hi.imag - lo.imag) / spec.height)
+    pad = complex(width / spec.width, height / spec.height)
     pts = np.array(polyline)
     dense = []
     for a, b in zip(pts[:-1], pts[1:]):
@@ -171,7 +175,7 @@ def overlay_polyline(rgb: np.ndarray, spec: RenderSpec, polyline) -> None:
         dense.append(a + (b - a) * np.linspace(0, 1, max(2, int(n))))
     z = np.concatenate(dense) if dense else pts
     i = np.rint((z.real - lo.real) / width * (spec.width - 1))
-    j = np.rint((hi.imag - z.imag) / (hi.imag - lo.imag) * (spec.height - 1))
+    j = np.rint((hi.imag - z.imag) / height * (spec.height - 1))
     # tested as floats: a point far off the box has no integer pixel index
     on = (0 <= i) & (i < spec.width) & (0 <= j) & (j < spec.height)
     rgb[j[on].astype(int), i[on].astype(int)] = 255

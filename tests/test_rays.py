@@ -10,22 +10,23 @@ import numpy as np
 import pytest
 
 import expmetric as em
+from expmetric import cli
 from expmetric.cli import RHO_LENGTH_RADII
 from expmetric.dynamics import preimage_branch
 from expmetric.metrics import SingularMetric, Variant
 from expmetric.rays import (
     LANDING_TOL,
+    NO_DISTANCE,
     RHO_LENGTH_REFINE,
     SUBSTEPS,
     TOP_POTENTIAL,
     ExternalRay,
-    JohnRayEntry,
     RayTracingError,
     _aitken,
     _boettcher_top,
     _extrapolated_landing,
+    arclengths_from_landing,
     john_constant_along_ray,
-    john_report,
     rho_length_of_ray,
     rho_lengths,
     trace_ray,
@@ -49,8 +50,11 @@ def dist_to_circle(z):
     return abs(abs(z) - 1.0)
 
 
-def distances(ray, dist):
-    return np.array([dist(z) for z in ray.polyline])
+def john_constants(rays, dist):
+    """The least John ratio of each ray, with ``dist`` as the distance to J."""
+    polylines = np.array([ray.polyline for ray in rays])
+    dists = np.array([[dist(z) for z in row] for row in polylines.tolist()])
+    return john_constant_along_ray(arclengths_from_landing(polylines), dists)[0]
 
 
 # ------------------------------------------------------------------ tracing
@@ -256,6 +260,23 @@ def test_quadratic_rays_half_a_turn_apart_are_negatives(d, c, depth):
                 <= 1e-13, (k, ray.theta)
 
 
+@pytest.mark.parametrize("d, c, depth", [(2, 0.2 + 0.55j, 45), (2, -0.12 + 0.75j, 40),
+                                         (3, 0.2 + 0.3j, 30)],
+                         ids=["c=0.2+0.55i", "c=-0.12+0.75i", "d=3"])
+def test_rays_at_the_conjugate_parameter_are_conjugate(d, c, depth):
+    # z^d + conj(c) is z^d + c conjugated, and conjugation reverses angles:
+    # the (1 - theta)-ray at conj(c) is the conjugate of the theta-ray at c
+    thetas = [Fraction(k, 48) for k in range(48)]
+    rays = trace_rays(em.UnicriticalMap(d, c), thetas, depth)
+    mirrored = trace_rays(em.UnicriticalMap(d, c.conjugate()), [(1 - t) % 1 for t in thetas],
+                          depth)
+    for ray, mirror in zip(rays, mirrored):
+        assert np.abs(np.conj(ray.polyline) - np.array(mirror.polyline)).max() <= 1e-13, ray.theta
+        assert (ray.landing is None) == (mirror.landing is None), ray.theta
+        if ray.landing is not None:
+            assert abs(ray.landing.conjugate() - mirror.landing) <= 1e-13, ray.theta
+
+
 def test_ray_equivariance_under_f():
     # f maps the theta-ray to the (d theta)-ray, doubling the potential
     fmap = cheb()
@@ -266,13 +287,17 @@ def test_ray_equivariance_under_f():
 
 
 def test_arclengths_from_landing():
-    ray = trace_ray(cheb(), 0.0, 20)
-    arcs = ray.arclengths_from_landing()
-    assert len(arcs) == len(ray.polyline)
-    assert arcs[-1] == 0.0
-    assert all(a >= b for a, b in zip(arcs, arcs[1:]))
-    # total arclength dominates the straight-line span
-    assert arcs[0] >= abs(ray.polyline[0] - ray.polyline[-1]) - 1e-12
+    rays = trace_rays(cheb(), [0.0, 0.1, 0.3], 20)
+    arcs = arclengths_from_landing(np.array([ray.polyline for ray in rays]))
+    assert arcs.shape == (3, 21)
+    for ray, row in zip(rays, arcs):
+        # each row is its ray's segment lengths summed from the deep end
+        segs = np.abs(np.diff(np.array(ray.polyline)))
+        assert np.array_equal(row, np.concatenate([[0.0], np.cumsum(segs[::-1])])[::-1])
+        assert row[-1] == 0.0
+        assert all(a >= b for a, b in zip(row, row[1:]))
+        # total arclength dominates the straight-line span
+        assert row[0] >= abs(ray.polyline[0] - ray.polyline[-1]) - 1e-12
 
 
 # ------------------------------------------------------------------- Aitken
@@ -299,50 +324,52 @@ def test_extrapolated_landing_gates():
 
 def test_john_constant_square_map_is_one():
     # rays of z^2 are radial, so dist(z, J) equals the arclength exactly
-    fmap = em.UnicriticalMap(2, 0)
-    entries = []
-    for k in range(8):
-        ray = trace_ray(fmap, k / 8, 35)
-        entries.append(john_constant_along_ray(ray, distances(ray, dist_to_circle)))
-    for e in entries:
-        assert e.constant == pytest.approx(1.0, abs=0.05)
-    rep = john_report(entries)
-    assert 0.95 <= rep.constant <= 1.0
-    worst = min(entries, key=lambda e: e.constant)
-    assert (rep.constant, rep.worst_point) == (min(1.0, worst.constant), worst.worst_point)
+    constants = john_constants(trace_rays(em.UnicriticalMap(2, 0), [k / 8 for k in range(8)], 35),
+                               dist_to_circle)
+    assert np.all(np.abs(constants - 1.0) <= 0.05)
 
 
 def test_john_constant_chebyshev_positive_and_stable():
     fmap = cheb()
-    for theta in (0.1, 0.3):
-        r40, r50 = trace_ray(fmap, theta, 40), trace_ray(fmap, theta, 50)
-        e40 = john_constant_along_ray(r40, distances(r40, dist_to_segment))
-        e50 = john_constant_along_ray(r50, distances(r50, dist_to_segment))
-        assert e40.constant >= 0.01
-        assert abs(e40.constant - e50.constant) <= 0.25 * e40.constant
+    c40 = john_constants(trace_rays(fmap, [0.1, 0.3], 40), dist_to_segment)
+    c50 = john_constants(trace_rays(fmap, [0.1, 0.3], 50), dist_to_segment)
+    assert np.all(c40 >= 0.01)
+    assert np.all(np.abs(c40 - c50) <= 0.25 * c40)
 
 
-def test_john_report_clamps_at_one():
-    entries = [JohnRayEntry(0.0, 2.5, 1 + 0j), JohnRayEntry(0.5, 3.0, -1 + 0j)]
-    rep = john_report(entries)
-    assert rep == JohnRayEntry(0.0, 1.0, 1 + 0j)  # the worst ray's theta and point
-    assert entries[0].constant == 2.5  # raw per-ray values untouched
-
-
-def test_john_constant_requires_landing():
-    ray = ExternalRay(0.0, [3 + 0j, 2.5 + 0j], [1.0, 0.5], None)
-    with pytest.raises(RayTracingError, match="^ray has no landing estimate$"):
-        john_constant_along_ray(ray, distances(ray, dist_to_segment))
+def test_john_aggregate_clamps_at_one(tmp_path, monkeypatch):
+    # distances of 100 put every ratio above 1, least at each ray's top point,
+    # the farthest from its landing: the report caps its constant at 1 and
+    # names the first worst ray's point, and per_ray keeps the raw ratios
+    monkeypatch.setattr(cli, "julia_distance_estimate", lambda fmap, z: np.full(len(z), 100.0))
+    angles = [0.1, 0.3, 0.6]
+    report = cli.cmd_rays(cli.ExperimentConfig(depth=20, out_dir=tmp_path), angles)
+    rays = trace_rays(cheb(), angles, 20)
+    raw = 100.0 / arclengths_from_landing(np.array([ray.polyline for ray in rays]))[:, 0]
+    assert raw.min() > 1.0
+    top = rays[raw.argmin()].polyline[0]
+    assert report["john"] == {
+        "constant": 1.0,
+        "worst_point": [top.real, top.imag],
+        "ray_count": 3,
+        "per_ray": [{"theta": theta, "constant": r} for theta, r in zip(angles, raw.tolist())],
+    }
 
 
 def test_john_constant_takes_first_minimum_and_refuses_nan():
-    # arclengths from the landing 0: 3, 2, 1, 0; ratios 1/3, 1/2, 1/3, and the
-    # landing itself skipped, so the first of the two minima is the worst point
-    ray = ExternalRay(0.0, [3 + 0j, 2 + 0j, 1 + 0j, 0j], [1.0, 0.5, 0.25, 0.125], 0j)
-    entry = john_constant_along_ray(ray, np.array([1.0, 1.0, 1 / 3, math.nan]))
-    assert (entry.constant, entry.worst_point) == (1 / 3, 3 + 0j)
-    with pytest.raises(RayTracingError, match=r"^no distance to J at ray point \(2\+0j\)"):
-        john_constant_along_ray(ray, np.array([1.0, math.nan, 1.0, 1.0]))
+    # arclengths from the landing 0: 3, 2, 1, 0.  Row 0's ratios are 1/3, 1/2,
+    # 1/3 and the landing itself is skipped, so the first of the two minima is
+    # the worst point; row 1 reads NaN at its first NaN, which cmd_rays refuses
+    # as a failure naming that point; row 2 has no point at positive arclength
+    polylines = np.array([[3, 2, 1, 0], [3, 2, 1, 0], [5, 5, 5, 5]], dtype=complex)
+    dists = np.array([[1.0, 1.0, 1 / 3, math.nan],
+                      [1.0, math.nan, 1.0, math.nan],
+                      [1.0, 1.0, 1.0, 1.0]])
+    constants, worst = john_constant_along_ray(arclengths_from_landing(polylines), dists)
+    assert np.array_equal(constants, [1 / 3, math.nan, math.inf], equal_nan=True)
+    assert worst.tolist() == [0, 1, 0]
+    assert NO_DISTANCE.format(complex(polylines[1, worst[1]])).startswith(
+        "no distance to J at ray point (2+0j): ")
 
 
 # -------------------------------------------------------------- rho-length

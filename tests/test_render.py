@@ -214,3 +214,69 @@ def test_overlay_on_a_thin_box_counts_pixels_along_each_axis(tmp_path, capfd, xm
         want = np.zeros((8, 8), dtype=bool)
         want[:4, 4] = True
         assert np.array_equal(white, want)
+
+
+@pytest.mark.parametrize("ymin, ymax", [(-1e-9, 1e-9), (-0.5, 0.5)], ids=["1e-9", "0.5"])
+def test_overlay_marks_every_row_where_pixels_are_wider_than_tall(ymin, ymax):
+    # a vertical segment across a wide, flat box: counted in pixels of box
+    # width, its points fell 0 of 8 rows apart (1e-9) or every other row (0.5)
+    spec = RenderSpec((complex(-2, ymin), complex(2, ymax)), 8, 8)
+    rgb = np.zeros((8, 8, 3), dtype=np.uint8)
+    overlay_polyline(rgb, spec, [-1j, 1j])
+    want = np.zeros((8, 8), dtype=bool)
+    want[:, 4] = True  # x = 0 rounds to column 4 of 0..7
+    assert np.array_equal(np.all(rgb == 255, axis=-1), want)
+
+
+# P(f) of the two parameters; both critical orbits are exact in floating point
+# (0 -> -2 -> 2 -> 2 and 0 -> i -> -1+i -> -i -> -1+i).
+POSTCRITICAL = {-2 + 0j: (-2 + 0j, 2 + 0j), 1j: (1j, -1 + 1j, -1j)}
+
+
+def plain_escape_counts(z, c):
+    """Iterations of w*w + c, one point at a time, before |w| exceeds
+    max(2, |c|) + 1; ESCAPE_MAX_ITER if it never does."""
+    def count(w):
+        for k in range(ESCAPE_MAX_ITER):
+            w = w * w + c
+            if abs(w) > max(2.0, abs(c)) + 1.0:
+                return k
+        return ESCAPE_MAX_ITER
+    return np.array([[count(w) for w in row] for row in z.tolist()], dtype=float)
+
+
+def exact_log_density(z, c):
+    """log(1 + rho) with rho = 1 + dist(z, P)^(-1/2) over the exact P(f)."""
+    dist = np.min([np.abs(z - p) for p in POSTCRITICAL[c]], axis=0)
+    return np.log1p(1.0 + dist**-0.5)
+
+
+@pytest.mark.parametrize("rays", ["2,24,26", "4,8,36"])
+@pytest.mark.parametrize("layer", ["escape-time", "density-rho"])
+@pytest.mark.parametrize("c", [-2 + 0j, 1j], ids=["c=-2", "c=i"])
+def test_render_matches_an_independent_heat_map(tmp_path, c, layer, rays):
+    # the benchmark's renders, smaller: three of the rays k/48 (those its
+    # seeds 0 and 1 draw) over the default box, every pixel not white checked
+    # against the field recomputed apart from the package, exactly for the
+    # escape time and within one level for the density; at 96x96 the
+    # overlay already covers more than 1 % of the pixels
+    size = 257
+    angles = ",".join(repr(int(k) / 48) for k in rays.split(","))
+    assert cli.main(["render", "--c-re", repr(c.real), "--c-im", repr(c.imag),
+                     "--layer", layer, "--width", str(size), "--height", str(size),
+                     "--depth", "50", "--rays", angles, "--out", str(tmp_path)]) == 0
+    header, pixels = (tmp_path / "render.ppm").read_bytes().split(b"\n255\n", 1)
+    assert header == f"P6\n{size} {size}".encode()
+    got = np.frombuffer(pixels, dtype=np.uint8).reshape(size, size, 3).astype(int)
+    xs = np.linspace(-2.5, 2.5, size)
+    z = xs + 1j * xs[::-1, None]
+    field, tol = ((plain_escape_counts, 0) if layer == "escape-time"
+                  else (exact_log_density, 1))
+    values = field(z, c)
+    want = ((values - values.min()) / (values.max() - values.min()) * 255).astype(int)
+    heat = ~np.all(got == 255, axis=-1)  # white pixels are the ray overlay
+    red = got[..., 0][heat]
+    assert np.abs(red - want[heat]).max() <= tol
+    assert np.array_equal(got[..., 1][heat], (red * 0.6).astype(int))
+    assert np.array_equal(got[..., 2][heat], 255 - red)
+    assert 0 < heat.size - np.count_nonzero(heat) <= 0.01 * heat.size
