@@ -48,7 +48,6 @@ from .gridmetric import (
     verify_lower_bound,
 )
 from .rays import (
-    ExternalRay,
     john_constant_along_ray,
     rho_length_of_ray,
     trace_ray,

@@ -52,7 +52,8 @@ from .gridmetric import (
 )
 from .metrics import SingularMetric, Variant
 from .rays import (MAX_RAY_DEPTH, NO_DISTANCE, NO_POINT_INSIDE, RayTracingError,
-                   arclengths_from_landing, john_constant_along_ray, rho_lengths, trace_rays)
+                   arclengths_from_landing, john_constant_along_ray, ray_potentials,
+                   rho_lengths, trace_rays)
 # not called here but importable: bench/tracing.py wraps them by these names
 from .rays import rho_length_of_ray, trace_ray  # noqa: F401
 from .render import LAYERS, RenderSpec, density_field, distance_field, escape_time_field, overlay_polyline, replacing, to_rgb, write_ppm
@@ -286,16 +287,15 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
     metric = SingularMetric(cloud, fmap.d, Variant.RHO)
 
     try:
-        rays = trace_rays(fmap, angles, config.depth)
+        polylines, landings = trace_rays(fmap, angles, config.depth)
     except RayTracingError as exc:  # the Boettcher start overflows at a high degree
         raise SystemExit(f"refusing to trace rays: {exc}")
-    # one array pass over the points of every landed ray, a row of depth + 1
-    # a ray; the John ratio skips the points at arclength 0 from the landing,
-    # which often lie on J and would iterate to the budget, so they are left NaN
-    polylines = np.array([ray.polyline for ray in rays],
-                         dtype=complex).reshape(len(rays), config.depth + 1)
-    landed = [ray for ray in rays if ray.landing is not None]
-    points = polylines[[ray.landing is not None for ray in rays]]
+    # one array pass over the points of every landed ray, a row a ray; the
+    # John ratio skips the points at arclength 0 from the landing, which
+    # often lie on J and would iterate to the budget, so they are left NaN
+    landed = ~np.isnan(landings)
+    landed_angles = [theta for theta, ok in zip(angles, landed) if ok]
+    points = polylines[landed]
     arcs = arclengths_from_landing(points)
     along = arcs > 0.0
     dists = np.full(points.shape, math.nan)
@@ -304,18 +304,17 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
     # a NaN ratio: a ray point within roundoff of J, whose orbit did not escape
     john = ~np.isnan(ratios)
     # one density pass for every landed ray at every radius, a row a ray
-    lengths = rho_lengths(landed, metric, RHO_LENGTH_RADII).T
+    lengths = rho_lengths(points, landings[landed], metric, RHO_LENGTH_RADII).T
     failures = []
-    rows = iter(range(len(landed)))
-    for ray in rays:
-        if ray.landing is None:
-            failures.append({"theta": ray.theta, "error": "no landing estimate"})
+    # each ray's row among the landed ones
+    for theta, ok, i in zip(angles, landed, np.cumsum(landed) - 1):
+        if not ok:
+            failures.append({"theta": theta, "error": "no landing estimate"})
             continue
-        i = next(rows)
         if not john[i]:
-            failures.append({"theta": ray.theta,
+            failures.append({"theta": theta,
                              "error": NO_DISTANCE.format(complex(points[i, worst[i]]))})
-        failures.extend({"theta": ray.theta, "radius": r, "error": NO_POINT_INSIDE}
+        failures.extend({"theta": theta, "radius": r, "error": NO_POINT_INSIDE}
                         for r, length in zip(RHO_LENGTH_RADII, lengths[i])
                         if math.isnan(length))  # no ray point near the landing
 
@@ -328,25 +327,25 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
         # the factor-bounded distance estimator
         k = np.flatnonzero(john)[ratios[john].argmin()]
         z = complex(points[k, worst[k]])
-        per_ray = [{"theta": ray.theta, "constant": constant}
-                   for ray, constant, ok in zip(landed, ratios.tolist(), john) if ok]
+        per_ray = [{"theta": theta, "constant": constant}
+                   for theta, constant, ok in zip(landed_angles, ratios.tolist(), john) if ok]
         report["john"] = {
             "constant": min(1.0, float(ratios[k])),
             "worst_point": [z.real, z.imag],
             "ray_count": len(per_ray),
             "per_ray": per_ray,
         }
-    report["landings"] = {repr(ray.theta): [ray.landing.real, ray.landing.imag]
-                          for ray in rays if ray.landing is not None}
+    report["landings"] = {repr(theta): [z.real, z.imag]
+                          for theta, z in zip(landed_angles, landings[landed].tolist())}
     write_csv(config.out_dir / "rays.csv", ["theta", "potential", "re", "im"],
-              [np.repeat([ray.theta for ray in rays], config.depth + 1),
-               np.array([ray.potentials for ray in rays], dtype=float).ravel(),
+              [np.repeat(angles, config.depth + 1),
+               np.tile(ray_potentials(fmap.d, config.depth), len(angles)),
                polylines.real.ravel(), polylines.imag.ravel()])
     # the rows of the finite lengths, ray by ray and radius by radius
     found = ~np.isnan(lengths.ravel())
     write_csv(config.out_dir / "rho_length.csv", ["theta", "radius", "rho_length"],
-              [np.repeat([ray.theta for ray in landed], len(RHO_LENGTH_RADII))[found],
-               np.tile(RHO_LENGTH_RADII, len(landed))[found],
+              [np.repeat(landed_angles, len(RHO_LENGTH_RADII))[found],
+               np.tile(RHO_LENGTH_RADII, len(landed_angles))[found],
                lengths.ravel()[found]])
     write_json(config.out_dir / "rays.json", report)
     return report
@@ -368,10 +367,11 @@ def cmd_render(config: ExperimentConfig, spec: RenderSpec) -> Path:
             metric = SingularMetric(cloud, fmap.d, variant)
             rgb = to_rgb(density_field(metric, spec))
     try:
-        for ray in trace_rays(fmap, spec.ray_angles, config.depth):
-            overlay_polyline(rgb, spec, ray.polyline)
+        polylines, _ = trace_rays(fmap, spec.ray_angles, config.depth)
     except RayTracingError as exc:  # the Boettcher start overflows at a high degree
         raise SystemExit(f"refusing to render: {exc}")
+    for polyline in polylines:
+        overlay_polyline(rgb, spec, polyline)
     path = config.out_dir / "render.ppm"
     write_ppm(path, rgb)
     return path
@@ -541,7 +541,7 @@ def _parse_angles(text: str) -> List[float]:
     angles = []
     for tok in filter(str.strip, text.split(",")):
         try:
-            theta = float(tok)
+            theta = float(tok) + 0.0  # -0 is the angle 0, keyed "0.0"
         except ValueError:
             theta = math.nan
         if not 0.0 <= theta < 1.0:  # NaN fails too

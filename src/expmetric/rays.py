@@ -4,7 +4,6 @@ estimation along rays, and singular-metric length accounting."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -30,16 +29,14 @@ NO_DISTANCE = ("no distance to J at ray point {!r}: its orbit did not escape "
 
 
 class RayTracingError(RuntimeError):
-    """The Boettcher start of a ray overflows, or a ray has no landing
-    estimate to measure from: the package's one exception type."""
+    """The Boettcher start of a ray overflows: the package's one exception
+    type."""
 
 
-@dataclass(frozen=True)
-class ExternalRay:
-    theta: float
-    polyline: List[complex]  # from TOP_POTENTIAL down toward the Julia set
-    potentials: List[float]
-    landing: Optional[complex]
+def ray_potentials(d: int, depth: int) -> List[float]:
+    """The potential of each stored ray point, TOP_POTENTIAL / d^k at level k
+    for k = 0..depth."""
+    return [TOP_POTENTIAL / d**k for k in range(depth + 1)]
 
 
 def arclengths_from_landing(polylines: np.ndarray) -> np.ndarray:
@@ -54,10 +51,13 @@ def _boettcher_top(fmap: UnicriticalMap) -> float:
     return max(12.0, 25.0 / (fmap.d - 1))
 
 
-def trace_rays(fmap: UnicriticalMap, thetas: Sequence[float], depth: int) -> List[ExternalRay]:
+def trace_rays(fmap: UnicriticalMap, thetas: Sequence[float],
+               depth: int) -> Tuple[np.ndarray, np.ndarray]:
     """Trace the external rays of the angles ``thetas`` (in turns) from
     potential g0 = TOP_POTENTIAL down to g0/d^depth, one stored point per
-    level.
+    level: the ``(len(thetas), depth + 1)`` array of the points, a row per
+    ray and a column per level of ``ray_potentials``, and each ray's landing
+    estimate, NaN where it has none.
 
     Since G(f(z)) = d G(z), the point of potential g on the alpha-ray is a
     preimage of the point of potential d g on the (d alpha)-ray.  Sub-level t
@@ -68,17 +68,14 @@ def trace_rays(fmap: UnicriticalMap, thetas: Sequence[float], depth: int) -> Lis
     exactly, as integer numerators over the least common denominator of the
     thetas, and all of them are pulled back together: the s
     sub-levels of a block draw their candidate roots in one array call and
-    pick the nearest one a sub-level at a time.  The landing estimate is the
-    last point when the last two differ by less than LANDING_TOL, else the
-    Aitken limit of the tail.
+    pick the nearest one a sub-level at a time.  The landing estimate is
+    ``_landing``'s.
     """
     for theta in thetas:
         if not 0.0 <= theta < 1.0:
             raise ValueError(f"angle must lie in [0, 1) turns, got {theta}")
     if not 1 <= depth <= MAX_RAY_DEPTH:
         raise ValueError(f"depth must lie in 1..{MAX_RAY_DEPTH}, got {depth}")
-    if not thetas:
-        return []
     d, s, g0 = fmap.d, SUBSTEPS, TOP_POTENTIAL
     # sub-levels above g0 that put the top s of them in the Boettcher regime
     above = max(0, math.ceil(s * math.log(_boettcher_top(fmap) / g0, d)))
@@ -125,22 +122,15 @@ def trace_rays(fmap: UnicriticalMap, thetas: Sequence[float], depth: int) -> Lis
             pick = np.argmin(np.abs(level - z[t - 1, :n]), axis=0)
             z[t, :n] = level[pick, np.arange(n)]
 
-    points = z[top::s][:, [order[a] for a in starts]]
-    potentials = [g0 / d**k for k in range(depth + 1)]
-    rays = []
-    for theta, column in zip(thetas, points.T):
-        polyline = column.tolist()
-        if abs(polyline[-1] - polyline[-2]) < LANDING_TOL:
-            landing = polyline[-1]
-        else:
-            landing = _extrapolated_landing(polyline)
-        rays.append(ExternalRay(theta, polyline, list(potentials), landing))
-    return rays
+    points = z[top::s, [order[a] for a in starts]].T
+    return points, np.array([_landing(row) for row in points.tolist()], dtype=complex)
 
 
-def trace_ray(fmap: UnicriticalMap, theta: float, depth: int) -> ExternalRay:
-    """The external ray of angle ``theta``; see ``trace_rays``."""
-    return trace_rays(fmap, [theta], depth)[0]
+def trace_ray(fmap: UnicriticalMap, theta: float, depth: int) -> Tuple[np.ndarray, complex]:
+    """The points and landing estimate of the external ray of angle
+    ``theta``; see ``trace_rays``."""
+    points, landings = trace_rays(fmap, [theta], depth)
+    return points[0], landings[0]
 
 
 def _aitken(z0: complex, z1: complex, z2: complex) -> Optional[complex]:
@@ -156,17 +146,19 @@ def _aitken(z0: complex, z1: complex, z2: complex) -> Optional[complex]:
     return z2 - d2 * d2 / denom
 
 
-def _extrapolated_landing(polyline: List[complex]) -> Optional[complex]:
-    """Aitken limit of a geometrically contracting tail, accepted only when
-    two sliding-window extrapolants agree within the landing tolerance."""
+def _landing(polyline: List[complex]) -> complex:
+    """The last point when the last two differ by less than LANDING_TOL, else
+    the Aitken limit of a geometrically contracting tail, accepted only when
+    two sliding-window extrapolants agree within LANDING_TOL; NaN when
+    neither rule holds."""
+    if abs(polyline[-1] - polyline[-2]) < LANDING_TOL:
+        return polyline[-1]
     if len(polyline) < 4:
-        return None
+        return math.nan
     latest = _aitken(polyline[-3], polyline[-2], polyline[-1])
     previous = _aitken(polyline[-4], polyline[-3], polyline[-2])
-    if latest is None or previous is None:
-        return None
-    if abs(latest - previous) >= LANDING_TOL:
-        return None
+    if latest is None or previous is None or abs(latest - previous) >= LANDING_TOL:
+        return math.nan
     return latest
 
 
@@ -184,12 +176,12 @@ def john_constant_along_ray(arcs: np.ndarray,
     return ratios[np.arange(len(worst)), worst], worst
 
 
-def rho_lengths(rays: Sequence[ExternalRay], metric: SingularMetric,
+def rho_lengths(points: np.ndarray, landings: np.ndarray, metric: SingularMetric,
                 radii: Sequence[float]) -> np.ndarray:
     """Midpoint-rule rho-length of the part of each ray inside B(base, 2r),
     where base is its landing estimate: entry [i, j] for ``radii[i]`` and
-    ``rays[j]``, NaN where no point of the ray lies in the disk.  The rays
-    share one depth.
+    the ray of row ``points[j]`` and base ``landings[j]``, NaN where no point
+    of the ray lies in the disk, as in every disk round a NaN base.
 
     Each polyline segment is subdivided ``RHO_LENGTH_REFINE`` times; the
     density is integrable (alpha < 1) so the sum converges under refinement
@@ -197,25 +189,21 @@ def rho_lengths(rays: Sequence[ExternalRay], metric: SingularMetric,
     every ray and radius take their densities in one pass, and each
     (radius, ray) entry is its own pairwise sum over its slice.
     """
-    if any(ray.landing is None for ray in rays):
-        raise RayTracingError("ray has no landing estimate to use as base")
-    if not rays or not radii:
-        return np.full((len(radii), len(rays)), math.nan)
-    pts = np.array([ray.polyline for ray in rays], dtype=complex)
-    base = np.array([ray.landing for ray in rays], dtype=complex)
+    if not len(points) or not len(radii):
+        return np.full((len(radii), len(points)), math.nan)
     disk = 2.0 * np.asarray(radii, dtype=float)
-    inside = np.abs(pts - base[:, None]) <= disk[:, None, None]
+    inside = np.abs(points - landings[:, None]) <= disk[:, None, None]
     lengths = np.where(inside.any(axis=2), 0.0, math.nan)
     # the segments with an end in the disk, in (radius, ray, segment) order
     i, j, seg = np.nonzero(inside[..., :-1] | inside[..., 1:])
-    a, b = pts[j, seg], pts[j, seg + 1]
+    a, b = points[j, seg], points[j, seg + 1]
     # clip the segments that straddle the disk boundary; a kept segment has
     # at most one end outside
     a_out = ~inside[i, j, seg]
     cut = np.flatnonzero(a_out | ~inside[i, j, seg + 1])
     flip = a_out[cut]
     edge = _clip_to_circle(np.where(flip, a[cut], b[cut]), np.where(flip, b[cut], a[cut]),
-                           base[j[cut]], disk[i[cut]])
+                           landings[j[cut]], disk[i[cut]])
     a[cut[flip]] = edge[flip]
     b[cut[~flip]] = edge[~flip]
     ts = (np.arange(RHO_LENGTH_REFINE) + 0.5) / RHO_LENGTH_REFINE
@@ -223,16 +211,19 @@ def rho_lengths(rays: Sequence[ExternalRay], metric: SingularMetric,
     dens = metric.density_array(mids.ravel()).reshape(mids.shape)
     sums = np.where(np.isfinite(dens), dens, 0.0).sum(axis=1)
     terms = sums * (np.abs(b - a) / RHO_LENGTH_REFINE)
-    starts = np.flatnonzero(np.diff(i * len(rays) + j, prepend=-1)).tolist()
+    starts = np.flatnonzero(np.diff(i * len(points) + j, prepend=-1)).tolist()
     for start, end in zip(starts, [*starts[1:], len(terms)]):
         lengths[i[start], j[start]] = terms[start:end].sum()
     return lengths
 
 
-def rho_length_of_ray(ray: ExternalRay, metric: SingularMetric, from_radius: float) -> float:
-    """The rho-length of ``rho_lengths`` for one ray and one radius; refused
-    when no point of the ray lies in the disk."""
-    length = rho_lengths([ray], metric, [from_radius])[0, 0]
+def rho_length_of_ray(ray: Tuple[np.ndarray, complex], metric: SingularMetric,
+                      from_radius: float) -> float:
+    """The rho-length of ``rho_lengths`` for one ray, given as the points and
+    landing of ``trace_ray``, and one radius; refused when no point of the ray
+    lies in the disk."""
+    points, landing = ray
+    length = rho_lengths(np.array([points]), np.array([landing]), metric, [from_radius])[0, 0]
     if math.isnan(length):
         raise ValueError(NO_POINT_INSIDE)
     return float(length)

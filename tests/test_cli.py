@@ -1,7 +1,6 @@
 """End-to-end command-line contract: reports, gates, config, determinism."""
 
 import csv
-import dataclasses
 import importlib.util
 import io
 import json
@@ -605,13 +604,47 @@ def test_rays_records_ray_point_on_julia_set_as_failure(tmp_path, capsys):
     assert report["john"]["per_ray"][0]["theta"] == 0.1
 
 
+def test_rays_reports_landed_and_unlanded_rays_mixed(tmp_path, capsys):
+    # at depth 10 the 1/8- and 3/8-rays at c = -2 have no landing estimate:
+    # each is one failure, in angle order, and is left out of every report
+    # but rays.csv, which holds the points of all four rays
+    angles = [0.0, 0.125, 0.25, 0.375]
+    assert cli.main(["rays", "--c-re", "-2", "--depth", "10",
+                     "--angles", ",".join(map(repr, angles)), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == "2 tracing failure(s) recorded\n"
+    report = json.loads((tmp_path / "rays.json").read_text())
+    assert report["failures"] == [{"theta": 0.125, "error": "no landing estimate"},
+                                  {"theta": 0.375, "error": "no landing estimate"}]
+    assert list(report["landings"]) == ["0.0", "0.25"]
+    assert [entry["theta"] for entry in report["john"]["per_ray"]] == [0.0, 0.25]
+    assert report["john"]["ray_count"] == 2
+    rho_rows = (tmp_path / "rho_length.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rho_rows] == [
+        [theta, repr(r)] for theta in ("0.0", "0.25") for r in cli.RHO_LENGTH_RADII]
+    rows = [row.split(",") for row in (tmp_path / "rays.csv").read_text().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [[repr(theta), repr(2.0**-k)]
+                                         for theta in angles for k in range(11)]
+
+
+def test_rays_reads_negative_zero_as_the_angle_zero(tmp_path, capsys):
+    # -0 is the angle 0: keyed "0.0", not "-0.0", in every report
+    run(["rays", "--c-re", "-2", "--depth", "10", "--angles", "0,0.5", "--out", str(tmp_path)],
+        capsys)
+    names = ("rays.json", "rays.csv", "rho_length.csv")
+    plain = {name: (tmp_path / name).read_bytes() for name in names}
+    run(["rays", "--c-re", "-2", "--depth", "10", "--angles=-0,0.5", "--out", str(tmp_path)],
+        capsys)
+    assert {name: (tmp_path / name).read_bytes() for name in names} == plain
+
+
 def test_rays_records_a_disk_with_no_ray_point_as_failure(tmp_path, monkeypatch, capsys):
     # the 0.1-ray lies in the upper half-plane; with its landing moved 0.3
     # below the axis, B(base, 0.4) holds its tail and the smaller disks no
     # point of it, so its last three radii are failures, in radius order
     def traced(fmap, thetas, depth):
-        moved, *others = rays.trace_rays(fmap, thetas, depth)
-        return [dataclasses.replace(moved, landing=moved.landing - 0.3j), *others]
+        points, landings = rays.trace_rays(fmap, thetas, depth)
+        landings[0] -= 0.3j
+        return points, landings
 
     monkeypatch.setattr(cli, "trace_rays", traced)
     assert cli.main(["rays", "--c-re", "-2", "--angles", "0.1,0.3", "--depth", "20",
@@ -853,7 +886,8 @@ def test_zoomed_render_clips_the_ray_overlay_to_the_box(tmp_path, capsys):
     assert not np.all(rgb == 255, axis=-1).any()  # the 0.1-ray lands near 1.618
     # zoomed onto the middle of one of its segments, the clipped segment is
     # a line through the box
-    a, b = em.trace_ray(em.UnicriticalMap(2, -2), 0.1, 10).polyline[3:5]
+    points, _ = em.trace_rays(em.UnicriticalMap(2, -2), [0.1], 10)
+    a, b = points[0, 3:5].tolist()
     mid, half = (a + b) / 2, 1e-12
     run(["render", "--bbox", repr(mid.real - half), repr(mid.real + half),
          repr(mid.imag - half), repr(mid.imag + half), "--rays", "0.1",

@@ -301,8 +301,7 @@ def scalar_julia_distance(fmap, z):
                          ids=["c=-2", "c=i", "d=3", "d=5"])
 def test_julia_distance_estimate_matches_scalar_loop_on_ray_points(d, c, depth):
     fmap = em.UnicriticalMap(d, c)
-    rays = em.trace_rays(fmap, [k / 48 for k in range(48)], depth)
-    zs = np.array([z for ray in rays for z in ray.polyline])
+    zs = em.trace_rays(fmap, [k / 48 for k in range(48)], depth)[0].ravel()
     want = np.array([scalar_julia_distance(fmap, z) for z in zs])
     # bit for bit, NaN where the loop finds no escape
     assert np.array_equal(em.julia_distance_estimate(fmap, zs), want, equal_nan=True)

@@ -1,7 +1,6 @@
 """External-ray tracing, landing, John constants, and rho-lengths."""
 
 import cmath
-import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -20,13 +19,13 @@ from expmetric.rays import (
     RHO_LENGTH_REFINE,
     SUBSTEPS,
     TOP_POTENTIAL,
-    ExternalRay,
     RayTracingError,
     _aitken,
     _boettcher_top,
-    _extrapolated_landing,
+    _landing,
     arclengths_from_landing,
     john_constant_along_ray,
+    ray_potentials,
     rho_length_of_ray,
     rho_lengths,
     trace_ray,
@@ -50,11 +49,11 @@ def dist_to_circle(z):
     return abs(abs(z) - 1.0)
 
 
-def john_constants(rays, dist):
-    """The least John ratio of each ray, with ``dist`` as the distance to J."""
-    polylines = np.array([ray.polyline for ray in rays])
-    dists = np.array([[dist(z) for z in row] for row in polylines.tolist()])
-    return john_constant_along_ray(arclengths_from_landing(polylines), dists)[0]
+def john_constants(points, dist):
+    """The least John ratio of each row of ``points``, with ``dist`` as the
+    distance to J."""
+    dists = np.array([[dist(z) for z in row] for row in points.tolist()])
+    return john_constant_along_ray(arclengths_from_landing(points), dists)[0]
 
 
 # ------------------------------------------------------------------ tracing
@@ -62,11 +61,11 @@ def john_constants(rays, dist):
 
 def test_ray_domain_errors():
     with pytest.raises(ValueError, match=r"^angle must lie in \[0, 1\) turns, got 1\.0$"):
-        trace_ray(cheb(), 1.0, 10)
+        trace_rays(cheb(), [1.0], 10)
     with pytest.raises(ValueError, match=r"^angle must lie in \[0, 1\) turns, got -0\.1$"):
-        trace_ray(cheb(), -0.1, 10)
+        trace_rays(cheb(), [-0.1], 10)
     with pytest.raises(ValueError, match=r"^depth must lie in 1\.\.60, got 61$"):
-        trace_ray(cheb(), 0.25, 61)
+        trace_rays(cheb(), [0.25], 61)
 
 
 def test_overflowing_boettcher_start_raises():
@@ -79,47 +78,43 @@ def test_overflowing_boettcher_start_raises():
 
 
 def test_landing_oracles_chebyshev():
-    ray = trace_ray(cheb(), 0.0, 30)
-    assert ray.landing is not None
-    assert abs(ray.landing - 2.0) < 1e-4
-    ray = trace_ray(cheb(), 0.5, 30)
-    assert abs(ray.landing - (-2.0)) < 1e-4
+    _, (east, west) = trace_rays(cheb(), [0.0, 0.5], 30)
+    assert abs(east - 2.0) < 1e-4  # false for a NaN, no landing
+    assert abs(west - (-2.0)) < 1e-4
 
 
 def test_landing_at_critical_point_via_extrapolation():
     # the 1/4-ray lands on the critical point 0, where the two inverse
     # branches meet
-    ray = trace_ray(cheb(), 0.25, 30)
-    assert ray.landing is not None
-    assert abs(ray.landing) < 1e-6
+    _, [landing] = trace_rays(cheb(), [0.25], 30)
+    assert abs(landing) < 1e-6
 
 
 def test_landing_oracles_square_map():
-    fmap = em.UnicriticalMap(2, 0)
-    for k in range(8):
-        ray = trace_ray(fmap, k / 8, 30)
+    _, landings = trace_rays(em.UnicriticalMap(2, 0), [k / 8 for k in range(8)], 30)
+    for k, landing in enumerate(landings):
         expected = np.exp(2j * np.pi * k / 8)
-        assert abs(ray.landing - expected) < 1e-5
+        assert abs(landing - expected) < 1e-5
 
 
 def test_cubic_ray_lands():
-    fmap = em.UnicriticalMap(3, 0)
-    ray = trace_ray(fmap, 1 / 3, 30)
-    assert abs(ray.landing - np.exp(2j * np.pi / 3)) < 1e-5
+    _, [landing] = trace_rays(em.UnicriticalMap(3, 0), [1 / 3], 30)
+    assert abs(landing - np.exp(2j * np.pi / 3)) < 1e-5
 
 
 def test_potential_schedule():
-    ray = trace_ray(cheb(), 0.0, 20)
-    assert ray.potentials[0] == pytest.approx(1.0)
-    for k, g in enumerate(ray.potentials):
+    potentials = ray_potentials(2, 20)
+    assert len(potentials) == 21
+    assert potentials[0] == pytest.approx(1.0)
+    for k, g in enumerate(potentials):
         assert g == pytest.approx(1.0 / 2**k, abs=1e-8)
-    assert all(b < a for a, b in zip(ray.potentials, ray.potentials[1:]))
+    assert all(b < a for a, b in zip(potentials, potentials[1:]))
 
 
 def test_points_sit_on_stated_equipotentials():
     for fmap in (cheb(), em.UnicriticalMap(2, 1j)):
-        ray = trace_ray(fmap, 0.3, 15)
-        for z, g in zip(ray.polyline, ray.potentials):
+        [polyline], _ = trace_rays(fmap, [0.3], 15)
+        for z, g in zip(polyline.tolist(), ray_potentials(2, 15)):
             assert plain_potential(z, fmap.c)[0] == pytest.approx(g, abs=1e-6)
 
 
@@ -146,27 +141,30 @@ def plain_potential(z, c):
 def test_deep_points_have_their_stated_potentials(c):
     # every stored point down to level 50 (potential 2^-50) sits on its
     # equipotential, up to the roundoff plain iteration itself makes
-    rays = trace_rays(em.UnicriticalMap(2, c), [k / 48 for k in range(48)], 50)
-    for ray in rays:
-        assert len(ray.polyline) == 51
-        for z, g in zip(ray.polyline, ray.potentials):
+    thetas = [k / 48 for k in range(48)]
+    points, landings = trace_rays(em.UnicriticalMap(2, c), thetas, 50)
+    assert points.shape == (48, 51) and landings.shape == (48,)
+    for theta, polyline in zip(thetas, points.tolist()):
+        for z, g in zip(polyline, ray_potentials(2, 50)):
             recomputed, roundoff = plain_potential(z, c)
-            assert abs(recomputed - g) <= 1e-6 * g + roundoff, (ray.theta, g, z)
+            assert abs(recomputed - g) <= 1e-6 * g + roundoff, (theta, g, z)
 
 
 def test_batched_rays_match_single_rays_bit_for_bit():
     angles = [k / 48 for k in range(0, 48, 5)] + [0.1, 0.3, 0.1]
+    # trace_ray is the row-0 form of trace_rays
     for fmap in (cheb(), em.UnicriticalMap(2, 1j), em.UnicriticalMap(3, 0.2j)):
-        for ray in trace_rays(fmap, angles, 50):
-            single = trace_ray(fmap, ray.theta, 50)
-            assert ray.polyline == single.polyline
-            assert ray.potentials == single.potentials
-            assert ray.landing == single.landing
+        points, landings = trace_rays(fmap, angles, 50)
+        for theta, polyline, landing in zip(angles, points, landings):
+            single, single_landing = trace_ray(fmap, theta, 50)
+            assert np.array_equal(polyline, single)
+            assert np.array_equal([landing], [single_landing], equal_nan=True)
 
 
 def reference_trace(fmap, thetas, depth):
     """(polyline, landing) of each angle by the pull-back of ``trace_rays``
-    taken one array step a sub-level, each step drawing its own candidates."""
+    taken one array step a sub-level, each step drawing its own candidates;
+    the landing is NaN where there is none."""
     d, s, g0 = fmap.d, SUBSTEPS, TOP_POTENTIAL
     above = max(0, math.ceil(s * math.log(_boettcher_top(fmap) / g0, d)))
     top = above + s - 1
@@ -193,10 +191,7 @@ def reference_trace(fmap, thetas, depth):
     traced = []
     for theta in thetas:
         polyline = z[top::s, order[Fraction(theta)]].tolist()
-        if abs(polyline[-1] - polyline[-2]) < LANDING_TOL:
-            traced.append((polyline, polyline[-1]))
-        else:
-            traced.append((polyline, _extrapolated_landing(polyline)))
+        traced.append((polyline, _landing(polyline)))
     return traced
 
 
@@ -223,24 +218,23 @@ FORTY_EIGHT = [k / 48 for k in range(48)]
         "d=3-mixed-denominators", "d=5-mixed-denominators", "exact-rationals"])
 def test_trace_rays_matches_one_sub_level_a_step(d, c, thetas, depth):
     fmap = em.UnicriticalMap(d, c)
-    for ray, (polyline, landing) in zip(trace_rays(fmap, thetas, depth),
-                                        reference_trace(fmap, thetas, depth)):
-        assert np.array_equal(ray.polyline, polyline, equal_nan=True), ray.theta
-        assert (ray.landing is None) == (landing is None), ray.theta
-        if landing is not None:
-            assert np.array_equal([ray.landing], [landing], equal_nan=True), ray.theta
+    points, landings = trace_rays(fmap, thetas, depth)
+    assert points.shape == (len(thetas), depth + 1)
+    for theta, got, got_landing, (polyline, landing) in zip(
+            thetas, points, landings, reference_trace(fmap, thetas, depth)):
+        assert np.array_equal(got, polyline, equal_nan=True), theta
+        assert np.array_equal([got_landing], [landing], equal_nan=True), theta
 
 
 def test_cubic_ray_follows_exact_angle_orbit():
     # z^3 has the radial rays exp(g + 2 pi i theta); in floating point
     # 0.1 * 3^m mod 1 is 0.02 turns off at m = 33 and 0.4 at m = 38, so only
     # an exact angle orbit keeps the deep points on the 0.1-ray
-    fmap = em.UnicriticalMap(3, 0)
-    ray = trace_ray(fmap, 0.1, 40)
-    for z, g in zip(ray.polyline, ray.potentials):
+    [polyline], [landing] = trace_rays(em.UnicriticalMap(3, 0), [0.1], 40)
+    for z, g in zip(polyline.tolist(), ray_potentials(3, 40)):
         assert abs(cmath.phase(z) - 2 * math.pi * 0.1) < 1e-12
         assert abs(math.log(abs(z)) - g) < 1e-12
-    assert abs(ray.landing - cmath.exp(0.2j * math.pi)) < 1e-12
+    assert abs(landing - cmath.exp(0.2j * math.pi)) < 1e-12
 
 
 @pytest.mark.parametrize("d, c, depth", [(2, 1j, 30), (2, -2 + 0j, 30), (2, 0.2 + 0.55j, 30),
@@ -251,13 +245,14 @@ def test_quadratic_rays_half_a_turn_apart_are_negatives(d, c, depth):
     # the theta-ray onto the (theta + 1/d)-ray: the ray of theta + k/d is omega^k
     # times the ray of theta, so at d = 2 the half turn negates it
     fmap = em.UnicriticalMap(d, c)
-    rays = trace_rays(fmap, [Fraction(j, 32 * d) for j in range(32 * d)], depth)
+    thetas = [Fraction(j, 32 * d) for j in range(32 * d)]
+    points, _ = trace_rays(fmap, thetas, depth)
     for k in range(1, d):
         omega_k = cmath.exp(2j * math.pi * k / d)
-        for ray, turned in zip(rays[:32], rays[32 * k:]):
-            assert turned.theta == ray.theta + Fraction(k, d)
-            assert np.abs(np.array(turned.polyline) - omega_k * np.array(ray.polyline)).max() \
-                <= 1e-13, (k, ray.theta)
+        for theta, turned_theta, polyline, turned in zip(thetas, thetas[32 * k:], points,
+                                                         points[32 * k:]):
+            assert turned_theta == theta + Fraction(k, d)
+            assert np.abs(turned - omega_k * polyline).max() <= 1e-13, (k, theta)
 
 
 @pytest.mark.parametrize("d, c, depth", [(2, 0.2 + 0.55j, 45), (2, -0.12 + 0.75j, 40),
@@ -267,37 +262,37 @@ def test_rays_at_the_conjugate_parameter_are_conjugate(d, c, depth):
     # z^d + conj(c) is z^d + c conjugated, and conjugation reverses angles:
     # the (1 - theta)-ray at conj(c) is the conjugate of the theta-ray at c
     thetas = [Fraction(k, 48) for k in range(48)]
-    rays = trace_rays(em.UnicriticalMap(d, c), thetas, depth)
-    mirrored = trace_rays(em.UnicriticalMap(d, c.conjugate()), [(1 - t) % 1 for t in thetas],
-                          depth)
-    for ray, mirror in zip(rays, mirrored):
-        assert np.abs(np.conj(ray.polyline) - np.array(mirror.polyline)).max() <= 1e-13, ray.theta
-        assert (ray.landing is None) == (mirror.landing is None), ray.theta
-        if ray.landing is not None:
-            assert abs(ray.landing.conjugate() - mirror.landing) <= 1e-13, ray.theta
+    points, landings = trace_rays(em.UnicriticalMap(d, c), thetas, depth)
+    mirrored, mirrored_landings = trace_rays(em.UnicriticalMap(d, c.conjugate()),
+                                             [(1 - t) % 1 for t in thetas], depth)
+    for theta, polyline, landing, mirror, mirror_landing in zip(
+            thetas, points, landings, mirrored, mirrored_landings):
+        assert np.abs(np.conj(polyline) - mirror).max() <= 1e-13, theta
+        assert np.isnan(landing) == np.isnan(mirror_landing), theta
+        if not np.isnan(landing):
+            assert abs(landing.conjugate() - mirror_landing) <= 1e-13, theta
 
 
 def test_ray_equivariance_under_f():
     # f maps the theta-ray to the (d theta)-ray, doubling the potential
     fmap = cheb()
-    ray_a = trace_ray(fmap, 0.3, 12)
-    ray_b = trace_ray(fmap, 0.6, 12)
+    ray_a, ray_b = trace_rays(fmap, [0.3, 0.6], 12)[0].tolist()
     for k in range(1, 12):
-        assert abs(fmap.evaluate(ray_a.polyline[k + 1]) - ray_b.polyline[k]) < 1e-6
+        assert abs(fmap.evaluate(ray_a[k + 1]) - ray_b[k]) < 1e-6
 
 
 def test_arclengths_from_landing():
-    rays = trace_rays(cheb(), [0.0, 0.1, 0.3], 20)
-    arcs = arclengths_from_landing(np.array([ray.polyline for ray in rays]))
+    points, _ = trace_rays(cheb(), [0.0, 0.1, 0.3], 20)
+    arcs = arclengths_from_landing(points)
     assert arcs.shape == (3, 21)
-    for ray, row in zip(rays, arcs):
+    for polyline, row in zip(points, arcs):
         # each row is its ray's segment lengths summed from the deep end
-        segs = np.abs(np.diff(np.array(ray.polyline)))
+        segs = np.abs(np.diff(polyline))
         assert np.array_equal(row, np.concatenate([[0.0], np.cumsum(segs[::-1])])[::-1])
         assert row[-1] == 0.0
         assert all(a >= b for a, b in zip(row, row[1:]))
         # total arclength dominates the straight-line span
-        assert row[0] >= abs(ray.polyline[0] - ray.polyline[-1]) - 1e-12
+        assert row[0] >= abs(polyline[0] - polyline[-1]) - 1e-12
 
 
 # ------------------------------------------------------------------- Aitken
@@ -312,11 +307,13 @@ def test_aitken_exact_on_geometric_tails():
 
 
 def test_extrapolated_landing_gates():
-    assert _extrapolated_landing([0j, 1j, 2j]) is None  # too short
+    assert math.isnan(_landing([0j, 1j, 2j]))  # too short to extrapolate
+    assert math.isnan(_landing([0j, 1j, 2j, 3j]))  # not contracting
+    # the last point, when the last two lie within LANDING_TOL
+    assert _landing([0j, 1j, 1j + LANDING_TOL / 2]) == 1j + LANDING_TOL / 2
     L = 1.5 + 0.5j
     seq = [L + (0.3 + 0.05j) ** n for n in range(8)]
-    est = _extrapolated_landing(seq)
-    assert est is not None and abs(est - L) < 1e-6
+    assert abs(_landing(seq) - L) < 1e-6
 
 
 # ------------------------------------------------------------ John constant
@@ -324,15 +321,15 @@ def test_extrapolated_landing_gates():
 
 def test_john_constant_square_map_is_one():
     # rays of z^2 are radial, so dist(z, J) equals the arclength exactly
-    constants = john_constants(trace_rays(em.UnicriticalMap(2, 0), [k / 8 for k in range(8)], 35),
-                               dist_to_circle)
+    constants = john_constants(
+        trace_rays(em.UnicriticalMap(2, 0), [k / 8 for k in range(8)], 35)[0], dist_to_circle)
     assert np.all(np.abs(constants - 1.0) <= 0.05)
 
 
 def test_john_constant_chebyshev_positive_and_stable():
     fmap = cheb()
-    c40 = john_constants(trace_rays(fmap, [0.1, 0.3], 40), dist_to_segment)
-    c50 = john_constants(trace_rays(fmap, [0.1, 0.3], 50), dist_to_segment)
+    c40 = john_constants(trace_rays(fmap, [0.1, 0.3], 40)[0], dist_to_segment)
+    c50 = john_constants(trace_rays(fmap, [0.1, 0.3], 50)[0], dist_to_segment)
     assert np.all(c40 >= 0.01)
     assert np.all(np.abs(c40 - c50) <= 0.25 * c40)
 
@@ -344,10 +341,10 @@ def test_john_aggregate_clamps_at_one(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "julia_distance_estimate", lambda fmap, z: np.full(len(z), 100.0))
     angles = [0.1, 0.3, 0.6]
     report = cli.cmd_rays(cli.ExperimentConfig(depth=20, out_dir=tmp_path), angles)
-    rays = trace_rays(cheb(), angles, 20)
-    raw = 100.0 / arclengths_from_landing(np.array([ray.polyline for ray in rays]))[:, 0]
+    points, _ = trace_rays(cheb(), angles, 20)
+    raw = 100.0 / arclengths_from_landing(points)[:, 0]
     assert raw.min() > 1.0
-    top = rays[raw.argmin()].polyline[0]
+    top = points[raw.argmin(), 0]
     assert report["john"] == {
         "constant": 1.0,
         "worst_point": [top.real, top.imag],
@@ -380,12 +377,12 @@ def cheb_metric(variant=Variant.RHO):
     return SingularMetric(cloud, 2, variant)
 
 
-def reference_rho_length(ray, metric, from_radius):
+def reference_rho_length(polyline, base, metric, from_radius):
     """The rho-length of one ray at one radius, each straddling segment
     clipped by a scalar bisection with Python's ``abs``, and one density
     call; NaN when no ray point lies in B(base, 2r)."""
-    base, radius = ray.landing, 2.0 * from_radius
-    pts = np.array(ray.polyline)
+    radius = 2.0 * from_radius
+    pts = np.array(polyline)
     inside = np.abs(pts - base) <= radius
     if not inside.any():
         return math.nan
@@ -414,8 +411,9 @@ def reference_clip(outside, inside, center, radius):
     return inside + (outside - inside) * lo
 
 
-def reference_rho_lengths(rays, metric, radii):
-    return np.array([[reference_rho_length(ray, metric, r) for ray in rays] for r in radii])
+def reference_rho_lengths(points, landings, metric, radii):
+    return np.array([[reference_rho_length(polyline, base, metric, r)
+                      for polyline, base in zip(points, landings)] for r in radii])
 
 
 @pytest.mark.parametrize("c", [-2 + 0j, 1j], ids=["c=-2", "c=i"])
@@ -423,39 +421,40 @@ def test_rho_lengths_match_one_ray_and_radius_at_a_time(c):
     # the rays command's angles, depth, radii and cloud
     fmap = em.UnicriticalMap(2, c)
     metric = SingularMetric(em.build_postcritical_cloud(em.critical_orbit(fmap, 2000)[0]), 2)
-    rays = trace_rays(fmap, FORTY_EIGHT, 50)
-    got = rho_lengths(rays, metric, RHO_LENGTH_RADII)
+    points, landings = trace_rays(fmap, FORTY_EIGHT, 50)
+    got = rho_lengths(points, landings, metric, RHO_LENGTH_RADII)
     assert got.shape == (len(RHO_LENGTH_RADII), 48)
     assert np.isfinite(got).all()
-    assert np.array_equal(got, reference_rho_lengths(rays, metric, RHO_LENGTH_RADII))
+    assert np.array_equal(got, reference_rho_lengths(points, landings, metric, RHO_LENGTH_RADII))
 
 
 def test_rho_lengths_nan_where_no_ray_point_lies_in_the_disk():
     # the 0.1-ray lies in the upper half-plane; with its landing moved 0.3
     # below the axis, B(base, 0.4) holds its tail and the smaller disks none
     metric = cheb_metric()
-    ray, other = trace_rays(cheb(), [0.1, 0.3], 20)
-    moved = dataclasses.replace(ray, landing=ray.landing - 0.3j)
-    got = rho_lengths([moved, other], metric, RHO_LENGTH_RADII)
+    points, landings = trace_rays(cheb(), [0.1, 0.3], 20)
+    landings[0] -= 0.3j
+    got = rho_lengths(points, landings, metric, RHO_LENGTH_RADII)
     assert np.isfinite(got[0, 0]) and np.isnan(got[1:, 0]).all()
     assert np.isfinite(got[:, 1]).all()
-    want = reference_rho_lengths([moved, other], metric, RHO_LENGTH_RADII)
+    want = reference_rho_lengths(points, landings, metric, RHO_LENGTH_RADII)
     assert np.array_equal(got, want, equal_nan=True)
+    moved = points[0], landings[0]
     assert rho_length_of_ray(moved, metric, 0.2) == got[0, 0]
     with pytest.raises(ValueError, match=r"^no ray points inside B\(base, 2r\)$"):
         rho_length_of_ray(moved, metric, 0.1)
-    assert rho_lengths([], metric, RHO_LENGTH_RADII).shape == (4, 0)
+    assert rho_lengths(points[:0], landings[:0], metric, RHO_LENGTH_RADII).shape == (4, 0)
 
 
 def test_rho_length_matches_direct_quadrature():
-    ray = trace_ray(cheb(), 0.1, 25)
+    points, landings = trace_rays(cheb(), [0.1], 25)
     metric = cheb_metric()
     r = 0.2
-    got = rho_length_of_ray(ray, metric, r)
+    got = rho_lengths(points, landings, metric, [r])[0, 0]
     # independent midpoint sum over the clipped polyline
-    base = ray.landing
+    base = landings[0]
     total = 0.0
-    pts = ray.polyline
+    pts = points[0].tolist()
     for a, b in zip(pts[:-1], pts[1:]):
         ts = np.linspace(0, 1, 400)
         seg = a + (b - a) * ts
@@ -471,40 +470,36 @@ def test_rho_length_matches_direct_quadrature():
 
 def test_rho_length_finite_at_singular_landing():
     # the 0-ray lands on the cloud point 2; alpha < 1 keeps the length finite
-    ray = trace_ray(cheb(), 0.0, 40)
-    metric = cheb_metric(Variant.SIGMA)
-    val = rho_length_of_ray(ray, metric, 0.1)
+    val = rho_lengths(*trace_rays(cheb(), [0.0], 40), cheb_metric(Variant.SIGMA), [0.1])[0, 0]
     assert math.isfinite(val) and val > 0.0
 
 
 def test_rho_length_decreases_with_radius():
-    ray = trace_ray(cheb(), 0.0, 40)
-    metric = cheb_metric()
-    vals = [rho_length_of_ray(ray, metric, r) for r in (0.2, 0.1, 0.05, 0.025)]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
+    vals = rho_lengths(*trace_rays(cheb(), [0.0], 40), cheb_metric(), [0.2, 0.1, 0.05, 0.025])
+    assert all(b < a for a, b in zip(vals[:, 0], vals[1:, 0]))
 
 
 def test_rho_length_scaling_exponent():
     # near a singular landing point, length(B(x, 2r) cap ray) ~ r^(1 - alpha)
     # or faster; the fitted exponent must not fall below 1 - alpha by much
-    ray = trace_ray(cheb(), 0.0, 50)
     metric = cheb_metric(Variant.SIGMA)
     radii = np.array([0.2, 0.1, 0.05, 0.025, 0.0125])
-    vals = np.array([rho_length_of_ray(ray, metric, r) for r in radii])
+    vals = rho_lengths(*trace_rays(cheb(), [0.0], 50), metric, radii)[:, 0]
     slope = np.polyfit(np.log(radii), np.log(vals), 1)[0]
     assert slope >= (1.0 - metric.alpha) - 0.1
 
 
 def test_rho_length_rejects_faraway_base():
     # a landing far from every point of the polyline leaves no point in B(base, 2r)
-    ray = ExternalRay(0.0, [3 + 0j, 2.5 + 0j], [1.0, 0.5], 100 + 100j)
+    ray = np.array([3 + 0j, 2.5 + 0j]), 100 + 100j
     with pytest.raises(ValueError, match=r"^no ray points inside B\(base, 2r\)$"):
         rho_length_of_ray(ray, cheb_metric(), 0.05)
 
 
 def test_rho_length_requires_landing_or_base():
-    ray = ExternalRay(0.0, [3 + 0j, 2.5 + 0j], [1.0, 0.5], None)
-    with pytest.raises(RayTracingError, match="^ray has no landing estimate to use as base$"):
+    # a ray with no landing estimate, NaN, has no point in any disk round it
+    ray = np.array([3 + 0j, 2.5 + 0j]), complex(math.nan, 0.0)
+    with pytest.raises(ValueError, match=r"^no ray points inside B\(base, 2r\)$"):
         rho_length_of_ray(ray, cheb_metric(), 0.1)
 
 

@@ -173,9 +173,9 @@ def test_overlay_unchanged_where_no_segment_is_clipped(c, bbox, size):
     spec = RenderSpec(bbox, size, size)
     want = np.zeros((size, size, 3), dtype=np.uint8)
     got = want.copy()
-    for ray in em.trace_rays(em.UnicriticalMap(2, c), [k / 48 for k in range(48)], 50):
-        unclipped_overlay(want, spec, ray.polyline)
-        overlay_polyline(got, spec, ray.polyline)
+    for polyline in em.trace_rays(em.UnicriticalMap(2, c), [k / 48 for k in range(48)], 50)[0]:
+        unclipped_overlay(want, spec, polyline)
+        overlay_polyline(got, spec, polyline)
     assert want.any() and np.array_equal(got, want)
 
 
