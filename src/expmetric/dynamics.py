@@ -199,11 +199,17 @@ class PostcriticalCloud:
         return float(set_diameter(self.points))
 
     def dist_many(self, zs: np.ndarray) -> np.ndarray:
+        return self.dist_xy(zs.real, zs.imag)
+
+    def dist_xy(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Distance to the cloud from each point ``x + iy``, with ``x`` and
+        ``y`` broadcast together: a row of real parts and a column of
+        imaginary parts give a lattice, whose squared distance to a cloud
+        point is one broadcast add of the squared offsets along each axis."""
         if self._tree is not None:
-            d, _ = self._tree.query(np.column_stack([zs.real, zs.imag]))
+            d, _ = self._tree.query(np.stack(np.broadcast_arrays(x, y), axis=-1))
             return d
         # not abs(z - p): hypot rounds differently from the tree's sum of squares
-        x, y = zs.real, zs.imag
         best = None
         # a square past the float range is inf, as the tree returns it: no warning
         with np.errstate(over="ignore"):
@@ -212,7 +218,10 @@ class PostcriticalCloud:
                 sq, dy = x - px, y - py
                 sq *= sq
                 dy *= dy
-                sq += dy
+                if sq.shape == dy.shape:
+                    sq += dy
+                else:  # the axes of a lattice
+                    sq = sq + dy
                 best = sq if best is None else np.minimum(best, sq, out=best)
         return np.sqrt(best, out=best)
 

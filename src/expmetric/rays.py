@@ -76,6 +76,8 @@ def trace_rays(fmap: UnicriticalMap, thetas: Sequence[float],
             raise ValueError(f"angle must lie in [0, 1) turns, got {theta}")
     if not 1 <= depth <= MAX_RAY_DEPTH:
         raise ValueError(f"depth must lie in 1..{MAX_RAY_DEPTH}, got {depth}")
+    if not len(thetas):  # a render with no overlay: no block to pull back
+        return np.empty((0, depth + 1), dtype=complex), np.empty(0, dtype=complex)
     d, s, g0 = fmap.d, SUBSTEPS, TOP_POTENTIAL
     # sub-levels above g0 that put the top s of them in the Boettcher regime
     above = max(0, math.ceil(s * math.log(_boettcher_top(fmap) / g0, d)))

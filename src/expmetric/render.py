@@ -19,8 +19,8 @@ MAX_PIXELS_PER_SIDE = 16384
 # Iterates after which a pixel counts as bounded in the escape-time layer.
 ESCAPE_MAX_ITER = 128
 # Pixels each field and pixmap pass works on at once, in whole rows: at 1024
-# columns a block of complex pixel centres is 512 KiB, small enough to stay in
-# cache, where whole-image temporaries set the render's peak memory.
+# columns a block of complex escape iterates is 512 KiB, small enough to stay
+# in cache, where whole-image temporaries set the render's peak memory.
 RENDER_BLOCK_PIXELS = 1 << 15
 
 LAYERS = ("escape-time", "density-rho", "density-sigma", "distance-to-P")
@@ -53,12 +53,13 @@ class RenderSpec:
                              f"got {span.real!r} x {span.imag!r}")
 
 
-def _pixel_grid(spec: RenderSpec, rows: slice = slice(None)) -> np.ndarray:
-    """Pixel centres of the given rows; the top row has the largest imaginary part."""
+def _pixel_axes(spec: RenderSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """The real parts of the pixel centres, column by column, and their
+    imaginary parts, row by row: pixel (r, c) is ``xs[c] + 1j * ys[r]``, and
+    the top row has the largest imaginary part."""
     lo, hi = spec.bbox
-    xs = np.linspace(lo.real, hi.real, spec.width)
-    ys = np.linspace(hi.imag, lo.imag, spec.height)[rows]
-    return xs + 1j * ys[:, None]
+    return (np.linspace(lo.real, hi.real, spec.width),
+            np.linspace(hi.imag, lo.imag, spec.height))
 
 
 def _row_blocks(height: int, width: int):
@@ -70,12 +71,13 @@ def _row_blocks(height: int, width: int):
 
 
 def _fill_field(spec: RenderSpec, values) -> np.ndarray:
-    """The (height, width) field of ``values`` at the pixel centres, which
-    maps a flat array of points to one value each, one row block at a time."""
+    """The (height, width) field of ``values`` at the pixel centres, one row
+    block at a time: ``values(xs, ys)`` maps the real parts of a row and a
+    column of the block's imaginary parts to the block's values."""
+    xs, ys = _pixel_axes(spec)
     out = np.empty((spec.height, spec.width))
     for rows in _row_blocks(spec.height, spec.width):
-        z = _pixel_grid(spec, rows)
-        out[rows] = values(z.ravel()).reshape(z.shape)
+        out[rows] = values(xs, ys[rows, None])
     return out
 
 
@@ -86,7 +88,9 @@ def escape_time_field(fmap: UnicriticalMap, spec: RenderSpec) -> np.ndarray:
     warning."""
     r_esc = fmap.escape_radius()
 
-    def counts(w):
+    def counts(xs, ys):
+        z = xs + 1j * ys
+        w = z.ravel()
         out = np.full(w.size, ESCAPE_MAX_ITER, dtype=float)
         idx = np.arange(w.size)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -97,43 +101,54 @@ def escape_time_field(fmap: UnicriticalMap, spec: RenderSpec) -> np.ndarray:
                 idx, w = idx[bounded], w[bounded]
                 if not idx.size:
                     break
-        return out
+        return out.reshape(z.shape)
 
     return _fill_field(spec, counts)
 
 
 def density_field(metric: SingularMetric, spec: RenderSpec) -> np.ndarray:
     """log(1 + density) at each pixel centre: the log scale saturates P(f)."""
-    return _fill_field(spec, lambda z: np.log1p(metric.density_array(z)))
+    return _fill_field(spec, lambda xs, ys: np.log1p(
+        metric.density_of_distance(metric.cloud.dist_xy(xs, ys))))
 
 
 def distance_field(cloud: PostcriticalCloud, spec: RenderSpec) -> np.ndarray:
-    return _fill_field(spec, cloud.dist_many)
+    return _fill_field(spec, cloud.dist_xy)
 
 
 def to_rgb(field: np.ndarray) -> np.ndarray:
     """Grayscale-to-heat mapping; non-finite pixels take the top colour.
 
     Two passes over row blocks of the field: the first finds the least and
-    greatest finite value, the second writes the pixmap, so no full-size
-    float temporary is made."""
+    greatest finite value, the second writes the pixmap a channel at a time,
+    so no full-size temporary is made.  A block that is all finite is read
+    without a mask.  Red is v = 255 (f - lo) / (hi - lo), truncated, green
+    the truncated 0.6 v and blue 255 - v."""
     height, width = field.shape
     lo, hi = math.inf, -math.inf
     for rows in _row_blocks(height, width):
-        f = field[rows][np.isfinite(field[rows])]
+        f = field[rows]
+        finite = np.isfinite(f)
+        if not finite.all():
+            f = f[finite]
         if f.size:
             lo, hi = min(lo, f.min()), max(hi, f.max())
-    if lo > hi:  # no finite value: every pixel takes 1.0 below
+    if lo > hi:  # no finite value: every pixel takes the top colour below
         lo = hi = 0.0
     span = hi - lo if hi > lo else 1.0
     rgb = np.empty((height, width, 3), dtype=np.uint8)
     for rows in _row_blocks(height, width):
         f = field[rows]
-        norm = np.where(np.isfinite(f), (f - lo) / span, 1.0)
-        v = (norm * 255).astype(np.uint8)
-        rgb[rows, :, 0] = v
-        rgb[rows, :, 1] = (v * 0.6).astype(np.uint8)
-        rgb[rows, :, 2] = 255 - v
+        v = f - lo
+        v /= span
+        v *= 255
+        finite = np.isfinite(f)
+        if not finite.all():
+            v[~finite] = 255.0
+        red = rgb[rows, :, 0]
+        red[...] = v  # truncated, as astype(np.uint8) truncates
+        rgb[rows, :, 1] = (red * 0.6).astype(np.uint8)
+        np.subtract(255, red, out=rgb[rows, :, 2])
     return rgb
 
 
@@ -163,7 +178,7 @@ def overlay_polyline(rgb: np.ndarray, spec: RenderSpec, polyline) -> None:
     most = 2 * math.hypot(spec.width + 2, spec.height + 2)
     pad = complex(width / spec.width, height / spec.height)
     pts = np.array(polyline)
-    dense = []
+    starts, ends, counts = [], [], []
     for a, b in zip(pts[:-1], pts[1:]):
         n = points(a, b)
         if n > most:
@@ -172,13 +187,33 @@ def overlay_polyline(rgb: np.ndarray, spec: RenderSpec, polyline) -> None:
                 continue
             a, b = a + (b - a) * inside[0], a + (b - a) * inside[1]
             n = min(points(a, b), most)
-        dense.append(a + (b - a) * np.linspace(0, 1, max(2, int(n))))
-    z = np.concatenate(dense) if dense else pts
+        starts.append(a)
+        ends.append(b)
+        counts.append(max(2, int(n)))
+    if counts:
+        t, seg = _unit_steps(np.array(counts))
+        start = np.array(starts)[seg]
+        z = start + (np.array(ends)[seg] - start) * t
+    else:
+        z = pts
     i = np.rint((z.real - lo.real) / width * (spec.width - 1))
     j = np.rint((hi.imag - z.imag) / height * (spec.height - 1))
     # tested as floats: a point far off the box has no integer pixel index
     on = (0 <= i) & (i < spec.width) & (0 <= j) & (j < spec.height)
     rgb[j[on].astype(int), i[on].astype(int)] = 255
+
+
+def _unit_steps(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.linspace(0, 1, n)`` for each n of ``counts`` (each at least 2),
+    end to end, bit for bit, and the index of the count each value belongs
+    to: the j-th value of a run is j * (1 / (n - 1)) and its last is 1.0, as
+    NumPy's linspace makes them."""
+    seg = np.repeat(np.arange(len(counts)), counts)
+    last = np.cumsum(counts) - 1
+    t = np.arange(len(seg)) - (last - (counts - 1))[seg]
+    t = t * (1.0 / (counts - 1))[seg]
+    t[last] = 1.0
+    return t, seg
 
 
 def _clip_to_box(a: complex, b: complex, lo: complex, hi: complex):

@@ -228,6 +228,43 @@ def test_cloud_search_past_the_float_range_matches_kdtree():
     assert np.isinf(got[:16]).all() and np.isfinite(got[-1])
 
 
+@pytest.mark.parametrize("c", [-2 + 0j, 1j, 0.25 + 0j], ids=["c=-2", "c=i", "c=1/4"])
+def test_dist_xy_on_a_lattice_matches_dist_many_bit_for_bit(c):
+    # c = 1/4 keeps more points than the direct search takes: the KD-tree
+    cloud = em.build_postcritical_cloud(em.critical_orbit(em.UnicriticalMap(2, c), 2000)[0])
+    assert (cloud._tree is None) == (c != 0.25)
+    rng = np.random.default_rng(7)
+    on = cloud.points[:3]  # lattice points on the cloud itself
+    xs = np.concatenate([rng.uniform(-2.5, 2.5, 37), on.real])
+    ys = np.concatenate([rng.uniform(-2.5, 2.5, 23), on.imag])
+    want = cloud.dist_many((xs + 1j * ys[:, None]).ravel()).reshape(len(ys), len(xs))
+    assert np.array_equal(cloud.dist_xy(xs, ys[:, None]), want)
+    assert np.array_equal(cloud.dist_xy(xs[:, None], ys), want.T)
+    assert np.array_equal(cloud.dist_xy(*np.broadcast_arrays(xs, ys[:, None])), want)
+    assert not np.diag(want[-len(on):, -len(on):]).any()
+
+
+@pytest.mark.parametrize("c", [-2 + 0j, 0.25 + 0j], ids=["direct", "tree"])
+def test_dist_xy_past_the_float_range_and_at_nan(c):
+    # squares past 1e308 are inf, and NaN stays NaN, without a warning, on the
+    # lattice as at the complex points; the tree refuses a NaN query
+    import warnings
+
+    cloud = em.build_postcritical_cloud(em.critical_orbit(em.UnicriticalMap(2, c), 2000)[0])
+    nan = [math.nan] if cloud._tree is None else []
+    xs = np.array([-1e200, -3e153, 0.0, 3e153, 1e200, *nan])
+    ys = np.array([2e154, 0.5, -1e200, *nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cloud.dist_xy(xs, ys[:, None])
+        want = cloud.dist_many((xs + 1j * ys[:, None]).ravel()).reshape(got.shape)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isinf(got[[0, 2], :5]).all() and np.isinf(got[:3, [0, 4]]).all()
+    assert np.isfinite(got[1, 1:4]).all()
+    if nan:
+        assert np.isnan(got[3]).all() and np.isnan(got[:, 5]).all()
+
+
 @pytest.mark.parametrize("shape", [(3, 2), (2, 2), (1, 1, 1)])
 def test_cloud_refuses_points_not_one_dimensional(shape):
     # an (m, 2) array of real columns is not read as 2m points

@@ -31,7 +31,7 @@ from expmetric.rays import (
     trace_ray,
     trace_rays,
 )
-from expmetric.render import RenderSpec, _pixel_grid, escape_time_field
+from expmetric.render import RenderSpec, _pixel_axes, escape_time_field
 
 
 def cheb():
@@ -75,6 +75,17 @@ def test_overflowing_boettcher_start_raises():
         warnings.simplefilter("error")
         with pytest.raises(RayTracingError, match="overflows"):
             trace_rays(em.UnicriticalMap(100, 0), [0.1], 5)
+
+
+@pytest.mark.parametrize("d", [2, 100])
+def test_no_angles_trace_no_rays(d):
+    # a render with no overlay: empty arrays of the usual shapes, and no
+    # Boettcher start to overflow even at degree 100; the depth is still checked
+    points, landings = trace_rays(em.UnicriticalMap(d, 0), [], 7)
+    assert points.shape == (0, 8) and points.dtype == complex
+    assert landings.shape == (0,) and landings.dtype == complex
+    with pytest.raises(ValueError, match=r"^depth must lie in 1\.\.60, got 0$"):
+        trace_rays(cheb(), [], 0)
 
 
 def test_landing_oracles_chebyshev():
@@ -513,7 +524,8 @@ def test_escape_time_matches_per_pixel_iteration(d, c):
     spec = RenderSpec((-2.5 - 2.5j, 2.5 + 2.5j), 64, 64)
     r_esc = fmap.escape_radius()
     want = np.full((64, 64), 128.0)
-    for (j, i), z in np.ndenumerate(_pixel_grid(spec)):
+    xs, ys = _pixel_axes(spec)
+    for (j, i), z in np.ndenumerate(xs + 1j * ys[:, None]):
         w = complex(z)
         for k in range(128):
             w = w**d + c

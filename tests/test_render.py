@@ -13,6 +13,8 @@ from expmetric.render import (
     ESCAPE_MAX_ITER,
     RENDER_BLOCK_PIXELS,
     RenderSpec,
+    _clip_to_box,
+    _unit_steps,
     density_field,
     distance_field,
     escape_time_field,
@@ -117,7 +119,7 @@ def test_escape_time_counts_an_overflowing_iterate_as_escaped(tmp_path, capfd):
 
 
 @pytest.mark.parametrize("logged", [False, True], ids=["linear", "log"])
-@pytest.mark.parametrize("fill", ["mixed", "constant", "none-finite"])
+@pytest.mark.parametrize("fill", ["mixed", "constant", "none-finite", "minus-inf"])
 def test_blocked_to_rgb_equals_whole_array(fill, logged):
     # 3 blocks of 32 rows of 997 columns and a short last block of 5 rows
     rng = np.random.default_rng(5)
@@ -130,6 +132,8 @@ def test_blocked_to_rgb_equals_whole_array(fill, logged):
         field[np.isfinite(field)] = math.inf
     if logged:  # as density_field logs a density, with +inf where it is singular
         field = np.log1p(field)
+    if fill == "minus-inf":
+        field.flat[5::13] = -math.inf
     assert np.array_equal(to_rgb(field), whole_to_rgb(field))
 
 
@@ -148,6 +152,78 @@ def test_render_peak_memory(tmp_path, layer):
     finally:
         tracemalloc.stop()
     assert peak < 30e6
+
+
+def test_heat_map_green_is_six_tenths_of_red_for_every_value():
+    # the field spans [0, 1] finely enough that red takes each of its 256 values
+    rgb = to_rgb(np.linspace(0.0, 1.0, 100_000).reshape(100, 1000))
+    red, green, blue = (rgb[..., k].ravel() for k in range(3))
+    assert np.array_equal(np.unique(red), np.arange(256))
+    assert np.array_equal(green, (red * 0.6).astype(np.uint8))
+    assert np.array_equal(blue, 255 - red)
+
+
+def test_unit_steps_are_each_counts_linspace():
+    rng = np.random.default_rng(3)
+    counts = np.concatenate([[2, 3, 2], rng.integers(2, 5000, 200)])
+    t, seg = _unit_steps(counts)
+    want = [np.linspace(0, 1, n) for n in counts]
+    assert np.array_equal(t, np.concatenate(want))
+    assert np.array_equal(seg, np.repeat(np.arange(len(counts)), counts))
+
+
+def per_segment_overlay(rgb, spec, polyline):
+    """The overlay with one np.linspace a segment: the form whose pixels the
+    one-pass densification keeps."""
+    lo, hi = spec.bbox
+    width, height = hi.real - lo.real, hi.imag - lo.imag
+    extent, pixels = width, spec.width
+    if height / spec.height < width / spec.width:
+        extent, pixels = height, spec.height
+
+    def points(a, b):
+        return abs(b - a) / extent * pixels * 2
+
+    most = 2 * math.hypot(spec.width + 2, spec.height + 2)
+    pad = complex(width / spec.width, height / spec.height)
+    pts = np.array(polyline)
+    dense = []
+    for a, b in zip(pts[:-1], pts[1:]):
+        n = points(a, b)
+        if n > most:
+            inside = _clip_to_box(a, b, lo - pad, hi + pad)
+            if inside is None:
+                continue
+            a, b = a + (b - a) * inside[0], a + (b - a) * inside[1]
+            n = min(points(a, b), most)
+        dense.append(a + (b - a) * np.linspace(0, 1, max(2, int(n))))
+    z = np.concatenate(dense) if dense else pts
+    i = np.rint((z.real - lo.real) / width * (spec.width - 1))
+    j = np.rint((hi.imag - z.imag) / height * (spec.height - 1))
+    on = (0 <= i) & (i < spec.width) & (0 <= j) & (j < spec.height)
+    rgb[j[on].astype(int), i[on].astype(int)] = 255
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_overlay_equals_per_segment_linspace(seed):
+    # random boxes, some zoomed or thin, and polylines whose points lie from a
+    # hundredth of the box to 10^6 boxes from its centre: many segments are
+    # clipped, and some miss the box
+    rng = np.random.default_rng(seed)
+    centre = complex(*rng.uniform(-2, 2, 2))
+    half = complex(*10.0 ** rng.uniform(-4, 1, 2))
+    spec = RenderSpec((centre - half, centre + half), *rng.integers(1, 200, 2))
+    turns = np.exp(2j * math.pi * rng.random(60))
+    polyline = centre + abs(half) * 10.0 ** rng.uniform(-2, 6, 60) * turns
+    want = np.zeros((spec.height, spec.width, 3), dtype=np.uint8)
+    got = want.copy()
+    per_segment_overlay(want, spec, polyline)
+    overlay_polyline(got, spec, polyline)
+    assert np.array_equal(got, want)
+    # a polyline of one point marks its pixel, with no segment to densify
+    per_segment_overlay(want, spec, [centre])
+    overlay_polyline(got, spec, [centre])
+    assert np.array_equal(got, want)
 
 
 def unclipped_overlay(rgb, spec, polyline):
