@@ -36,7 +36,16 @@ ANGLES_48 = ",".join(repr(k / 48) for k in range(48))
 LAYERS = ("escape-time", "density-rho", "density-sigma", "distance-to-P")
 
 COMMANDS = (
-    [["rays", *c, "--depth", "50", "--angles", ANGLES_48] for c in PARAMS]
+    [["classify", *c] for c in PARAMS]
+    + [["expansion", *c, "--orbits", "8", "--depth", "30"] for c in PARAMS]
+    + [["holder", *c, "--grid-res", "256"] for c in PARAMS]
+    # refused: level 2 is the orbit's second critical level
+    + [["expansion", "--c-re", "-2", "--epsilon", "3", "--orbits", "1", "--depth", "10",
+        "--seed", "4"],
+       # refused: orbit 0 stops at level 9
+       ["expansion", "--c-re", "0", "--c-im", "1", "--orbits", "8", "--epsilon", "1.2",
+        "--seed", "11", "--depth", "10"]]
+    + [["rays", *c, "--depth", "50", "--angles", ANGLES_48] for c in PARAMS]
     + [["render", *c, "--layer", layer, "--width", "257", "--height", "257",
         "--depth", "30", "--rays", "0.125,0.25,0.625"]
        for c in PARAMS for layer in LAYERS]
