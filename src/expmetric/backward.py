@@ -19,14 +19,8 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 # orbit_derivative_magnitude is re-exported for callers that look it up here
-from .dynamics import (  # noqa: F401
-    PostcriticalCloud,
-    UnicriticalMap,
-    _polar_preimage,
-    orbit_derivative_magnitude,
-    preimage_branch,
-    set_diameter,
-)
+from .dynamics import (PostcriticalCloud, UnicriticalMap, _polar_preimage,  # noqa: F401
+                       orbit_derivative_magnitude, preimage_branch, set_diameter)
 from .metrics import SingularMetric
 
 CLOUD_EXCLUSION = 1e-9
@@ -54,8 +48,8 @@ class BackwardDiskOrbit:
     epsilon: float
     cloud: Optional[PostcriticalCloud] = None
     points: List[complex] = field(init=False)
-    # the current polygon after pull_back_orbits, every level's after
-    # pull_back (read only by bench/tracing.py and tests)
+    # every level's polygon after pull_back; only the current one after
+    # pull_back_orbits, which carries the live polygons as stacked arrays
     boundary: List[np.ndarray] = field(init=False)
     # boundary samples minus the level's center, kept apart because the
     # absolute samples lose all relative precision once the diameter nears
@@ -65,12 +59,10 @@ class BackwardDiskOrbit:
     labels: List[Optional[CaseLabel]] = field(init=False)
 
     def __post_init__(self):
-        self.points = [complex(self.z0)]
         offsets, diam = _level_zero_disk(self.epsilon)
-        self.boundary = [self.z0 + offsets]
-        self.offsets = [offsets]
-        self.diams = [diam]
-        self.labels = [None]  # level 0 is the reference disk, not a pullback
+        # level 0 is the reference disk, not a pullback, so it has no label
+        self.points, self.boundary, self.offsets, self.diams, self.labels = (
+            [complex(self.z0)], [self.z0 + offsets], [offsets], [diam], [None])
 
     @property
     def depth(self) -> int:
@@ -106,8 +98,7 @@ def _labels(cloud: Optional[PostcriticalCloud], critical: bool,
         return [CaseLabel.CRITICAL] * len(polys)
     meets = np.zeros(len(polys), dtype=bool)
     if cloud is not None:
-        pts = cloud.points
-        re, im = polys.real, polys.imag
+        pts, re, im = cloud.points, polys.real, polys.imag
         in_box = ((re.min(axis=1)[:, None] <= pts.real) & (pts.real <= re.max(axis=1)[:, None])
                   & (im.min(axis=1)[:, None] <= pts.imag) & (pts.imag <= im.max(axis=1)[:, None]))
         for p in np.flatnonzero(in_box.any(axis=0)):
@@ -117,13 +108,12 @@ def _labels(cloud: Optional[PostcriticalCloud], critical: bool,
             for meet in meets]
 
 
-def _extend(fmap: UnicriticalMap, orbits: List[BackwardDiskOrbit], roots: List[int]) -> List[int]:
-    """Pull orbits whose current polygons share one sample count and one cloud
-    back one level together: each centre by its root number of
-    ``preimage_branch``, each boundary by the continuous lift.  Appends each
-    orbit's centre, polygon, offsets, diameter and case label, and returns the
-    positions of the orbits left as they were because their boundary is
-    sampled too coarsely around the critical value.
+def _lift_level(fmap: UnicriticalMap, cloud: Optional[PostcriticalCloud], centers: np.ndarray,
+                roots: np.ndarray, prev: np.ndarray, prev_offsets: np.ndarray):
+    """Pull polygons of one sample count and one cloud, an orbit a row, back
+    one level: centres by ``preimage_branch``, polygons by the continuous
+    lift.  Returns the new centres, a mask of the rows too coarse to lift,
+    and each turn count's rows, polygons, offsets, diameters and labels.
 
     The phase of prev - c is unwrapped along each polygon; its integer jumps
     give each sample's sheet, and the winding number W around c sets the
@@ -133,10 +123,7 @@ def _extend(fmap: UnicriticalMap, orbits: List[BackwardDiskOrbit], roots: List[i
     and |prev - c|^(1/d), starting from the preimage of the polygon's first
     sample nearest the new center."""
     d = fmap.d
-    centers = preimage_branch(fmap, np.array([orbit.points[-1] for orbit in orbits]),
-                              np.array(roots))
-    prev = np.stack([orbit.boundary[-1] for orbit in orbits])
-    prev_offsets = np.stack([orbit.offsets[-1] for orbit in orbits])
+    centers = preimage_branch(fmap, centers, roots)
     u = prev - fmap.c
     phase, steps, winding = _phase_steps(u)
     modulus = np.abs(u) ** (1.0 / d)  # |w| for every preimage w of each sample
@@ -146,6 +133,7 @@ def _extend(fmap: UnicriticalMap, orbits: List[BackwardDiskOrbit], roots: List[i
         (np.zeros((len(u), 1)), np.cumsum(steps[:, :-1], axis=1)), axis=1)
     sheets = np.rint((unwrapped - phase) / (2.0 * math.pi)).astype(int)
     turns = d // np.gcd(winding, d)
+    lifts = []
     for t in set(turns[~coarse].tolist()):
         rows = np.flatnonzero((turns == t) & ~coarse)
         z_n = centers[rows, None]
@@ -163,16 +151,8 @@ def _extend(fmap: UnicriticalMap, orbits: List[BackwardDiskOrbit], roots: List[i
         z = np.broadcast_to(z_n, lifted.shape)[on_sheet]
         offsets[on_sheet] = np.tile(prev_offsets[rows], (1, t))[on_sheet] / (sum(
             (w**j * z ** (d - 1 - j) for j in range(1, d - 1)), z ** (d - 1)) + w ** (d - 1))
-        diams = set_diameter(offsets)
-        labels = _labels(orbits[0].cloud, t > 1, lifted)
-        for r, i in enumerate(rows):
-            orbit = orbits[i]
-            orbit.points.append(complex(centers[i]))
-            orbit.boundary.append(lifted[r])
-            orbit.offsets.append(offsets[r])
-            orbit.diams.append(float(diams[r]))
-            orbit.labels.append(labels[r])
-    return np.flatnonzero(coarse).tolist()
+        lifts.append((rows, lifted, offsets, set_diameter(offsets), _labels(cloud, t > 1, lifted)))
+    return centers, coarse, lifts
 
 
 def classify_level(orbit: BackwardDiskOrbit, n: int) -> CaseLabel:
@@ -182,12 +162,8 @@ def classify_level(orbit: BackwardDiskOrbit, n: int) -> CaseLabel:
     return orbit.labels[n]
 
 
-def pull_back(
-    fmap: UnicriticalMap,
-    orbit: BackwardDiskOrbit,
-    steps: int,
-    branch: Union[int, np.random.Generator],
-) -> BackwardDiskOrbit:
+def pull_back(fmap: UnicriticalMap, orbit: BackwardDiskOrbit, steps: int,
+              branch: Union[int, np.random.Generator]) -> BackwardDiskOrbit:
     """Extend the orbit by ``steps`` inverse images: the center by root number
     ``branch`` of ``preimage_branch``, or by one drawn from ``branch`` at each
     level when it is a generator; the boundary by the continuous lift; plus
@@ -197,23 +173,29 @@ def pull_back(
     if not random and not 0 <= branch < fmap.d:
         raise ValueError(f"branch must lie in 0..{fmap.d - 1}, got {branch!r}")
     for _ in range(steps):
-        if _extend(fmap, [orbit], [int(branch.integers(fmap.d)) if random else branch]):
+        root = int(branch.integers(fmap.d)) if random else branch
+        centers, coarse, lifts = _lift_level(
+            fmap, orbit.cloud, np.array(orbit.points[-1:]), np.array([root]),
+            np.array(orbit.boundary[-1:]), np.array(orbit.offsets[-1:]))
+        if coarse[0]:
             raise RuntimeError(SAMPLED_TOO_COARSELY)
+        [(_, lifted, offsets, diams, labels)] = lifts
+        orbit.points.append(complex(centers[0]))
+        orbit.boundary.append(lifted[0])
+        orbit.offsets.append(offsets[0])
+        orbit.diams.append(float(diams[0]))
+        orbit.labels += labels
     return orbit
 
 
-def pull_back_orbits(
-    fmap: UnicriticalMap,
-    orbits: List[BackwardDiskOrbit],
-    steps: int,
-    rngs: List[np.random.Generator],
-) -> Optional[Tuple[int, str]]:
+def pull_back_orbits(fmap: UnicriticalMap, orbits: List[BackwardDiskOrbit], steps: int,
+                     rngs: List[np.random.Generator]) -> Optional[Tuple[int, str]]:
     """Extend every orbit by ``steps`` levels, all of them one level at a time:
     orbit i draws the roots of all ``steps`` levels from ``rngs[i]`` in one
-    call, the same sequence as one draw a level, and orbits whose
-    current polygons share a sample count and a cloud are lifted together.
-    Each orbit keeps only its current polygon in ``boundary`` and
-    ``offsets``; centres, diameters and labels keep every level.
+    call, the same sequence as one draw a level.  Live orbits are carried as
+    stacked arrays, a group of rows in orbit order for each sample count and
+    cloud, lifted by one ``_lift_level`` call a level.  At the end each orbit
+    gets its new centres, diameters and labels, and only its current polygon.
 
     An orbit whose boundary is too coarse to lift, or which reaches a second
     critical level, is past the single critical pass the expansion proof
@@ -221,28 +203,53 @@ def pull_back_orbits(
     it stops at once, and so does every orbit after the lowest-numbered one
     stopped.  Returns that orbit's index and the reason, or None when every
     orbit reached the depth."""
-    refusal = None
-    live = list(range(len(orbits)))
-    draws = [rng.integers(fmap.d, size=steps) for rng in rngs[:len(orbits)]]
+    if len(rngs) < len(orbits):
+        raise ValueError(f"{len(orbits)} orbits need a generator each, got {len(rngs)}")
+    if not steps:
+        return None
+    draws = np.array([rng.integers(fmap.d, size=steps) for _, rng in zip(orbits, rngs)])
+    points, diams, labels = (np.empty(draws.shape, dtype=t) for t in (complex, float, object))
+    depth = np.array([orbit.depth for orbit in orbits], dtype=int)
+    critical = np.array([orbit.labels.count(CaseLabel.CRITICAL) for orbit in orbits], dtype=int)
+    # (cloud, orbit numbers, centres, polygons, offsets) of live rows, an orbit each at first
+    pieces = [(o.cloud, np.array([i]), np.array(o.points[-1:]), o.boundary[-1][None],
+               o.offsets[-1][None]) for i, o in enumerate(orbits)]
+    done, refusal = [], None  # done: the rows of stopped orbits, as they stopped
     for level in range(steps):
         groups = {}
-        for i in live:
-            key = (len(orbits[i].boundary[-1]), id(orbits[i].cloud))
-            groups.setdefault(key, []).append(i)
-        stopped = {}
-        for group in groups.values():
-            roots = [int(draws[i][level]) for i in group]
-            for pos in _extend(fmap, [orbits[i] for i in group], roots):
-                stopped[group[pos]] = SAMPLED_TOO_COARSELY
-        for i in live:
-            orbit = orbits[i]
-            if (i not in stopped and orbit.labels[-1] is CaseLabel.CRITICAL
-                    and orbit.labels.count(CaseLabel.CRITICAL) > 1):
-                stopped[i] = f"level {orbit.depth} is its second critical level"
-            del orbit.boundary[:-1], orbit.offsets[:-1]
+        for piece in pieces:
+            groups.setdefault((piece[3].shape[1], id(piece[0])), []).append(piece)
+        pieces, stopped = [], {}
+        for parts in groups.values():
+            cloud, idx, z, polys, offs = parts[0]
+            if len(parts) > 1:  # rows a critical lift brought to this sample count
+                order = np.argsort(np.concatenate([p[1] for p in parts]))
+                idx, z, polys, offs = (np.concatenate(a)[order] for a in list(zip(*parts))[1:])
+            centers, coarse, lifts = _lift_level(fmap, cloud, z, draws[idx, level], polys, offs)
+            stopped.update((i, SAMPLED_TOO_COARSELY) for i in idx[coarse].tolist())
+            done.append((cloud, idx[coarse], z[coarse], polys[coarse], offs[coarse]))
+            for rows, lifted, offsets, ds, labs in lifts:
+                i = idx[rows]
+                points[i, level], diams[i, level], labels[i, level] = centers[rows], ds, labs
+                depth[i] += 1
+                if labs[0] is CaseLabel.CRITICAL:
+                    critical[i] += 1
+                    stopped.update((k, f"level {depth[k]} is its second critical level")
+                                   for k in i[critical[i] > 1].tolist())
+                pieces.append((cloud, i, centers[rows], lifted, offsets))
         if stopped:  # every live orbit is numbered below an earlier refusal
             refusal = min(stopped), stopped[min(stopped)]
-            live = [i for i in live if i < refusal[0]]
+            done += [(p[0], *(a[p[1] >= refusal[0]] for a in p[1:])) for p in pieces]
+            # rows stay in orbit order, so a piece keeps a row if it keeps its first
+            pieces = [(p[0], *(a[p[1] < refusal[0]] for a in p[1:]))
+                      for p in pieces if p[1][0] < refusal[0]]
+    for _, idx, _, polys, offs in pieces + done:
+        for i, poly, off in zip(idx.tolist(), polys, offs):
+            orbit, added = orbits[i], depth[i] - orbits[i].depth
+            orbit.points += points[i, :added].tolist()
+            orbit.diams += diams[i, :added].tolist()
+            orbit.labels += labels[i, :added].tolist()
+            orbit.boundary[:], orbit.offsets[:] = [poly], [off]
     return refusal
 
 
@@ -265,9 +272,7 @@ class ExpansionReport:
     case_counts: dict
 
 
-def expansion_ratios(
-    orbit: BackwardDiskOrbit, metric: SingularMetric
-) -> ExpansionReport:
+def expansion_ratios(orbit: BackwardDiskOrbit, metric: SingularMetric) -> ExpansionReport:
     """Ratios R_n = |(f^n)'(z_n)| density(z0) / density(z_n) along the orbit,
     with a least-squares fit log R_n = log C + n log lambda.
 
@@ -290,16 +295,13 @@ def expansion_ratios(
     overflow = np.flatnonzero(np.isinf(ratios))
     if overflow.size:
         raise ValueError(f"the expansion ratio at level {levels[overflow[0]]} overflows a float")
-    counts = {lab: 0 for lab in CaseLabel}
-    for lab in orbit.labels[1:]:
-        counts[lab] += 1
     return ExpansionReport(
         ratios=ratios.tolist(),
         levels=levels.tolist(),
         skipped_levels=(np.flatnonzero(on_cloud) + 1).tolist(),
         lam=float(math.exp(slope)),
         constant=float(math.exp(intercept)),
-        case_counts={lab.value: v for lab, v in counts.items()},
+        case_counts={lab.value: orbit.labels.count(lab) for lab in CaseLabel},
     )
 
 
@@ -313,7 +315,5 @@ def shrink_fit(orbit: BackwardDiskOrbit) -> Tuple[float, float]:
     tiny = np.flatnonzero(np.asarray(orbit.diams) < sys.float_info.min)
     if tiny.size:
         raise ValueError(f"the diameter at level {tiny[0]} underflows to {orbit.diams[tiny[0]]!r}")
-    ns = np.arange(orbit.depth + 1, dtype=float)
-    logs = np.log(orbit.diams)
-    slope, intercept = np.polyfit(ns, logs, 1)
+    slope, intercept = np.polyfit(np.arange(orbit.depth + 1, dtype=float), np.log(orbit.diams), 1)
     return float(math.exp(intercept)), float(math.exp(slope))

@@ -278,6 +278,52 @@ def test_pull_back_orbits_matches_one_orbit_at_a_time(fmap):
     assert {lab for orbit in batch for lab in orbit.labels[1:]} == set(CaseLabel)
 
 
+@pytest.mark.parametrize("fmap", [cheb(), map_i()], ids=["c=-2", "c=i"])
+def test_pull_back_orbits_regroups_a_mixed_batch(fmap):
+    # rows over two clouds and over none, and orbits pull_back extended first:
+    # orbit 1 already carries its critical level and 128 samples; orbit 2, a
+    # fresh disk at the critical value, joins its group after level 1, while
+    # orbit 4, its twin over the other cloud, starts a group of its own; and
+    # orbit 6 comes in with the polygons of three levels
+    clouds = [em.build_postcritical_cloud(em.critical_orbit(fmap, n)[0]) for n in (50, 20)]
+    julia = em.sample_julia_points(fmap, 4, np.random.default_rng(5))
+    specs = [(julia[0], 1e-3, clouds[0], 0), (fmap.c + 0.001j, 0.003, clouds[0], 2),
+             (fmap.c + 0.001, 0.003, clouds[0], 0), (julia[1], 1e-3, clouds[1], 0),
+             (fmap.c - 0.001j, 0.003, clouds[1], 0), (julia[2], 1e-3, None, 0),
+             (julia[3], 1e-3, clouds[0], 3)]
+    depth = 20
+
+    def orbits():
+        return [pull_back(fmap, BackwardDiskOrbit(fmap, z, eps, cloud=cloud), pre, 1)
+                for z, eps, cloud, pre in specs]
+
+    def rngs():
+        return [np.random.default_rng([5, k]) for k in range(len(specs))]
+
+    batch = orbits()
+    assert [len(orbit.boundary[-1]) for orbit in batch] == [64, 128, 64, 64, 64, 64, 64]
+    assert pull_back_orbits(fmap, batch, depth, rngs()) is None
+    for orbit, ref, rng in zip(batch, orbits(), rngs()):
+        pull_back(fmap, ref, depth, rng)
+        assert orbit.points == ref.points
+        assert orbit.diams == ref.diams
+        assert orbit.labels == ref.labels
+        assert len(orbit.boundary) == len(orbit.offsets) == 1
+        assert orbit.boundary[0].tobytes() == ref.boundary[-1].tobytes()
+        assert orbit.offsets[0].tobytes() == ref.offsets[-1].tobytes()
+    assert [orbit.labels.count(CaseLabel.CRITICAL) for orbit in batch] == [0, 1, 1, 0, 1, 0, 0]
+    assert [len(orbit.boundary[0]) for orbit in batch] == [64, 128, 128, 64, 128, 64, 64]
+    assert [orbit.depth for orbit in batch] == [depth, depth + 2] + [depth] * 4 + [depth + 3]
+
+
+def test_pull_back_orbits_refuses_fewer_generators_than_orbits():
+    fmap = cheb()
+    batch = [BackwardDiskOrbit(fmap, z, 1e-3) for z in (0.5, 0.6j, -0.7)]
+    with pytest.raises(ValueError, match="^3 orbits need a generator each, got 1$"):
+        pull_back_orbits(fmap, batch, 5, [np.random.default_rng(0)])
+    assert [orbit.depth for orbit in batch] == [0, 0, 0]
+
+
 def test_pull_back_orbits_refuses_the_lowest_numbered_orbit():
     fmap = cheb()
     cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 50)[0])

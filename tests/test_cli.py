@@ -201,18 +201,18 @@ def test_expansion_refuses_oversized_disk(tmp_path, flags, reason):
 def test_second_critical_level_stops_before_next_lift(tmp_path, monkeypatch):
     calls = []
     lifts = []
-    extend = backward._extend
+    lift_level = backward._lift_level
 
     def recording(fmap, orbits, *args):
         calls.append(orbits)
         return backward.pull_back_orbits(fmap, orbits, *args)
 
-    def counting(fmap, orbits, roots):
-        lifts.append(len(orbits))
-        return extend(fmap, orbits, roots)
+    def counting(fmap, cloud, centers, *args):
+        lifts.append(len(centers))
+        return lift_level(fmap, cloud, centers, *args)
 
     monkeypatch.setattr(cli, "pull_back_orbits", recording)
-    monkeypatch.setattr(backward, "_extend", counting)
+    monkeypatch.setattr(backward, "_lift_level", counting)
     with pytest.raises(SystemExit, match="level 2 is its second critical level"):
         cli.main(["expansion", "--c-re", "-2", "--epsilon", "3", "--orbits", "1",
                   "--depth", "10", "--seed", "4", "--out", str(tmp_path)])
