@@ -44,8 +44,19 @@ COMMANDS = (
         "--seed", "4"],
        # refused: orbit 0 stops at level 9
        ["expansion", "--c-re", "0", "--c-im", "1", "--orbits", "8", "--epsilon", "1.2",
-        "--seed", "11", "--depth", "10"]]
+        "--seed", "11", "--depth", "10"],
+       # refused: orbit 0's diameter underflows at level 997, and orbit 0 is
+       # named although orbit 2's ratio overflows a float at level 996
+       ["expansion", "--c-re", "0", "--c-im", "1", "--orbits", "3", "--depth", "1000",
+        "--epsilon", "0.01", "--seed", "1"],
+       # refused: orbit 0's diameter underflows at level 27
+       ["expansion", "--c-re", "-2", "--orbits", "2", "--depth", "30", "--epsilon", "1e-300",
+        "--seed", "1"]]
     + [["rays", *c, "--depth", "50", "--angles", ANGLES_48] for c in PARAMS]
+    # landed and unlanded rays in one report
+    + [["rays", "--c-re", "-2", "--depth", "10", "--angles", "0.0,0.125,0.25,0.375"],
+       # -0 is the angle 0
+       ["rays", "--c-re", "-2", "--depth", "10", "--angles=-0,0.5"]]
     + [["render", *c, "--layer", layer, "--width", "257", "--height", "257",
         "--depth", "30", "--rays", "0.125,0.25,0.625"]
        for c in PARAMS for layer in LAYERS]
@@ -58,6 +69,9 @@ COMMANDS = (
        # no --rays: nothing is traced or overlaid
        ["render", "--c-re", "-2", "--layer", "escape-time", "--width", "64",
         "--height", "64"],
+       # a box 2e-9 wide around the ray of angle 1/4
+       ["render", "--c-re", "-2", "--bbox", "-1e-9", "1e-9", "-2", "2", "--width", "8",
+        "--height", "8", "--rays", "0.25", "--depth", "10"],
        # refused: the Boettcher start of the ray overflows at degree 100
        ["render", "--d", "100", "--c-re", "0", "--width", "8", "--height", "8",
         "--rays", "0.5"]]
