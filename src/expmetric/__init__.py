@@ -31,7 +31,6 @@ from .metrics import (
 from .backward import (
     BackwardDiskOrbit,
     CaseLabel,
-    ExpansionReport,
     classify_level,
     expansion_ratios,
     pull_back,

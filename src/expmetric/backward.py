@@ -10,11 +10,10 @@ ratios weighted by the singular density are fitted for exponential growth.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,8 +47,6 @@ class BackwardDiskOrbit:
     epsilon: float
     cloud: Optional[PostcriticalCloud] = None
     points: List[complex] = field(init=False)
-    # every level's polygon after pull_back; only the current one after
-    # pull_back_orbits, which carries the live polygons as stacked arrays
     boundary: List[np.ndarray] = field(init=False)
     # boundary samples minus the level's center, kept apart because the
     # absolute samples lose all relative precision once the diameter nears
@@ -69,13 +66,11 @@ class BackwardDiskOrbit:
         return len(self.points) - 1
 
 
-@functools.lru_cache(maxsize=8)
 def _level_zero_disk(epsilon: float) -> Tuple[np.ndarray, float]:
-    """The offsets of the level-0 polygon of radius ``epsilon``, read-only
-    because every orbit of that radius shares them, and their diameter."""
+    """The offsets of the level-0 polygon of radius ``epsilon`` and their
+    diameter."""
     angles = 2.0 * math.pi * np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
     offsets = epsilon * np.exp(1j * angles)
-    offsets.flags.writeable = False
     return offsets, float(set_diameter(offsets))
 
 
@@ -188,132 +183,113 @@ def pull_back(fmap: UnicriticalMap, orbit: BackwardDiskOrbit, steps: int,
     return orbit
 
 
-def pull_back_orbits(fmap: UnicriticalMap, orbits: List[BackwardDiskOrbit], steps: int,
-                     rngs: List[np.random.Generator]) -> Optional[Tuple[int, str]]:
-    """Extend every orbit by ``steps`` levels, all of them one level at a time:
-    orbit i draws the roots of all ``steps`` levels from ``rngs[i]`` in one
-    call, the same sequence as one draw a level.  Live orbits are carried as
-    stacked arrays, a group of rows in orbit order for each sample count and
-    cloud, lifted by one ``_lift_level`` call a level.  At the end each orbit
-    gets its new centres, diameters and labels, and only its current polygon.
+def pull_back_orbits(fmap: UnicriticalMap, cloud: Optional[PostcriticalCloud],
+                     bases: Sequence[complex], epsilon: float, steps: int,
+                     rngs: List[np.random.Generator]):
+    """Pull the disks B(z0, ``epsilon``), a z0 of ``bases`` each, back
+    ``steps`` levels, all of them one level at a time: orbit i draws the roots
+    of all ``steps`` levels from ``rngs[i]`` in one call, the same sequence as
+    one draw a level.  Live orbits are carried as stacked arrays, lifted by one
+    ``_lift_level`` call a level for each sample count.
 
     An orbit whose boundary is too coarse to lift, or which reaches a second
     critical level, is past the single critical pass the expansion proof
     allows, and each further critical lift would multiply its samples by d:
     it stops at once, and so does every orbit after the lowest-numbered one
-    stopped.  Returns that orbit's index and the reason, or None when every
-    orbit reached the depth."""
-    if len(rngs) < len(orbits):
-        raise ValueError(f"{len(orbits)} orbits need a generator each, got {len(rngs)}")
-    if not steps:
-        return None
-    draws = np.array([rng.integers(fmap.d, size=steps) for _, rng in zip(orbits, rngs)])
-    points, diams, labels = (np.empty(draws.shape, dtype=t) for t in (complex, float, object))
-    depth = np.array([orbit.depth for orbit in orbits], dtype=int)
-    critical = np.array([orbit.labels.count(CaseLabel.CRITICAL) for orbit in orbits], dtype=int)
-    # (cloud, orbit numbers, centres, polygons, offsets) of live rows, an orbit each at first
-    pieces = [(o.cloud, np.array([i]), np.array(o.points[-1:]), o.boundary[-1][None],
-               o.offsets[-1][None]) for i, o in enumerate(orbits)]
-    done, refusal = [], None  # done: the rows of stopped orbits, as they stopped
-    for level in range(steps):
-        groups = {}
+    stopped.  Returns the (orbits, steps + 1) arrays of centres, diameters
+    and labels, level 0 the disk itself with no label, NaN or None past the
+    level where an orbit stopped; and the refusal, that orbit's index and the
+    reason, or None when every orbit reached the depth."""
+    if len(rngs) < len(bases):
+        raise ValueError(f"{len(bases)} orbits need a generator each, got {len(rngs)}")
+    offsets, diam = _level_zero_disk(epsilon)
+    points = np.full((len(bases), steps + 1), math.nan, dtype=complex)
+    diams = np.full(points.shape, math.nan)
+    labels = np.full(points.shape, None, dtype=object)
+    points[:, 0], diams[:, 0] = bases, diam
+    draws = np.array([rng.integers(fmap.d, size=steps) for _, rng in zip(bases, rngs)])
+    # (orbit numbers, polygons, offsets) of live rows
+    pieces = [(np.arange(len(bases)), points[:, :1] + offsets, np.tile(offsets, (len(bases), 1)))]
+    refusal = None
+    for level in range(1, steps + 1):
+        groups = {}  # a critical lift brings rows to the sample count of earlier ones
         for piece in pieces:
-            groups.setdefault((piece[3].shape[1], id(piece[0])), []).append(piece)
+            if len(piece[0]):
+                groups.setdefault(piece[1].shape[1], []).append(piece)
         pieces, stopped = [], {}
-        for parts in groups.values():
-            cloud, idx, z, polys, offs = parts[0]
-            if len(parts) > 1:  # rows a critical lift brought to this sample count
-                order = np.argsort(np.concatenate([p[1] for p in parts]))
-                idx, z, polys, offs = (np.concatenate(a)[order] for a in list(zip(*parts))[1:])
-            centers, coarse, lifts = _lift_level(fmap, cloud, z, draws[idx, level], polys, offs)
+        for group in groups.values():
+            idx, polys, offs = (np.concatenate(a) for a in zip(*group))
+            centers, coarse, lifts = _lift_level(fmap, cloud, points[idx, level - 1],
+                                                 draws[idx, level - 1], polys, offs)
             stopped.update((i, SAMPLED_TOO_COARSELY) for i in idx[coarse].tolist())
-            done.append((cloud, idx[coarse], z[coarse], polys[coarse], offs[coarse]))
-            for rows, lifted, offsets, ds, labs in lifts:
+            for rows, lifted, lifted_offs, ds, labs in lifts:
                 i = idx[rows]
                 points[i, level], diams[i, level], labels[i, level] = centers[rows], ds, labs
-                depth[i] += 1
-                if labs[0] is CaseLabel.CRITICAL:
-                    critical[i] += 1
-                    stopped.update((k, f"level {depth[k]} is its second critical level")
-                                   for k in i[critical[i] > 1].tolist())
-                pieces.append((cloud, i, centers[rows], lifted, offsets))
+                # only a critical lift multiplies the samples of a 64-gon
+                if labs[0] is CaseLabel.CRITICAL and polys.shape[1] > BOUNDARY_SAMPLES:
+                    stopped.update((k, f"level {level} is its second critical level")
+                                   for k in i.tolist())
+                pieces.append((i, lifted, lifted_offs))
         if stopped:  # every live orbit is numbered below an earlier refusal
             refusal = min(stopped), stopped[min(stopped)]
-            done += [(p[0], *(a[p[1] >= refusal[0]] for a in p[1:])) for p in pieces]
-            # rows stay in orbit order, so a piece keeps a row if it keeps its first
-            pieces = [(p[0], *(a[p[1] < refusal[0]] for a in p[1:]))
-                      for p in pieces if p[1][0] < refusal[0]]
-    for _, idx, _, polys, offs in pieces + done:
-        for i, poly, off in zip(idx.tolist(), polys, offs):
-            orbit, added = orbits[i], depth[i] - orbits[i].depth
-            orbit.points += points[i, :added].tolist()
-            orbit.diams += diams[i, :added].tolist()
-            orbit.labels += labels[i, :added].tolist()
-            orbit.boundary[:], orbit.offsets[:] = [poly], [off]
-    return refusal
+            pieces = [tuple(a[p[0] < refusal[0]] for a in p) for p in pieces]
+    return points, diams, labels, refusal
 
 
-def _log_derivatives(orbit: BackwardDiskOrbit) -> np.ndarray:
-    """log|(f^n)'(z_n)| for n = 0..depth, by the chain rule along the stored
-    centers: (f^n)'(z_n) = f'(z_n) f'(z_(n-1)) ... f'(z_1)."""
-    d = orbit.fmap.d
-    with np.errstate(divide="ignore"):
-        logs = math.log(d) + (d - 1) * np.log(np.abs(np.asarray(orbit.points[1:], dtype=complex)))
-    return np.concatenate(([0.0], np.cumsum(logs)))
+class OrbitRefused(ValueError):
+    """A fit that cannot report row ``orbit`` of its stacked orbits, the first such row."""
+    def __init__(self, orbit: int, why: str):
+        super().__init__(f"orbit {orbit}: {why}")
+        self.orbit = orbit
 
 
-@dataclass(frozen=True)
-class ExpansionReport:
-    ratios: List[float]
-    levels: List[int]
-    skipped_levels: List[int]
-    lam: float
-    constant: float
-    case_counts: dict
-
-
-def expansion_ratios(orbit: BackwardDiskOrbit, metric: SingularMetric) -> ExpansionReport:
-    """Ratios R_n = |(f^n)'(z_n)| density(z0) / density(z_n) along the orbit,
-    with a least-squares fit log R_n = log C + n log lambda.
+def expansion_ratios(points: np.ndarray, metric: SingularMetric):
+    """Ratios R_n = |(f^n)'(z_n)| density(z0) / density(z_n) along each row
+    of the (orbits, depth + 1) centres, with a least-squares fit
+    log R_n = log C + n log lambda a row.  Returns the ratios, NaN at level 0
+    and at each level skipped, and the lambdas and Cs.
 
     Levels whose center sits within 1e-9 of the cloud are skipped (the density
     would be infinite there; the expansion bound only concerns z not in P(f)).
     """
-    dist = metric.cloud.dist_many(np.asarray(orbit.points, dtype=complex))
-    on_cloud = dist[1:] < CLOUD_EXCLUSION
-    levels = np.flatnonzero(~on_cloud) + 1
-    if levels.size == 0:
-        raise ValueError("all levels skipped; orbit unusable for ratio fitting")
-    dens = metric.density_of_distance(dist[np.concatenate(([0], levels))])
-    logs = _log_derivatives(orbit)[levels] + np.log(dens[0]) - np.log(dens[1:])
-    if len(levels) >= 2:
-        slope, intercept = np.polyfit(levels.astype(float), logs, 1)
-    else:
-        slope, intercept = 0.0, logs[0]
+    dist = metric.cloud.dist_many(points)
+    log_density = np.log(metric.density_of_distance(dist))
+    # log|(f^n)'(z_n)| by the chain rule: (f^n)'(z_n) = f'(z_n) ... f'(z_1)
+    with np.errstate(divide="ignore"):
+        logs = math.log(metric.d) + (metric.d - 1) * np.log(np.abs(points))
+    logs[:, 0] = math.nan
+    np.cumsum(logs[:, 1:], axis=1, out=logs[:, 1:])
+    logs = logs + log_density[:, :1] - log_density
+    logs[:, 1:][dist[:, 1:] < CLOUD_EXCLUSION] = math.nan
     with np.errstate(over="ignore"):
         ratios = np.exp(logs)
-    overflow = np.flatnonzero(np.isinf(ratios))
-    if overflow.size:
-        raise ValueError(f"the expansion ratio at level {levels[overflow[0]]} overflows a float")
-    return ExpansionReport(
-        ratios=ratios.tolist(),
-        levels=levels.tolist(),
-        skipped_levels=(np.flatnonzero(on_cloud) + 1).tolist(),
-        lam=float(math.exp(slope)),
-        constant=float(math.exp(intercept)),
-        case_counts={lab.value: orbit.labels.count(lab) for lab in CaseLabel},
-    )
+    unusable, overflow = np.isnan(logs[:, 1:]).all(axis=1), np.isinf(ratios)
+    bad = unusable | overflow.any(axis=1)
+    if bad.any():
+        k = int(bad.argmax())
+        raise OrbitRefused(k, "all levels skipped; orbit unusable for ratio fitting" if unusable[k]
+                           else f"the expansion ratio at level {overflow[k].argmax()} "
+                                "overflows a float")
+    # one fit a row, through the levels not skipped
+    levels = [np.flatnonzero(~np.isnan(row)) for row in logs]
+    fits = [np.polyfit(n.astype(float), row[n], 1) if len(n) >= 2 else (0.0, row[n[0]])
+            for row, n in zip(logs, levels)]
+    return ratios, [math.exp(slope) for slope, _ in fits], [math.exp(c) for _, c in fits]
 
 
-def shrink_fit(orbit: BackwardDiskOrbit) -> Tuple[float, float]:
-    """Fit diam U_n ~ C0 theta^n by least squares on log diameters.
+def shrink_fit(diams: np.ndarray) -> Tuple[List[float], List[float]]:
+    """Fit diam U_n ~ C0 theta^n by least squares on the log diameters of
+    each row of the (orbits, depth + 1) diameters.
 
-    Returns (C0, theta); theta >= 1 is reported as-is, falsifying contraction."""
-    if orbit.depth < MIN_FIT_LEVELS:
+    Returns the C0s and thetas; theta >= 1 is reported as-is, falsifying
+    contraction."""
+    if diams.shape[1] - 1 < MIN_FIT_LEVELS:
         raise ValueError(f"need at least {MIN_FIT_LEVELS} pullback levels")
     # a subnormal diameter has lost relative precision, as a zero has lost all
-    tiny = np.flatnonzero(np.asarray(orbit.diams) < sys.float_info.min)
-    if tiny.size:
-        raise ValueError(f"the diameter at level {tiny[0]} underflows to {orbit.diams[tiny[0]]!r}")
-    slope, intercept = np.polyfit(np.arange(orbit.depth + 1, dtype=float), np.log(orbit.diams), 1)
-    return float(math.exp(intercept)), float(math.exp(slope))
+    tiny = diams < sys.float_info.min
+    if tiny.any():
+        k = int(tiny.any(axis=1).argmax())
+        n = int(tiny[k].argmax())
+        raise OrbitRefused(k, f"the diameter at level {n} underflows to {float(diams[k, n])!r}")
+    fits = [np.polyfit(np.arange(diams.shape[1], dtype=float), row, 1) for row in np.log(diams)]
+    return [math.exp(c0) for _, c0 in fits], [math.exp(theta) for theta, _ in fits]

@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__
 from .backward import (
     MIN_FIT_LEVELS,
-    BackwardDiskOrbit,
+    CaseLabel,
+    OrbitRefused,
     expansion_ratios,
     pull_back,  # noqa: F401  not called here; bench/tracing.py wraps it by this name
     pull_back_orbits,
@@ -169,51 +170,46 @@ def cmd_expansion(config: ExperimentConfig) -> dict:
     rng = np.random.default_rng(config.seed)
     bases = sample_julia_points(fmap, config.orbits, rng)
 
-    orbits = [BackwardDiskOrbit(fmap, z0, eps, cloud=cloud) for z0 in bases]
-    rngs = [np.random.default_rng([config.seed, k]) for k in range(len(orbits))]
-    refusal = pull_back_orbits(fmap, orbits, config.depth, rngs)
+    rngs = [np.random.default_rng([config.seed, k]) for k in range(len(bases))]
+    points, diams, labels, refusal = pull_back_orbits(fmap, cloud, bases, eps, config.depth, rngs)
     if refusal:
         k, why = refusal
         raise SystemExit(f"refusing to continue: orbit {k} at epsilon {eps!r}: {why}; "
                          "try a smaller --epsilon")
-    reports = []
-    summaries = []
-    case_totals = {}
-    for k, (z0, orbit) in enumerate(zip(bases, orbits)):
-        try:
-            rep = expansion_ratios(orbit, metric)
-        except ValueError as exc:
-            raise SystemExit(f"refusing to report: orbit {k}: {exc}; try a smaller --depth")
-        try:
-            c0, theta = shrink_fit(orbit)
-        except ValueError as exc:  # a diameter underflows
-            raise SystemExit(f"refusing to report: orbit {k}: {exc}; "
-                             "try a larger --epsilon or a smaller --depth")
-        reports.append(rep)
-        for lab, v in rep.case_counts.items():
-            case_totals[lab] = case_totals.get(lab, 0) + v
-        summaries.append(
-            {
-                "orbit": k,
-                "z0": [z0.real, z0.imag],
-                "lambda": rep.lam,
-                "C": rep.constant,
-                "theta": theta,
-                "C0": c0,
-                "skipped_levels": rep.skipped_levels,
-                "case_counts": rep.case_counts,
-            }
-        )
+    refusals = []
+    try:
+        ratios, lam, constant = expansion_ratios(points, metric)
+    except OrbitRefused as exc:
+        refusals.append((exc.orbit, 0, f"{exc}; try a smaller --depth"))
+    try:
+        c0, theta = shrink_fit(diams)
+    except OrbitRefused as exc:  # a diameter underflows
+        refusals.append((exc.orbit, 1, f"{exc}; try a larger --epsilon or a smaller --depth"))
+    if refusals:  # the lowest-numbered orbit; for one orbit, its ratios first
+        raise SystemExit(f"refusing to report: {min(refusals)[2]}")
+    counts = {lab.value: (labels == lab).sum(axis=1) for lab in CaseLabel}
+    summaries = [
+        {
+            "orbit": k,
+            "z0": [z0.real, z0.imag],
+            "lambda": lam[k],
+            "C": constant[k],
+            "theta": theta[k],
+            "C0": c0[k],
+            "skipped_levels": (np.flatnonzero(np.isnan(ratios[k, 1:])) + 1).tolist(),
+            "case_counts": {lab: int(v[k]) for lab, v in counts.items()},
+        }
+        for k, z0 in enumerate(bases)
+    ]
     report = _report_header(config, cloud)
     report["epsilon"] = eps
     report["orbits"] = summaries
-    report["case_histogram"] = dict(sorted(case_totals.items()))
-    report["min_lambda"] = min(s["lambda"] for s in summaries)
-    report["max_theta"] = max(s["theta"] for s in summaries)
+    report["case_histogram"] = {lab: int(v.sum()) for lab, v in sorted(counts.items())}
+    report["min_lambda"] = min(lam)
+    report["max_theta"] = max(theta)
+    orbit, level = np.nonzero(~np.isnan(ratios))
     write_csv(config.out_dir / "expansion_ratios.csv", ["orbit", "level", "ratio"],
-              [np.repeat(np.arange(len(reports)), [len(r.levels) for r in reports]),
-               np.concatenate([np.array(r.levels, dtype=int) for r in reports]),
-               np.concatenate([np.array(r.ratios, dtype=float) for r in reports])])
+              [orbit, level, ratios[orbit, level]])
     write_json(config.out_dir / "expansion.json", report)
     return report
 

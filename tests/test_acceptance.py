@@ -282,7 +282,7 @@ def test_criterion_4_metric_expansion(runs):
     orbit = BackwardDiskOrbit(fmap, 0.0, 0.1, cloud=cloud)
     pull_back(fmap, orbit, 1, 0)
     spot = expansion_ratios(
-        orbit, SingularMetric(cloud, 2, Variant.SIGMA)).ratios[0]
+        np.array([orbit.points]), SingularMetric(cloud, 2, Variant.SIGMA))[0][0, 1]
     spot_ok = abs(spot - 2.0 * math.sqrt(2.0 - SQRT2)) < 1e-12
     secs = runs["expansion-cheb"]["seconds"] + runs["expansion-i"]["seconds"]
     ok = (not lam_bad
@@ -309,7 +309,7 @@ def test_criterion_5_pullback_shrinking(runs):
     orbit = BackwardDiskOrbit(fmap, 1.0, 0.05,
                               cloud=em.build_postcritical_cloud(em.critical_orbit(fmap, 5)[0]))
     pull_back(fmap, orbit, 12, 0)
-    _, theta_stub = shrink_fit(orbit)
+    _, [theta_stub] = shrink_fit(np.array([orbit.diams]))
     stub_ok = abs(theta_stub - 0.5) <= 0.05
     secs = (runs["expansion-cheb"]["seconds"] + runs["expansion-i"]["seconds"]
             + time.perf_counter() - t0)

@@ -12,8 +12,8 @@ from expmetric.backward import (
     MAX_PHASE_STEP,
     BackwardDiskOrbit,
     CaseLabel,
+    OrbitRefused,
     _labels,
-    _log_derivatives,
     _phase_steps,
     classify_level,
     expansion_ratios,
@@ -39,6 +39,12 @@ def map_i():
 def fresh_orbit(fmap, z0, eps, cloud_n=50):
     cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, cloud_n)[0])
     return BackwardDiskOrbit(fmap, z0, eps, cloud=cloud)
+
+
+def log_derivatives(fmap, points):
+    """log|(f^n)'(z_n)| for n = 1..depth along one orbit's centres, by the
+    chain rule (f^n)'(z_n) = f'(z_n) f'(z_(n-1)) ... f'(z_1)."""
+    return np.cumsum(np.log(fmap.d * np.abs(np.asarray(points[1:])) ** (fmap.d - 1)))
 
 
 # ---------------------------------------------------------------- preimages
@@ -211,8 +217,8 @@ def test_pulled_back_diameters_keep_precision_to_depth_50():
         pull_back(fmap, orbit, 50, np.random.default_rng([0, k]))
         if CaseLabel.CRITICAL in orbit.labels:
             continue
-        logs = _log_derivatives(orbit)
-        scaled = [orbit.diams[n] * math.exp(logs[n]) / 1e-4 for n in range(1, 51)]
+        logs = log_derivatives(fmap, orbit.points)
+        scaled = [orbit.diams[n] * math.exp(logs[n - 1]) / 1e-4 for n in range(1, 51)]
         drifts.append(max(abs(s / scaled[0] - 1.0) for s in scaled))
     assert len(drifts) >= 10
     assert np.median(drifts) < 1e-6
@@ -243,119 +249,79 @@ def test_coarse_boundary_around_critical_value_rejected():
         pull_back(fmap, orbit, 1, 0)
 
 
+def rngs_for(seed, n):
+    return [np.random.default_rng([seed, k]) for k in range(n)]
+
+
+def depths(diams):
+    """The level at which each orbit of pull_back_orbits stopped."""
+    return (np.isfinite(diams).sum(axis=1) - 1).tolist()
+
+
 @pytest.mark.parametrize("fmap", [cheb(), map_i(), em.UnicriticalMap(3, 0.2j)],
                          ids=["c=-2", "c=i", "d=3"])
 def test_pull_back_orbits_matches_one_orbit_at_a_time(fmap):
     cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 50)[0])
     rng = np.random.default_rng(7)
-    # small Julia disks stay univalent; disks at the critical value are
-    # critical at level 1 and carry d * 64 samples beside the 64-gons from
-    # then on; larger Julia disks meet the critical value later, and disks at
+    # small Julia disks stay univalent; disks about the critical value c are
+    # critical at level 1, and disks about f(c) at level 2 when the root
+    # drawn at level 1 is c's: those rows join the rows of d * 64 samples
+    # that level 1 made; larger Julia disks may meet c later, and disks at
     # cloud points meet the cloud
-    disks = [(z, 1e-3) for z in em.sample_julia_points(fmap, 6, rng)]
-    disks += [(fmap.c + 0.001, 0.003), (fmap.c - 0.001j, 0.003)]
-    disks += [(z, 0.2) for z in em.sample_julia_points(fmap, 8, rng)]
-    disks += [(p + 1e-5, 1e-4) for p in cloud.points[1:3]]
+    small = 3e-4
+    about_c = [fmap.c + 0.3 * small, fmap.c - 0.3j * small]
+    about_c += [fmap.evaluate(fmap.c) + 0.3 * small * 1j**k for k in range(4)]
+    batches = [(em.sample_julia_points(fmap, 6, rng), 1e-3), (about_c, small),
+               (em.sample_julia_points(fmap, 8, rng), 0.2),
+               (cloud.points[1:3] + 1e-5, 1e-4)]
     depth = 25
-
-    def rngs():
-        return [np.random.default_rng([7, k]) for k in range(len(disks))]
-
-    batch = [BackwardDiskOrbit(fmap, z, eps, cloud=cloud) for z, eps in disks]
-    assert pull_back_orbits(fmap, batch, depth, rngs()) is None
-    for orbit, (z, eps), branch in zip(batch, disks, rngs()):
-        ref = pull_back(fmap, BackwardDiskOrbit(fmap, z, eps, cloud=cloud), depth, branch)
-        assert orbit.points == ref.points
-        assert orbit.diams == ref.diams
-        assert orbit.labels == ref.labels
-        # only the current polygon is kept, bit for bit the one-orbit lift's
-        assert len(orbit.boundary) == len(orbit.offsets) == 1
-        assert orbit.boundary[0].tobytes() == ref.boundary[-1].tobytes()
-        assert orbit.offsets[0].tobytes() == ref.offsets[-1].tobytes()
-        # classify_level reads the recorded case, on a batch orbit too
-        assert [classify_level(orbit, n) for n in range(1, depth + 1)] == ref.labels[1:]
-    assert {len(orbit.boundary[0]) for orbit in batch} == {64, 64 * fmap.d}
-    assert {lab for orbit in batch for lab in orbit.labels[1:]} == set(CaseLabel)
-
-
-@pytest.mark.parametrize("fmap", [cheb(), map_i()], ids=["c=-2", "c=i"])
-def test_pull_back_orbits_regroups_a_mixed_batch(fmap):
-    # rows over two clouds and over none, and orbits pull_back extended first:
-    # orbit 1 already carries its critical level and 128 samples; orbit 2, a
-    # fresh disk at the critical value, joins its group after level 1, while
-    # orbit 4, its twin over the other cloud, starts a group of its own; and
-    # orbit 6 comes in with the polygons of three levels
-    clouds = [em.build_postcritical_cloud(em.critical_orbit(fmap, n)[0]) for n in (50, 20)]
-    julia = em.sample_julia_points(fmap, 4, np.random.default_rng(5))
-    specs = [(julia[0], 1e-3, clouds[0], 0), (fmap.c + 0.001j, 0.003, clouds[0], 2),
-             (fmap.c + 0.001, 0.003, clouds[0], 0), (julia[1], 1e-3, clouds[1], 0),
-             (fmap.c - 0.001j, 0.003, clouds[1], 0), (julia[2], 1e-3, None, 0),
-             (julia[3], 1e-3, clouds[0], 3)]
-    depth = 20
-
-    def orbits():
-        return [pull_back(fmap, BackwardDiskOrbit(fmap, z, eps, cloud=cloud), pre, 1)
-                for z, eps, cloud, pre in specs]
-
-    def rngs():
-        return [np.random.default_rng([5, k]) for k in range(len(specs))]
-
-    batch = orbits()
-    assert [len(orbit.boundary[-1]) for orbit in batch] == [64, 128, 64, 64, 64, 64, 64]
-    assert pull_back_orbits(fmap, batch, depth, rngs()) is None
-    for orbit, ref, rng in zip(batch, orbits(), rngs()):
-        pull_back(fmap, ref, depth, rng)
-        assert orbit.points == ref.points
-        assert orbit.diams == ref.diams
-        assert orbit.labels == ref.labels
-        assert len(orbit.boundary) == len(orbit.offsets) == 1
-        assert orbit.boundary[0].tobytes() == ref.boundary[-1].tobytes()
-        assert orbit.offsets[0].tobytes() == ref.offsets[-1].tobytes()
-    assert [orbit.labels.count(CaseLabel.CRITICAL) for orbit in batch] == [0, 1, 1, 0, 1, 0, 0]
-    assert [len(orbit.boundary[0]) for orbit in batch] == [64, 128, 128, 64, 128, 64, 64]
-    assert [orbit.depth for orbit in batch] == [depth, depth + 2] + [depth] * 4 + [depth + 3]
+    seen = set()
+    for bases, eps in batches:
+        points, diams, labels, refusal = pull_back_orbits(
+            fmap, cloud, bases, eps, depth, rngs_for(7, len(bases)))
+        assert refusal is None
+        assert points.shape == diams.shape == labels.shape == (len(bases), depth + 1)
+        for k, (z, branch) in enumerate(zip(bases, rngs_for(7, len(bases)))):
+            ref = pull_back(fmap, BackwardDiskOrbit(fmap, z, eps, cloud=cloud), depth, branch)
+            assert points[k].tolist() == ref.points
+            assert diams[k].tolist() == ref.diams
+            assert labels[k].tolist() == ref.labels
+        seen |= set(labels[:, 1:].ravel())
+        if bases is about_c:
+            first = [row.index(CaseLabel.CRITICAL) for row in labels.tolist()
+                     if CaseLabel.CRITICAL in row]
+            assert {1, 2} <= set(first)
+    assert seen == set(CaseLabel)
 
 
 def test_pull_back_orbits_refuses_fewer_generators_than_orbits():
-    fmap = cheb()
-    batch = [BackwardDiskOrbit(fmap, z, 1e-3) for z in (0.5, 0.6j, -0.7)]
     with pytest.raises(ValueError, match="^3 orbits need a generator each, got 1$"):
-        pull_back_orbits(fmap, batch, 5, [np.random.default_rng(0)])
-    assert [orbit.depth for orbit in batch] == [0, 0, 0]
+        pull_back_orbits(cheb(), None, [0.5, 0.6j, -0.7], 1e-3, 5, [np.random.default_rng(0)])
 
 
 def test_pull_back_orbits_refuses_the_lowest_numbered_orbit():
     fmap = cheb()
     cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 50)[0])
     # a disk holding the whole Julia set meets the critical value again at
-    # level 2 (as in test_coarse_boundary_around_critical_value_rejected, an
-    # octagon around c is too coarse to lift at level 1)
+    # level 2; a 64-gon with c 0.1% of its apothem inside one edge is too
+    # coarse to lift at level 1 (test_coarse_boundary_around_critical_value_rejected);
+    # the third disk, at 0.5 + 0.5i, lifts at every level it is given
+    eps = 3.0
     [z_big] = em.sample_julia_points(fmap, 1, np.random.default_rng(4))
-    apothem = 0.05 * math.cos(math.pi / 8) * np.exp(1j * math.pi / 8)
-    z_coarse = fmap.c - 0.999 * apothem
-    octagon = 0.05 * np.exp(2j * math.pi * np.arange(8) / 8)
-
-    def orbits(order):
-        made = {"big": BackwardDiskOrbit(fmap, z_big, 3.0, cloud=cloud),
-                "coarse": BackwardDiskOrbit(fmap, z_coarse, 0.05, cloud=cloud),
-                "small": BackwardDiskOrbit(fmap, 0.5 + 0.5j, 1e-3, cloud=cloud)}
-        made["coarse"].boundary[0] = z_coarse + octagon
-        made["coarse"].offsets[0] = octagon
-        return [made[name] for name in order]
-
-    def rngs():
-        return [np.random.default_rng([4, k]) for k in range(3)]
-
-    # the later orbit is refused first, but the message names the lower one
-    batch = orbits(["big", "coarse", "small"])
-    assert pull_back_orbits(fmap, batch, 10, rngs()) == (
-        0, "level 2 is its second critical level")
+    z_coarse = fmap.c - 0.999 * eps * math.cos(math.pi / 64) * np.exp(1j * math.pi / 64)
+    z_other = 0.5 + 0.5j
+    # the later orbit is refused first, but the refusal names the lower one
+    _, diams, labels, refusal = pull_back_orbits(
+        fmap, cloud, [z_big, z_coarse, z_other], eps, 10, rngs_for(4, 3))
+    assert refusal == (0, "level 2 is its second critical level")
     # each orbit stopped as soon as it, or a lower-numbered one, was refused
-    assert [orbit.depth for orbit in batch] == [2, 0, 1]
-    assert len(batch[0].boundary[0]) == 4 * 64
-    batch = orbits(["coarse", "big", "small"])
-    assert pull_back_orbits(fmap, batch, 10, rngs()) == (0, SAMPLED_TOO_COARSELY)
-    assert [orbit.depth for orbit in batch] == [0, 1, 1]
+    assert depths(diams) == [2, 0, 1]
+    assert labels[0, 1:3].tolist() == [CaseLabel.CRITICAL] * 2
+    assert all(lab is None for lab in labels[:, 3:].ravel())
+    _, diams, _, refusal = pull_back_orbits(
+        fmap, cloud, [z_coarse, z_big, z_other], eps, 10, rngs_for(4, 3))
+    assert refusal == (0, SAMPLED_TOO_COARSELY)
+    assert depths(diams) == [0, 1, 1]
 
 
 def reference_pull_back(fmap, cloud, disks, steps, rngs):
@@ -422,30 +388,29 @@ def reference_pull_back(fmap, cloud, disks, steps, rngs):
                          ids=["c=-2", "c=i", "d=3"])
 @pytest.mark.parametrize("radius", [1e-3, 3.0], ids=["small", "large"])
 def test_pull_back_orbits_matches_the_reference_level_step(fmap, radius):
-    # small Julia disks and disks at the critical value, which are critical at
-    # level 1, reach the depth; Julia disks of radius 3 meet the critical
-    # value again and the run refuses
+    # small Julia disks and disks about the critical value, which are
+    # critical at level 1, reach the depth; Julia disks of radius 3 meet the
+    # critical value again and the run refuses
     cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 50)[0])
     bases = em.sample_julia_points(fmap, 6, np.random.default_rng(11))
-    disks = [(z, radius) for z in bases] + [(fmap.c + 0.001, 0.003), (fmap.c - 0.001j, 0.003)]
+    bases += [fmap.c + 0.3 * radius, fmap.c - 0.3j * radius]
     depth = 20
-
-    def rngs():
-        return [np.random.default_rng([11, k]) for k in range(len(disks))]
-
-    ref, ref_refusal = reference_pull_back(fmap, cloud, disks, depth, rngs())
-    batch = [BackwardDiskOrbit(fmap, z, eps, cloud=cloud) for z, eps in disks]
-    refusal = pull_back_orbits(fmap, batch, depth, rngs())
+    ref, ref_refusal = reference_pull_back(fmap, cloud, [(z, radius) for z in bases], depth,
+                                           rngs_for(11, len(bases)))
+    points, diams, labels, refusal = pull_back_orbits(fmap, cloud, bases, radius, depth,
+                                                      rngs_for(11, len(bases)))
     assert refusal == ref_refusal
     assert (refusal is None) == (radius < 1)
-    for orbit, state in zip(batch, ref):
-        assert orbit.points == state["points"]
-        assert orbit.diams == state["diams"]
-        assert orbit.labels == state["labels"]
-        assert orbit.boundary[0].tobytes() == state["boundary"].tobytes()
-        assert orbit.offsets[0].tobytes() == state["offsets"].tobytes()
-    # the disks at the critical value pass one critical level
-    assert all(state["labels"].count(CaseLabel.CRITICAL) == 1 for state in ref[-2:])
+    for k, state in enumerate(ref):
+        # past the level where an orbit stopped: NaN, and no label
+        tail = depth + 1 - len(state["points"])
+        assert points[k].tolist()[:depth + 1 - tail] == state["points"]
+        assert diams[k].tolist()[:depth + 1 - tail] == state["diams"]
+        assert labels[k].tolist() == state["labels"] + [None] * tail
+        assert np.isnan(points[k, depth + 1 - tail:]).all()
+        assert np.isnan(diams[k, depth + 1 - tail:]).all()
+    # the disks about the critical value are critical at level 1
+    assert labels[-2:, 1].tolist() == [CaseLabel.CRITICAL] * 2
 
 
 def full_matrix_max(s):
@@ -619,17 +584,21 @@ def test_at_most_one_critical_label():
 # ------------------------------------------------------------ expansion fit
 
 
+def cheb_metric():
+    cloud = em.build_postcritical_cloud(em.critical_orbit(cheb(), 50)[0])
+    return SingularMetric(cloud, 2, Variant.SIGMA)
+
+
 def test_expansion_ratio_first_level_oracle():
     # R_1 = |f'(sqrt 2)| sigma(0) / sigma(sqrt 2) = 2 sqrt(2 - sqrt 2)
     fmap = cheb()
-    cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 50)[0])
-    metric = SingularMetric(cloud, 2, Variant.SIGMA)
     orbit = fresh_orbit(fmap, 0, 0.1)
     pull_back(fmap, orbit, 1, 0)
-    rep = expansion_ratios(orbit, metric)
-    assert rep.levels == [1]
-    assert rep.ratios[0] == pytest.approx(2 * math.sqrt(2 - SQRT2), rel=1e-12)
-    assert rep.ratios[0] == pytest.approx(1.5307337294603591, abs=1e-12)
+    ratios, _, _ = expansion_ratios(np.array([orbit.points]), cheb_metric())
+    # level 0 has no ratio
+    assert np.isnan(ratios[0, 0])
+    assert ratios[0, 1] == pytest.approx(2 * math.sqrt(2 - SQRT2), rel=1e-12)
+    assert ratios[0, 1] == pytest.approx(1.5307337294603591, abs=1e-12)
 
 
 def test_accumulated_derivative_oracle_at_depth_80():
@@ -640,59 +609,57 @@ def test_accumulated_derivative_oracle_at_depth_80():
     orbit = BackwardDiskOrbit(fmap, complex(math.cos(1.0), math.sin(1.0)), 0.01,
                               cloud=cloud)
     pull_back(fmap, orbit, 80, np.random.default_rng(2))
-    rep = expansion_ratios(orbit, SingularMetric(cloud, 2, Variant.SIGMA))
-    assert rep.levels == list(range(1, 81))
-    assert rep.ratios == pytest.approx([2.0**n for n in range(1, 81)], rel=1e-12)
+    metric = SingularMetric(cloud, 2, Variant.SIGMA)
+    ratios, _, _ = expansion_ratios(np.array([orbit.points]), metric)
+    assert ratios[0, 1:].tolist() == pytest.approx([2.0**n for n in range(1, 81)], rel=1e-12)
 
 
 def test_expansion_fit_grows_exponentially():
     fmap = cheb()
-    cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 50)[0])
-    metric = SingularMetric(cloud, 2, Variant.SIGMA)
     orbit = fresh_orbit(fmap, 0, 0.05)
     pull_back(fmap, orbit, 20, np.random.default_rng(11))
-    rep = expansion_ratios(orbit, metric)
-    assert rep.lam > 1.0
-    assert sum(rep.case_counts.values()) == orbit.depth
-    assert len(rep.levels) + len(rep.skipped_levels) == orbit.depth
+    ratios, lam, constant = expansion_ratios(np.array([orbit.points]), cheb_metric())
+    assert lam[0] > 1.0
+    assert ratios.shape == (1, orbit.depth + 1)
+    assert not np.isnan(ratios[0, 1:]).any()
+    # the fit is the least-squares line through the log ratios
+    slope, intercept = np.polyfit(np.arange(1.0, 21.0), np.log(ratios[0, 1:]), 1)
+    assert (lam[0], constant[0]) == pytest.approx((math.exp(slope), math.exp(intercept)))
 
 
 def test_expansion_skips_levels_on_the_cloud():
-    fmap = cheb()
-    cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 50)[0])
-    metric = SingularMetric(cloud, 2, Variant.SIGMA)
-    orbit = fresh_orbit(fmap, 0, 0.1)
     # synthetic continuation: level 1 lands exactly on the cloud point 2
-    orbit.points += [2 + 0j, SQRT2 + 0j]
-    orbit.labels += [CaseLabel.UNIVALENT_MEETS_P, CaseLabel.UNIVALENT_NO_P]
-    rep = expansion_ratios(orbit, metric)
-    assert rep.skipped_levels == [1]
-    assert rep.levels == [2]
+    ratios, _, _ = expansion_ratios(np.array([[0, 2, SQRT2]], dtype=complex), cheb_metric())
+    assert np.isnan(ratios[0, :2]).all()
+    assert np.isfinite(ratios[0, 2])
 
 
 def test_expansion_all_levels_skipped_rejected():
-    fmap = cheb()
-    cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 50)[0])
-    metric = SingularMetric(cloud, 2, Variant.SIGMA)
-    orbit = fresh_orbit(fmap, 0, 0.1)
-    orbit.points.append(2 + 0j)
-    orbit.labels.append(CaseLabel.UNIVALENT_MEETS_P)
-    with pytest.raises(ValueError):
-        expansion_ratios(orbit, metric)
+    with pytest.raises(OrbitRefused, match="^orbit 0: all levels skipped"):
+        expansion_ratios(np.array([[0, 2]], dtype=complex), cheb_metric())
 
 
 def test_expansion_ratio_past_the_float_range_rejected():
-    fmap = cheb()
-    cloud = em.build_postcritical_cloud(em.critical_orbit(fmap, 50)[0])
-    metric = SingularMetric(cloud, 2, Variant.SIGMA)
-    orbit = fresh_orbit(fmap, 0, 0.1)
     # synthetic continuation far out: each level adds log 2 + log 1e100 to
     # log|(f^n)'|, so R_n passes the float range at level 3
-    orbit.points += [1e100 + 0j] * 3
-    orbit.labels += [CaseLabel.UNIVALENT_NO_P] * 3
+    far = [0, 1e100, 1e100, 1e100]
     with np.errstate(all="raise"):
-        with pytest.raises(ValueError, match="the expansion ratio at level 3 overflows a float"):
-            expansion_ratios(orbit, metric)
+        with pytest.raises(OrbitRefused,
+                           match="^orbit 0: the expansion ratio at level 3 overflows a float$"):
+            expansion_ratios(np.array([far], dtype=complex), cheb_metric())
+
+
+def test_expansion_ratios_name_the_first_bad_row():
+    fine, skipped, far = [0, SQRT2, 1, 1], [0, 2, 2, -2], [0, 1e100, 1e100, 1e100]
+    for rows, k, why in [([fine, far, skipped], 1, "the expansion ratio at level 3"),
+                         ([fine, skipped, far], 1, "all levels skipped"),
+                         ([fine, fine, far], 2, "the expansion ratio at level 3")]:
+        with pytest.raises(OrbitRefused, match=f"^orbit {k}: {why}") as exc:
+            expansion_ratios(np.array(rows, dtype=complex), cheb_metric())
+        assert exc.value.orbit == k
+    ratios, lam, _ = expansion_ratios(np.array([fine, fine], dtype=complex), cheb_metric())
+    assert ratios[0].tobytes() == ratios[1].tobytes()
+    assert lam[0] == lam[1]
 
 
 # ------------------------------------------------------------- shrink fit
@@ -702,42 +669,47 @@ def test_shrink_fit_square_map_halves_diameters():
     fmap = em.UnicriticalMap(2, 0)
     orbit = fresh_orbit(fmap, 1, 0.05, cloud_n=5)
     pull_back(fmap, orbit, 12, 0)
-    c0, theta = shrink_fit(orbit)
+    [c0], [theta] = shrink_fit(np.array([orbit.diams]))
     assert theta == pytest.approx(0.5, abs=0.05)
     assert c0 == pytest.approx(2 * 0.05, rel=0.2)
 
 
 def test_shrink_fit_flags_noncontraction():
-    orbit = fresh_orbit(cheb(), 0.5, 0.05)
     # synthetic stall: constant diameters give theta ~ 1
-    orbit.points += [0.5 + 0j] * 12
-    orbit.diams += [orbit.diams[0]] * 12
-    orbit.labels += [CaseLabel.UNIVALENT_NO_P] * 12
-    c0, theta = shrink_fit(orbit)
+    _, [theta] = shrink_fit(np.full((1, 13), 0.1))
     assert theta == pytest.approx(1.0, abs=1e-9)
 
 
 def test_shrink_fit_refuses_an_underflowed_diameter():
-    orbit = fresh_orbit(cheb(), 0.5, 0.05)
-    orbit.points += [0.5 + 0j] * 12
-    orbit.diams += [1e-300] * 6 + [0.0] * 6
-    orbit.labels += [CaseLabel.UNIVALENT_NO_P] * 12
+    diams = np.array([[0.05] + [1e-300] * 6 + [0.0] * 6])
     with np.errstate(all="raise"):
-        with pytest.raises(ValueError, match="the diameter at level 7 underflows to 0"):
-            shrink_fit(orbit)
+        with pytest.raises(OrbitRefused, match="^orbit 0: the diameter at level 7 underflows to 0"):
+            shrink_fit(diams)
         # below the least normal float a diameter has lost relative precision
-        orbit.diams[7:] = [sys.float_info.min / 2] * 6
-        with pytest.raises(ValueError, match=r"the diameter at level 7 underflows to 1\.1125"):
-            shrink_fit(orbit)
-        orbit.diams[7:] = [sys.float_info.min] * 6
-        assert shrink_fit(orbit)[1] < 1.0
+        diams[0, 7:] = sys.float_info.min / 2
+        with pytest.raises(OrbitRefused,
+                           match=r"^orbit 0: the diameter at level 7 underflows to 1\.1125"):
+            shrink_fit(diams)
+        diams[0, 7:] = sys.float_info.min
+        assert shrink_fit(diams)[1][0] < 1.0
+
+
+def test_shrink_fit_names_the_first_bad_row():
+    halving = 0.1 * 0.5 ** np.arange(13)
+    diams = np.array([halving, halving, halving])
+    diams[2, 4] = diams[1, 9] = 0.0
+    with pytest.raises(OrbitRefused, match="^orbit 1: the diameter at level 9 underflows") as exc:
+        shrink_fit(diams)
+    assert exc.value.orbit == 1
+    c0, theta = shrink_fit(diams[:1])
+    assert (c0[0], theta[0]) == pytest.approx((0.1, 0.5))
 
 
 def test_shrink_fit_needs_depth():
     orbit = fresh_orbit(cheb(), 0.5, 0.05)
     pull_back(cheb(), orbit, 5, 0)
     with pytest.raises(ValueError):
-        shrink_fit(orbit)
+        shrink_fit(np.array([orbit.diams]))
 
 
 # ------------------------------------------------------------ case 3 bounds
@@ -752,7 +724,7 @@ def test_case3_margins_nonnegative():
         orbit = critical_orbit_at(fmap, steps=6)
         assert orbit.labels.index(CaseLabel.CRITICAL) == 1
         d, n, w0 = fmap.d, orbit.depth, fmap.c
-        deriv = math.exp(_log_derivatives(orbit)[n])
+        deriv = math.exp(log_derivatives(fmap, orbit.points)[n - 1])
         bound = (orbit.epsilon ** (1.0 / d) * abs(orbit.points[0] - w0) ** (1.0 - 1.0 / d)
                  / orbit.diams[n])
         assert deriv / bound >= 1.0

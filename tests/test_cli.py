@@ -203,25 +203,25 @@ def test_second_critical_level_stops_before_next_lift(tmp_path, monkeypatch):
     lifts = []
     lift_level = backward._lift_level
 
-    def recording(fmap, orbits, *args):
-        calls.append(orbits)
-        return backward.pull_back_orbits(fmap, orbits, *args)
+    def recording(*args):
+        calls.append(backward.pull_back_orbits(*args))
+        return calls[-1]
 
-    def counting(fmap, cloud, centers, *args):
-        lifts.append(len(centers))
-        return lift_level(fmap, cloud, centers, *args)
+    def counting(fmap, cloud, centers, roots, prev, *args):
+        lifts.append(prev.shape)
+        return lift_level(fmap, cloud, centers, roots, prev, *args)
 
     monkeypatch.setattr(cli, "pull_back_orbits", recording)
     monkeypatch.setattr(backward, "_lift_level", counting)
     with pytest.raises(SystemExit, match="level 2 is its second critical level"):
         cli.main(["expansion", "--c-re", "-2", "--epsilon", "3", "--orbits", "1",
                   "--depth", "10", "--seed", "4", "--out", str(tmp_path)])
-    [[orbit]] = calls
-    assert orbit.depth == 2
-    assert orbit.labels[1:] == [backward.CaseLabel.CRITICAL] * 2
-    # each critical lift doubled the samples; a third lift never ran
-    assert len(orbit.boundary[-1]) == 4 * backward.BOUNDARY_SAMPLES
-    assert lifts == [1, 1]
+    [(_, diams, labels, refusal)] = calls
+    assert refusal == (0, "level 2 is its second critical level")
+    assert labels[0, 1:3].tolist() == [backward.CaseLabel.CRITICAL] * 2
+    assert np.isnan(diams[0, 3:]).all()
+    # the first critical lift doubled the samples; a third lift never ran
+    assert lifts == [(1, backward.BOUNDARY_SAMPLES), (1, 2 * backward.BOUNDARY_SAMPLES)]
 
 
 @pytest.mark.parametrize("flags, reason", [
@@ -238,6 +238,34 @@ def test_expansion_refusal_names_the_lowest_orbit(tmp_path, flags, reason):
     with pytest.raises(SystemExit, match=reason):
         cli.main(["expansion", "--c-re", "0", "--c-im", "1", "--orbits", "8", *flags,
                   "--depth", "10", "--out", str(tmp_path)])
+
+
+RATIO_OVERFLOWS = "the expansion ratio at level 10 overflows a float; try a smaller --depth"
+DIAMETER_UNDERFLOWS = ("the diameter at level 5 underflows to 0.0; "
+                       "try a larger --epsilon or a smaller --depth")
+
+
+@pytest.mark.parametrize("bad_diameter, bad_ratio, reason", [
+    (0, 1, f"orbit 0: {DIAMETER_UNDERFLOWS}"),
+    (1, 0, f"orbit 0: {RATIO_OVERFLOWS}"),
+    (0, 0, f"orbit 0: {RATIO_OVERFLOWS}"),
+], ids=["diameter-of-lower-orbit", "ratio-of-lower-orbit", "ratio-before-diameter"])
+def test_expansion_report_refusal_names_the_lowest_orbit(tmp_path, monkeypatch, bad_diameter,
+                                                         bad_ratio, reason):
+    # both fits run over every orbit at once, yet the refusal names the
+    # lowest-numbered orbit that fails either, and for one orbit its ratios
+    def spoiled(*args):
+        points, diams, labels, refusal = backward.pull_back_orbits(*args)
+        diams[bad_diameter, 5] = 0.0
+        points[bad_ratio, 8:] = 1e100  # R_n leaves the float range at level 10
+        return points, diams, labels, refusal
+
+    monkeypatch.setattr(cli, "pull_back_orbits", spoiled)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["expansion", "--c-re", "-2", "--orbits", "2", "--depth", "12",
+                  "--out", str(tmp_path)])
+    assert exc.value.code == f"refusing to report: {reason}"
+    assert not any(tmp_path.iterdir())
     assert not any(tmp_path.iterdir())
 
 
@@ -704,10 +732,9 @@ def test_expansion_ratios_match_the_chebyshev_closed_form(tmp_path, capsys, monk
     # is g(arccos(z_0 / 2)), which spares the 2^n-fold error of forming phi.
     seen = []
 
-    def recording(orbit, metric):
-        rep = backward.expansion_ratios(orbit, metric)
-        seen.append((list(orbit.points), rep))
-        return rep
+    def recording(points, metric):
+        seen.append((points, *backward.expansion_ratios(points, metric)))
+        return seen[-1][1:]
 
     monkeypatch.setattr(cli, "expansion_ratios", recording)
     run(["expansion", "--c-re", "-2", "--orbits", "50", "--depth", "30", "--seed", "0",
@@ -719,25 +746,27 @@ def test_expansion_ratios_match_the_chebyshev_closed_form(tmp_path, capsys, monk
     def theta(z):
         return math.acos(min(1.0, max(-1.0, z.real / 2)))
 
-    assert len(seen) == 50
-    for points, rep in seen:
-        assert all(abs(z.imag) <= 1e-12 for z in points)
-        for n, ratio in zip(rep.levels, rep.ratios):
-            closed = 2.0**n * g(theta(points[0])) / g(theta(points[n]))
+    [(points, ratios, _, _)] = seen
+    assert points.shape == ratios.shape == (50, 31)
+    assert np.abs(points.imag).max() <= 1e-12
+    for row, rats in zip(points.tolist(), ratios):
+        found = np.flatnonzero(~np.isnan(rats))
+        for n, ratio in zip(found.tolist(), rats[found].tolist()):
+            closed = 2.0**n * g(theta(row[0])) / g(theta(row[n]))
             assert ratio == pytest.approx(closed, rel=1e-10, abs=0), n
             assert 2.0**n / math.sqrt(2) <= ratio <= math.sqrt(2) * 2.0**n, n
         # so every window R_b / R_a (R_0 = 1) is at least 2^(b-a) / sqrt 2: the
         # envelope E(k) = min log(R_b / R_a) over b - a = k is k log 2 - log sqrt 2
         # or more, which criterion 4 only samples
-        levels = np.array([0, *rep.levels])
-        logs = np.log([1.0, *rep.ratios])
+        levels = np.array([0, *found])
+        logs = np.log([1.0, *rats[found]])
         ahead = levels[None, :] > levels[:, None]
         rises = (logs[None, :] - logs[:, None])[ahead]
         steps = (levels[None, :] - levels[:, None])[ahead]
         assert np.all(rises >= steps * math.log(2) - math.log(math.sqrt(2)) - 1e-9)
     _, *rows = (tmp_path / "expansion_ratios.csv").read_text().splitlines()
-    assert rows == [f"{k},{n},{ratio!r}" for k, (_, rep) in enumerate(seen)
-                    for n, ratio in zip(rep.levels, rep.ratios)]
+    assert rows == [f"{k},{n},{ratio!r}" for k, row in enumerate(ratios.tolist())
+                    for n, ratio in enumerate(row) if not math.isnan(ratio)]
 
 
 def test_expansion_at_the_conjugate_parameter_is_conjugate(tmp_path, capsys):
@@ -1083,6 +1112,12 @@ def test_bench_tracer_finds_every_wrapped_name(tmp_path):
         counts, spans = tracer.take_pass()
         assert {"dynamics.classify", "dynamics.cloud"} <= {s[0] for s in spans}
         assert counts["dynamics.cloud_points"] == 2
+        # the expansion fits are wrapped by cli's names, so cmd_expansion must
+        # call them through those names for their spans to appear
+        run(["expansion", "--c-re", "-2", "--orbits", "2", "--depth", "12",
+             "--out", str(tmp_path)])
+        spans = tracer.take_pass()[1]
+        assert {"backward.expansion_ratios", "backward.shrink_fit"} <= {s[0] for s in spans}
     finally:
         tracer.uninstall()
     for name, m in modules.items():
