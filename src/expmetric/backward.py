@@ -259,8 +259,10 @@ def expansion_ratios(points: np.ndarray, metric: SingularMetric):
         logs = math.log(metric.d) + (metric.d - 1) * np.log(np.abs(points))
     logs[:, 0] = math.nan
     np.cumsum(logs[:, 1:], axis=1, out=logs[:, 1:])
-    logs = logs + log_density[:, :1] - log_density
+    # skipped before the densities are taken in, so that an infinite density
+    # at a level on the cloud never meets an infinite one at level 0
     logs[:, 1:][dist[:, 1:] < CLOUD_EXCLUSION] = math.nan
+    logs = logs + log_density[:, :1] - log_density
     with np.errstate(over="ignore"):
         ratios = np.exp(logs)
     unusable, overflow = np.isnan(logs[:, 1:]).all(axis=1), np.isinf(ratios)

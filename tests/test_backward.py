@@ -639,6 +639,16 @@ def test_expansion_all_levels_skipped_rejected():
         expansion_ratios(np.array([[0, 2]], dtype=complex), cheb_metric())
 
 
+def test_expansion_refuses_a_center_on_the_cloud_at_level_zero():
+    # z0 = 2 is the critical value's image: its density is infinite, so every
+    # level off the cloud has an infinite ratio, and a level on it is skipped
+    with np.errstate(all="raise"):
+        for row, why in [([2, -2], "all levels skipped; orbit unusable for ratio fitting"),
+                         ([2, -2, SQRT2], "the expansion ratio at level 2 overflows a float")]:
+            with pytest.raises(OrbitRefused, match=f"^orbit 0: {why}$"):
+                expansion_ratios(np.array([row], dtype=complex), cheb_metric())
+
+
 def test_expansion_ratio_past_the_float_range_rejected():
     # synthetic continuation far out: each level adds log 2 + log 1e100 to
     # log|(f^n)'|, so R_n passes the float range at level 3

@@ -238,6 +238,7 @@ def test_expansion_refusal_names_the_lowest_orbit(tmp_path, flags, reason):
     with pytest.raises(SystemExit, match=reason):
         cli.main(["expansion", "--c-re", "0", "--c-im", "1", "--orbits", "8", *flags,
                   "--depth", "10", "--out", str(tmp_path)])
+    assert not any(tmp_path.iterdir())
 
 
 RATIO_OVERFLOWS = "the expansion ratio at level 10 overflows a float; try a smaller --depth"
@@ -265,7 +266,6 @@ def test_expansion_report_refusal_names_the_lowest_orbit(tmp_path, monkeypatch, 
         cli.main(["expansion", "--c-re", "-2", "--orbits", "2", "--depth", "12",
                   "--out", str(tmp_path)])
     assert exc.value.code == f"refusing to report: {reason}"
-    assert not any(tmp_path.iterdir())
     assert not any(tmp_path.iterdir())
 
 
