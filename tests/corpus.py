@@ -75,6 +75,14 @@ COMMANDS = (
        # refused: the Boettcher start of the ray overflows at degree 100
        ["render", "--d", "100", "--c-re", "0", "--width", "8", "--height", "8",
         "--rays", "0.5"]]
+    # two landed rays and one with no distance to J at a ray point
+    + [["rays", "--c-re", "0", "--c-im", "0.5", "--depth", "50", "--angles", "0.0,0.0625"]]
+    + [[command, "--d", "3", "--c-re", "0", "--c-im", "0.2", *sizes]
+       for command, sizes in (("expansion", ["--orbits", "8", "--depth", "30"]),
+                              ("holder", ["--grid-res", "128"]))]
+    # c = 1/4 keeps a cloud of 2000 points: the KD-tree
+    + [["expansion", "--c-re", "0.25", "--orbits", "8", "--depth", "30"],
+       ["holder", "--c-re", "0.25", "--grid-res", "128"]]
 )
 
 
