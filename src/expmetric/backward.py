@@ -184,13 +184,13 @@ def pull_back(fmap: UnicriticalMap, orbit: BackwardDiskOrbit, steps: int,
 
 
 def pull_back_orbits(fmap: UnicriticalMap, cloud: Optional[PostcriticalCloud],
-                     bases: Sequence[complex], epsilon: float, steps: int,
-                     rngs: List[np.random.Generator]):
+                     bases: Sequence[complex], epsilon: float, steps: int, seed: int):
     """Pull the disks B(z0, ``epsilon``), a z0 of ``bases`` each, back
-    ``steps`` levels, all of them one level at a time: orbit i draws the roots
-    of all ``steps`` levels from ``rngs[i]`` in one call, the same sequence as
-    one draw a level.  Live orbits are carried as stacked arrays, lifted by one
-    ``_lift_level`` call a level for each sample count.
+    ``steps`` levels, all of them one level at a time: orbit k draws the roots
+    of all ``steps`` levels from ``np.random.default_rng([seed, k])`` in one
+    call, the same sequence as one draw a level.  Live orbits are carried as
+    stacked arrays, lifted by one ``_lift_level`` call a level for each sample
+    count.
 
     An orbit whose boundary is too coarse to lift, or which reaches a second
     critical level, is past the single critical pass the expansion proof
@@ -200,14 +200,13 @@ def pull_back_orbits(fmap: UnicriticalMap, cloud: Optional[PostcriticalCloud],
     and labels, level 0 the disk itself with no label, NaN or None past the
     level where an orbit stopped; and the refusal, that orbit's index and the
     reason, or None when every orbit reached the depth."""
-    if len(rngs) < len(bases):
-        raise ValueError(f"{len(bases)} orbits need a generator each, got {len(rngs)}")
     offsets, diam = _level_zero_disk(epsilon)
     points = np.full((len(bases), steps + 1), math.nan, dtype=complex)
     diams = np.full(points.shape, math.nan)
     labels = np.full(points.shape, None, dtype=object)
     points[:, 0], diams[:, 0] = bases, diam
-    draws = np.array([rng.integers(fmap.d, size=steps) for _, rng in zip(bases, rngs)])
+    draws = np.array([np.random.default_rng([seed, k]).integers(fmap.d, size=steps)
+                      for k in range(len(bases))])
     # (orbit numbers, polygons, offsets) of live rows
     pieces = [(np.arange(len(bases)), points[:, :1] + offsets, np.tile(offsets, (len(bases), 1)))]
     refusal = None
@@ -251,6 +250,8 @@ def expansion_ratios(points: np.ndarray, metric: SingularMetric):
 
     Levels whose center sits within 1e-9 of the cloud are skipped (the density
     would be infinite there; the expansion bound only concerns z not in P(f)).
+    The first row with a centre past level 0 on the critical point, with every
+    level skipped, or with a ratio past the float range is refused.
     """
     dist = metric.cloud.dist_many(points)
     log_density = np.log(metric.density_of_distance(dist))
@@ -265,13 +266,19 @@ def expansion_ratios(points: np.ndarray, metric: SingularMetric):
     logs = logs + log_density[:, :1] - log_density
     with np.errstate(over="ignore"):
         ratios = np.exp(logs)
+    # f' vanishes at a centre on the critical point: log 0 = -inf from there on
+    critical = points[:, 1:] == 0
     unusable, overflow = np.isnan(logs[:, 1:]).all(axis=1), np.isinf(ratios)
-    bad = unusable | overflow.any(axis=1)
+    bad = critical.any(axis=1) | unusable | overflow.any(axis=1)
     if bad.any():
         k = int(bad.argmax())
-        raise OrbitRefused(k, "all levels skipped; orbit unusable for ratio fitting" if unusable[k]
-                           else f"the expansion ratio at level {overflow[k].argmax()} "
-                                "overflows a float")
+        if critical[k].any():
+            why = f"the centre at level {critical[k].argmax() + 1} is the critical point 0"
+        elif unusable[k]:
+            why = "all levels skipped; orbit unusable for ratio fitting"
+        else:
+            why = f"the expansion ratio at level {overflow[k].argmax()} overflows a float"
+        raise OrbitRefused(k, why)
     # one fit a row, through the levels not skipped
     levels = [np.flatnonzero(~np.isnan(row)) for row in logs]
     fits = [np.polyfit(n.astype(float), row[n], 1) if len(n) >= 2 else (0.0, row[n[0]])

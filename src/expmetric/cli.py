@@ -170,8 +170,8 @@ def cmd_expansion(config: ExperimentConfig) -> dict:
     rng = np.random.default_rng(config.seed)
     bases = sample_julia_points(fmap, config.orbits, rng)
 
-    rngs = [np.random.default_rng([config.seed, k]) for k in range(len(bases))]
-    points, diams, labels, refusal = pull_back_orbits(fmap, cloud, bases, eps, config.depth, rngs)
+    points, diams, labels, refusal = pull_back_orbits(fmap, cloud, bases, eps, config.depth,
+                                                      config.seed)
     if refusal:
         k, why = refusal
         raise SystemExit(f"refusing to continue: orbit {k} at epsilon {eps!r}: {why}; "
@@ -221,8 +221,8 @@ PAIRS_PER_SCALE = 8
 HOLDER_SEPARATIONS = (0.004, 0.8)
 
 
-def holder_sample_pairs(cloud, rng: np.random.Generator) -> List[Tuple[complex, complex]]:
-    """Pairs straddling cloud points at log-spaced separations."""
+def holder_sample_pairs(cloud, rng: np.random.Generator) -> np.ndarray:
+    """Pairs straddling cloud points at log-spaced separations, a row (z0, z1) each."""
     s_min, s_max = HOLDER_SEPARATIONS
     scales = np.exp(np.linspace(math.log(s_min), math.log(s_max), HOLDER_SCALES))
     pairs = []
@@ -232,7 +232,7 @@ def holder_sample_pairs(cloud, rng: np.random.Generator) -> List[Tuple[complex, 
             phi = rng.uniform(0.0, 2.0 * math.pi)
             u = cmath.exp(1j * phi)
             pairs.append((p - 0.5 * s * u, p + 0.5 * s * u))
-    return pairs
+    return np.array(pairs, dtype=complex)
 
 
 def cmd_holder(config: ExperimentConfig) -> dict:
@@ -248,27 +248,28 @@ def cmd_holder(config: ExperimentConfig) -> dict:
     # each endpoint lies within HOLDER_SEPARATIONS[1] / 2 of a cloud point, so well
     # inside the box's margin of 1: the grid holds every pair
     pairs = holder_sample_pairs(cloud, rng)
-    seps = np.array([abs(b - a) for a, b in pairs])
+    # np.hypot rounds as Python's abs does; NumPy's complex abs differs in the last bit
+    step = pairs[:, 1] - pairs[:, 0]
+    seps = np.hypot(step.real, step.imag)
     dists = np.array([grid_distance(grid, a, b) for a, b in pairs])
     try:
         fit = holder_fit(seps, dists)
     except ValueError as exc:
         raise SystemExit(f"refusing to report: {exc} at grid_res {config.grid_res}; "
                          "try a larger --grid-res")
-    audit = verify_lower_bound(grid, pairs, dists)
+    violations = verify_lower_bound(grid, pairs, seps, dists)
     upper_c = uniform_upper_constant(seps, dists, metric.alpha)
-    ends = np.array(pairs, dtype=complex)
     report = _report_header(config, cloud)
     report["grid"] = {"resolution": config.grid_res, "h": grid.h,
                       "n_cols": grid.n_cols, "n_rows": grid.n_rows}
     report["fit"] = {"exponent": fit.exponent, "constant": fit.constant,
                      "r_squared": fit.r_squared, "samples": fit.sample_count}
     report["uniform_upper_constant"] = upper_c
-    report["lower_bound_audit"] = {"checked": audit["checked"],
-                                   "violations": len(audit["violations"])}
+    report["lower_bound_audit"] = {"checked": len(pairs), "violations": int(violations.sum())}
     write_csv(config.out_dir / "holder_pairs.csv",
               ["z0_re", "z0_im", "z1_re", "z1_im", "separation", "d_rho"],
-              [ends[:, 0].real, ends[:, 0].imag, ends[:, 1].real, ends[:, 1].imag, seps, dists])
+              [pairs[:, 0].real, pairs[:, 0].imag, pairs[:, 1].real, pairs[:, 1].imag, seps,
+               dists])
     write_json(config.out_dir / "holder.json", report)
     return report
 
@@ -286,30 +287,27 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
         polylines, landings = trace_rays(fmap, angles, config.depth)
     except RayTracingError as exc:  # the Boettcher start overflows at a high degree
         raise SystemExit(f"refusing to trace rays: {exc}")
-    # one array pass over the points of every landed ray, a row a ray; the
-    # John ratio skips the points at arclength 0 from the landing, which
-    # often lie on J and would iterate to the budget, so they are left NaN
+    # one array pass over the points of every ray, a row a ray, masked by its
+    # landing; the John ratio skips the points at arclength 0 from the landing,
+    # which often lie on J and would iterate to the budget, so they are left NaN
     landed = ~np.isnan(landings)
-    landed_angles = [theta for theta, ok in zip(angles, landed) if ok]
-    points = polylines[landed]
-    arcs = arclengths_from_landing(points)
-    along = arcs > 0.0
-    dists = np.full(points.shape, math.nan)
-    dists[along] = julia_distance_estimate(fmap, points[along])
+    arcs = arclengths_from_landing(polylines)
+    along = landed[:, None] & (arcs > 0.0)
+    dists = np.full(polylines.shape, math.nan)
+    dists[along] = julia_distance_estimate(fmap, polylines[along])
     ratios, worst = john_constant_along_ray(arcs, dists)
     # a NaN ratio: a ray point within roundoff of J, whose orbit did not escape
-    john = ~np.isnan(ratios)
-    # one density pass for every landed ray at every radius, a row a ray
-    lengths = rho_lengths(points, landings[landed], metric, RHO_LENGTH_RADII).T
+    john = landed & ~np.isnan(ratios)
+    # one density pass for every ray and radius, a row a ray, NaN about a NaN landing
+    lengths = rho_lengths(polylines, landings, metric, RHO_LENGTH_RADII).T
     failures = []
-    # each ray's row among the landed ones
-    for theta, ok, i in zip(angles, landed, np.cumsum(landed) - 1):
-        if not ok:
+    for i, theta in enumerate(angles):
+        if not landed[i]:
             failures.append({"theta": theta, "error": "no landing estimate"})
             continue
         if not john[i]:
             failures.append({"theta": theta,
-                             "error": NO_DISTANCE.format(complex(points[i, worst[i]]))})
+                             "error": NO_DISTANCE.format(complex(polylines[i, worst[i]]))})
         failures.extend({"theta": theta, "radius": r, "error": NO_POINT_INSIDE}
                         for r, length in zip(RHO_LENGTH_RADII, lengths[i])
                         if math.isnan(length))  # no ray point near the landing
@@ -322,9 +320,9 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
         # exceeds the path length to the boundary, and any excess comes from
         # the factor-bounded distance estimator
         k = np.flatnonzero(john)[ratios[john].argmin()]
-        z = complex(points[k, worst[k]])
+        z = complex(polylines[k, worst[k]])
         per_ray = [{"theta": theta, "constant": constant}
-                   for theta, constant, ok in zip(landed_angles, ratios.tolist(), john) if ok]
+                   for theta, constant, ok in zip(angles, ratios.tolist(), john) if ok]
         report["john"] = {
             "constant": min(1.0, float(ratios[k])),
             "worst_point": [z.real, z.imag],
@@ -332,7 +330,7 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
             "per_ray": per_ray,
         }
     report["landings"] = {repr(theta): [z.real, z.imag]
-                          for theta, z in zip(landed_angles, landings[landed].tolist())}
+                          for theta, z, ok in zip(angles, landings.tolist(), landed) if ok}
     write_csv(config.out_dir / "rays.csv", ["theta", "potential", "re", "im"],
               [np.repeat(angles, config.depth + 1),
                np.tile(ray_potentials(fmap.d, config.depth), len(angles)),
@@ -340,8 +338,8 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
     # the rows of the finite lengths, ray by ray and radius by radius
     found = ~np.isnan(lengths.ravel())
     write_csv(config.out_dir / "rho_length.csv", ["theta", "radius", "rho_length"],
-              [np.repeat(landed_angles, len(RHO_LENGTH_RADII))[found],
-               np.tile(RHO_LENGTH_RADII, len(landed_angles))[found],
+              [np.repeat(angles, len(RHO_LENGTH_RADII))[found],
+               np.tile(RHO_LENGTH_RADII, len(angles))[found],
                lengths.ravel()[found]])
     write_json(config.out_dir / "rays.json", report)
     return report
@@ -366,8 +364,7 @@ def cmd_render(config: ExperimentConfig, spec: RenderSpec) -> Path:
         polylines, _ = trace_rays(fmap, spec.ray_angles, config.depth)
     except RayTracingError as exc:  # the Boettcher start overflows at a high degree
         raise SystemExit(f"refusing to render: {exc}")
-    for polyline in polylines:
-        overlay_polyline(rgb, spec, polyline)
+    overlay_polyline(rgb, spec, polylines)
     path = config.out_dir / "render.ppm"
     write_ppm(path, rgb)
     return path

@@ -308,16 +308,14 @@ def grid_distance(grid: PathMetricGrid, z0: complex, z1: complex) -> float:
     return base + snap
 
 
-def verify_lower_bound(grid: PathMetricGrid, samples: Sequence[Tuple[complex, complex]],
-                       distances: Sequence[float]):
-    """Audit d_rho(z0,z1) >= |z0-z1| - 2h*rho_local on each pair, given its d_rho."""
-    rho = grid.local_density(np.array([z for pair in samples for z in pair], dtype=complex))
-    violations = []
-    for (z0, z1), d, pair_rho in zip(samples, distances, rho.reshape(-1, 2).tolist()):
-        slack = 2.0 * grid.h * max(pair_rho)
-        if d < abs(z0 - z1) - slack:
-            violations.append((z0, z1, d))
-    return {"checked": len(samples), "violations": violations}
+def verify_lower_bound(grid: PathMetricGrid, pairs: np.ndarray, separations: np.ndarray,
+                       distances: np.ndarray) -> np.ndarray:
+    """Audit d_rho(z0,z1) >= |z0-z1| - 2h*rho_local on each row (z0, z1) of
+    ``pairs``, given its separation and d_rho: the mask of the rows that
+    violate it."""
+    rho = grid.local_density(pairs.ravel()).reshape(pairs.shape)
+    slack = 2.0 * grid.h * rho.max(axis=1)
+    return distances < separations - slack
 
 
 @dataclass(frozen=True)

@@ -142,10 +142,7 @@ def _aitken(z0: complex, z1: complex, z2: complex) -> Optional[complex]:
         return z2
     if abs(d2) >= 0.9 * abs(d1):
         return None
-    denom = d2 - d1
-    if abs(denom) == 0.0:
-        return z2
-    return z2 - d2 * d2 / denom
+    return z2 - d2 * d2 / (d2 - d1)
 
 
 def _landing(polyline: List[complex]) -> complex:
@@ -191,8 +188,6 @@ def rho_lengths(points: np.ndarray, landings: np.ndarray, metric: SingularMetric
     every ray and radius take their densities in one pass, and each
     (radius, ray) entry is its own pairwise sum over its slice.
     """
-    if not len(points) or not len(radii):
-        return np.full((len(radii), len(points)), math.nan)
     disk = 2.0 * np.asarray(radii, dtype=float)
     inside = np.abs(points - landings[:, None]) <= disk[:, None, None]
     lengths = np.where(inside.any(axis=2), 0.0, math.nan)

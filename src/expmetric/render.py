@@ -155,8 +155,8 @@ def to_rgb(field: np.ndarray) -> np.ndarray:
 # a box a few subnormals wide puts counts and pixel indices past the float
 # range; an infinite count is capped and an infinite index is off the box
 @np.errstate(over="ignore")
-def overlay_polyline(rgb: np.ndarray, spec: RenderSpec, polyline) -> None:
-    """Mark the pixels nearest each densified polyline point in white.
+def overlay_polyline(rgb: np.ndarray, spec: RenderSpec, polylines: np.ndarray) -> None:
+    """Mark in white the pixels nearest each densified point of each row of ``polylines``.
 
     A segment takes two points a pixel along it, counted in pixels along the
     axis whose pixels are smaller (width on a tie), so that it leaves no gap
@@ -177,9 +177,9 @@ def overlay_polyline(rgb: np.ndarray, spec: RenderSpec, polyline) -> None:
 
     most = 2 * math.hypot(spec.width + 2, spec.height + 2)
     pad = complex(width / spec.width, height / spec.height)
-    pts = np.array(polyline)
+    pts = np.asarray(polylines)
     starts, ends, counts = [], [], []
-    for a, b in zip(pts[:-1], pts[1:]):
+    for a, b in zip(pts[:, :-1].ravel(), pts[:, 1:].ravel()):
         n = points(a, b)
         if n > most:
             inside = _clip_to_box(a, b, lo - pad, hi + pad)

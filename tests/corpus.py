@@ -8,8 +8,10 @@ the manifest with
 
     PYTHONPATH=src python tests/corpus.py
 
-and lists the files whose hashes moved; a change that claims its reports
-stay byte-identical leaves it untouched.
+which first prints each command added or removed and, for each command kept,
+which of its exit code, stdout, stderr and files moved; the change lists them.
+A change that claims its reports stay byte-identical leaves the manifest
+untouched.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import hashlib
 import io
 import json
 import platform
+import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -122,9 +125,32 @@ def run(argv, out_dir: Path) -> dict:
             "files": files}
 
 
+def changes(old, new) -> list:
+    """A line for each command of the entries ``new`` that is not among
+    ``old``, each of ``old`` not among ``new``, and each in both whose exit
+    code, stdout, stderr or files differ, naming those."""
+    before = {tuple(entry["argv"]): entry for entry in old}
+    after = {tuple(entry["argv"]): entry for entry in new}
+    lines = [f"removed: {shlex.join(argv)}" for argv in before if argv not in after]
+    for argv, entry in after.items():
+        if argv not in before:
+            lines.append(f"added: {shlex.join(argv)}")
+            continue
+        was = before[argv]
+        moved = [key for key in ("exit", "stdout", "stderr") if was[key] != entry[key]]
+        moved += [name for name in sorted(was["files"].keys() | entry["files"].keys())
+                  if was["files"].get(name) != entry["files"].get(name)]
+        if moved:
+            lines.append(f"changed: {shlex.join(argv)}: {', '.join(moved)}")
+    return lines
+
+
 if __name__ == "__main__":
     with TemporaryDirectory() as root:
         entries = [run(argv, Path(root) / str(k)) for k, argv in enumerate(COMMANDS)]
+    old = json.loads(MANIFEST.read_text())["commands"] if MANIFEST.exists() else []
+    for line in changes(old, entries):
+        print(line)
     MANIFEST.write_text(json.dumps({"environment": environment(), "commands": entries},
                                    indent=1) + "\n")
     print(f"wrote {len(entries)} commands to {MANIFEST}")

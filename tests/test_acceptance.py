@@ -354,19 +354,19 @@ def test_criterion_7_hoelder_equivalence():
         metric = SingularMetric(cloud, 2, Variant.RHO)
         grid = em.build_grid(metric, bbox, 512)
         rng = np.random.default_rng(6)
-        pairs = [(a, b) for a, b in cli.holder_sample_pairs(cloud, rng)
-                 if grid.contains(a) and grid.contains(b) and 0 < abs(a - b) < 1]
+        pairs = np.array([(a, b) for a, b in cli.holder_sample_pairs(cloud, rng)
+                          if grid.contains(a) and grid.contains(b) and 0 < abs(a - b) < 1])
         seps = np.array([abs(b - a) for a, b in pairs])
         dists = np.array([em.grid_distance(grid, a, b) for a, b in pairs])
         fit = em.holder_fit(seps, dists)
-        audit = em.verify_lower_bound(grid, pairs, dists)
+        violations = em.verify_lower_bound(grid, pairs, seps, dists)
         upper_c = em.uniform_upper_constant(seps, dists, metric.alpha)
         single_c_ok = all(d <= upper_c * s ** metric.alpha + 1e-9
                           for s, d in zip(seps, dists))
-        ok &= (0.45 <= fit.exponent <= 1.0 and not audit["violations"]
+        ok &= (0.45 <= fit.exponent <= 1.0 and not violations.any()
                and math.isfinite(upper_c) and single_c_ok)
         details.append(f"c={c}: exp {fit.exponent:.3f}, "
-                       f"{len(audit['violations'])} lb violations")
+                       f"{violations.sum()} lb violations")
         if c == -2.0:
             spot = em.grid_distance(grid, 0.0 + 0.0j, 0.1 + 0.0j)
     spot_ok = 0.1 <= spot <= 1.09 * 0.171618

@@ -269,6 +269,24 @@ def test_expansion_report_refusal_names_the_lowest_orbit(tmp_path, monkeypatch, 
     assert not any(tmp_path.iterdir())
 
 
+def test_expansion_refuses_a_centre_on_the_critical_point_before_writing(tmp_path,
+                                                                         monkeypatch):
+    # f'(0) = 0 puts log 0 into orbit 1's derivative sum at level 6: its
+    # ratios from there on read 0 and its fit NaN, which no report may carry
+    def spoiled(*args):
+        points, diams, labels, refusal = backward.pull_back_orbits(*args)
+        points[1, 6] = 0.0
+        return points, diams, labels, refusal
+
+    monkeypatch.setattr(cli, "pull_back_orbits", spoiled)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["expansion", "--c-re", "-2", "--orbits", "2", "--depth", "12",
+                  "--out", str(tmp_path)])
+    assert exc.value.code == ("refusing to report: orbit 1: the centre at level 6 is the "
+                              "critical point 0; try a smaller --depth")
+    assert not any(tmp_path.iterdir())
+
+
 def test_expansion_peak_traced_memory(tmp_path):
     # the level loop keeps only each orbit's current polygon and takes
     # diameters a few orbits at a time: 1.4 MB at this size, where keeping
@@ -859,7 +877,7 @@ def test_holder_at_the_conjugate_parameter_measures_the_conjugate_pairs(tmp_path
          "--out", str(tmp_path / "i")], capsys)
     _, *rows = (tmp_path / "i" / "holder_pairs.csv").read_text().splitlines()
     at_i = np.array([row.split(",") for row in rows], dtype=float)
-    mirrored = [(complex(x0, -y0), complex(x1, -y1)) for x0, y0, x1, y1, _, _ in at_i]
+    mirrored = at_i[:, [0, 2]] - 1j * at_i[:, [1, 3]]
     monkeypatch.setattr(cli, "holder_sample_pairs", lambda cloud, rng: mirrored)
     run(["holder", "--c-re", "0", "--c-im", "-1", "--grid-res", "512", "--seed", "0",
          "--out", str(tmp_path / "conj")], capsys)

@@ -441,20 +441,29 @@ def test_rho_lengths_match_one_ray_and_radius_at_a_time(c):
 
 def test_rho_lengths_nan_where_no_ray_point_lies_in_the_disk():
     # the 0.1-ray lies in the upper half-plane; with its landing moved 0.3
-    # below the axis, B(base, 0.4) holds its tail and the smaller disks none
+    # below the axis, B(base, 0.4) holds its tail and the smaller disks none;
+    # no disk about the NaN landing given to the 0.2-ray holds a point
     metric = cheb_metric()
-    points, landings = trace_rays(cheb(), [0.1, 0.3], 20)
+    points, landings = trace_rays(cheb(), [0.1, 0.2, 0.3], 20)
     landings[0] -= 0.3j
+    landings[1] = math.nan
     got = rho_lengths(points, landings, metric, RHO_LENGTH_RADII)
     assert np.isfinite(got[0, 0]) and np.isnan(got[1:, 0]).all()
-    assert np.isfinite(got[:, 1]).all()
-    want = reference_rho_lengths(points, landings, metric, RHO_LENGTH_RADII)
-    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(got[:, 1]).all()
+    assert np.isfinite(got[:, 2]).all()
+    # the other rays keep the bits they have without the NaN landing's row
+    kept = rho_lengths(points[[0, 2]], landings[[0, 2]], metric, RHO_LENGTH_RADII)
+    assert got[:, [0, 2]].tobytes() == kept.tobytes()
+    want = reference_rho_lengths(points[[0, 2]], landings[[0, 2]], metric, RHO_LENGTH_RADII)
+    assert np.array_equal(kept, want, equal_nan=True)
     moved = points[0], landings[0]
     assert rho_length_of_ray(moved, metric, 0.2) == got[0, 0]
     with pytest.raises(ValueError, match=r"^no ray points inside B\(base, 2r\)$"):
         rho_length_of_ray(moved, metric, 0.1)
-    assert rho_lengths(points[:0], landings[:0], metric, RHO_LENGTH_RADII).shape == (4, 0)
+    # no ray, no radius, or neither
+    for rays, radii in [(0, RHO_LENGTH_RADII), (3, []), (0, [])]:
+        empty = rho_lengths(points[:rays], landings[:rays], metric, radii)
+        assert empty.shape == (len(radii), rays) and empty.dtype == float
 
 
 def test_rho_length_matches_direct_quadrature():

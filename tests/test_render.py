@@ -218,11 +218,11 @@ def test_overlay_equals_per_segment_linspace(seed):
     want = np.zeros((spec.height, spec.width, 3), dtype=np.uint8)
     got = want.copy()
     per_segment_overlay(want, spec, polyline)
-    overlay_polyline(got, spec, polyline)
+    overlay_polyline(got, spec, [polyline])
     assert np.array_equal(got, want)
     # a polyline of one point marks its pixel, with no segment to densify
     per_segment_overlay(want, spec, [centre])
-    overlay_polyline(got, spec, [centre])
+    overlay_polyline(got, spec, [[centre]])
     assert np.array_equal(got, want)
 
 
@@ -249,9 +249,10 @@ def test_overlay_unchanged_where_no_segment_is_clipped(c, bbox, size):
     spec = RenderSpec(bbox, size, size)
     want = np.zeros((size, size, 3), dtype=np.uint8)
     got = want.copy()
-    for polyline in em.trace_rays(em.UnicriticalMap(2, c), [k / 48 for k in range(48)], 50)[0]:
+    polylines = em.trace_rays(em.UnicriticalMap(2, c), [k / 48 for k in range(48)], 50)[0]
+    for polyline in polylines:
         unclipped_overlay(want, spec, polyline)
-        overlay_polyline(got, spec, polyline)
+    overlay_polyline(got, spec, polylines)
     assert want.any() and np.array_equal(got, want)
 
 
@@ -261,7 +262,7 @@ def test_overlay_clips_long_segments_and_drops_misses():
 
     def white(polyline):
         rgb = np.zeros((32, 32, 3), dtype=np.uint8)
-        overlay_polyline(rgb, spec, polyline)
+        overlay_polyline(rgb, spec, [polyline])
         return np.all(rgb == 255, axis=-1)
 
     assert np.array_equal(white([-1e12 - 1e12j, 1e12 + 1e12j]), np.eye(32, dtype=bool)[::-1])
@@ -298,7 +299,7 @@ def test_overlay_marks_every_row_where_pixels_are_wider_than_tall(ymin, ymax):
     # width, its points fell 0 of 8 rows apart (1e-9) or every other row (0.5)
     spec = RenderSpec((complex(-2, ymin), complex(2, ymax)), 8, 8)
     rgb = np.zeros((8, 8, 3), dtype=np.uint8)
-    overlay_polyline(rgb, spec, [-1j, 1j])
+    overlay_polyline(rgb, spec, [[-1j, 1j]])
     want = np.zeros((8, 8), dtype=bool)
     want[:, 4] = True  # x = 0 rounds to column 4 of 0..7
     assert np.array_equal(np.all(rgb == 255, axis=-1), want)
