@@ -655,12 +655,12 @@ def test_expansion_ratio_past_the_float_range_rejected():
 def test_expansion_ratios_name_the_first_bad_row():
     fine, skipped, far = [0, SQRT2, 1, 1], [0, 2, 2, -2], [0, 1e100, 1e100, 1e100]
     # f'(0) = 0: log 0 would enter the derivative's sum at level 2
-    critical = [1j, -2, 0, SQRT2]
+    critical, at_zero = [1j, -2, 0, SQRT2], "the centre at level 2 is the critical point 0"
     for rows, k, why in [([fine, far, skipped], 1, "the expansion ratio at level 3"),
                          ([fine, skipped, far], 1, "all levels skipped"),
                          ([fine, fine, far], 2, "the expansion ratio at level 3"),
-                         ([fine, critical, far], 1, "the centre at level 2 is the critical point 0"),
-                         ([critical], 0, "the centre at level 2 is the critical point 0")]:
+                         ([fine, critical, far], 1, at_zero),
+                         ([critical], 0, at_zero)]:
         with pytest.raises(OrbitRefused, match=f"^orbit {k}: {why}") as exc:
             expansion_ratios(np.array(rows, dtype=complex), cheb_metric())
         assert exc.value.orbit == k
