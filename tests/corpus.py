@@ -86,6 +86,14 @@ COMMANDS = (
     # c = 1/4 keeps a cloud of 2000 points: the KD-tree
     + [["expansion", "--c-re", "0.25", "--orbits", "8", "--depth", "30"],
        ["holder", "--c-re", "0.25", "--grid-res", "128"]]
+    # a zoom near the landing of the 0-ray at c = -2: 12 segments are longer
+    # than the overlay's cap, 11 of them miss the widened box, and the one
+    # of ray 0 is clipped and marks 64 pixels
+    + [["render", "--c-re", "-2", "--layer", "escape-time", "--width", "64", "--height", "48",
+        "--bbox", "2.49", "2.51", "-0.01", "0.01", "--rays", "0,0.25,0.5", "--depth", "30"],
+       # 48 rays of 60 segments each in one overlay
+       ["render", "--c-re", "0", "--c-im", "1", "--layer", "escape-time", "--width", "128",
+        "--height", "128", "--rays", ANGLES_48, "--depth", "60"]]
 )
 
 
