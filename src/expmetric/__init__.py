@@ -14,7 +14,6 @@ from .dynamics import (
     classify_parameter,
     critical_orbit,
     julia_distance_estimate,
-    orbit_derivative_magnitude,
     sample_julia_points,
 )
 from .metrics import (
@@ -29,11 +28,8 @@ from .metrics import (
     series_F_times_power,
 )
 from .backward import (
-    BackwardDiskOrbit,
     CaseLabel,
-    classify_level,
     expansion_ratios,
-    pull_back,
     pull_back_orbits,
     shrink_fit,
 )
@@ -48,7 +44,5 @@ from .gridmetric import (
 )
 from .rays import (
     john_constant_along_ray,
-    rho_length_of_ray,
-    trace_ray,
     trace_rays,
 )

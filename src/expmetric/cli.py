@@ -299,7 +299,7 @@ def cmd_rays(config: ExperimentConfig, angles: List[float]) -> dict:
     # a NaN ratio: a ray point within roundoff of J, whose orbit did not escape
     john = landed & ~np.isnan(ratios)
     # one density pass for every ray and radius, a row a ray, NaN about a NaN landing
-    lengths = rho_lengths(polylines, landings, metric, RHO_LENGTH_RADII).T
+    lengths = rho_lengths(polylines, landings, metric, RHO_LENGTH_RADII)
     failures = []
     for i, theta in enumerate(angles):
         if not landed[i]:

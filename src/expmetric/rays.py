@@ -178,26 +178,26 @@ def john_constant_along_ray(arcs: np.ndarray,
 def rho_lengths(points: np.ndarray, landings: np.ndarray, metric: SingularMetric,
                 radii: Sequence[float]) -> np.ndarray:
     """Midpoint-rule rho-length of the part of each ray inside B(base, 2r),
-    where base is its landing estimate: entry [i, j] for ``radii[i]`` and
-    the ray of row ``points[j]`` and base ``landings[j]``, NaN where no point
-    of the ray lies in the disk, as in every disk round a NaN base.
+    where base is its landing estimate: entry [j, i] for the ray of row
+    ``points[j]`` and base ``landings[j]`` and for ``radii[i]``, NaN where no
+    point of the ray lies in the disk, as in every disk round a NaN base.
 
     Each polyline segment is subdivided ``RHO_LENGTH_REFINE`` times; the
     density is integrable (alpha < 1) so the sum converges under refinement
     even when the landing point lies on the singular set.  The midpoints of
     every ray and radius take their densities in one pass, and each
-    (radius, ray) entry is its own pairwise sum over its slice.
+    (ray, radius) entry is its own pairwise sum over its slice.
     """
     disk = 2.0 * np.asarray(radii, dtype=float)
-    inside = np.abs(points - landings[:, None]) <= disk[:, None, None]
+    inside = np.abs(points - landings[:, None])[:, None] <= disk[:, None]
     lengths = np.where(inside.any(axis=2), 0.0, math.nan)
-    # the segments with an end in the disk, in (radius, ray, segment) order
-    i, j, seg = np.nonzero(inside[..., :-1] | inside[..., 1:])
+    # the segments with an end in the disk, in (ray, radius, segment) order
+    j, i, seg = np.nonzero(inside[..., :-1] | inside[..., 1:])
     a, b = points[j, seg], points[j, seg + 1]
     # clip the segments that straddle the disk boundary; a kept segment has
     # at most one end outside
-    a_out = ~inside[i, j, seg]
-    cut = np.flatnonzero(a_out | ~inside[i, j, seg + 1])
+    a_out = ~inside[j, i, seg]
+    cut = np.flatnonzero(a_out | ~inside[j, i, seg + 1])
     flip = a_out[cut]
     edge = _clip_to_circle(np.where(flip, a[cut], b[cut]), np.where(flip, b[cut], a[cut]),
                            landings[j[cut]], disk[i[cut]])
@@ -208,9 +208,9 @@ def rho_lengths(points: np.ndarray, landings: np.ndarray, metric: SingularMetric
     dens = metric.density_array(mids.ravel()).reshape(mids.shape)
     sums = np.where(np.isfinite(dens), dens, 0.0).sum(axis=1)
     terms = sums * (np.abs(b - a) / RHO_LENGTH_REFINE)
-    starts = np.flatnonzero(np.diff(i * len(points) + j, prepend=-1)).tolist()
+    starts = np.flatnonzero(np.diff(j * len(disk) + i, prepend=-1)).tolist()
     for start, end in zip(starts, [*starts[1:], len(terms)]):
-        lengths[i[start], j[start]] = terms[start:end].sum()
+        lengths[j[start], i[start]] = terms[start:end].sum()
     return lengths
 
 

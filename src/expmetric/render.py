@@ -165,37 +165,36 @@ def overlay_polyline(rgb: np.ndarray, spec: RenderSpec, polylines: np.ndarray) -
     diagonal measured in pixels along each axis, is first clipped to the
     widened box, dropped if it misses it, and takes at most that many
     points: in a zoomed box a segment of the ray can be 10^12 box widths
-    long, and a pixel of a thin box is far taller than it is wide."""
+    long, and a pixel of a thin box is far taller than it is wide.  The
+    segments of every row are counted, clipped and densified together."""
     lo, hi = spec.bbox
     width, height = hi.real - lo.real, hi.imag - lo.imag
     extent, pixels = width, spec.width
     if height / spec.height < width / spec.width:
         extent, pixels = height, spec.height
 
-    def points(a, b) -> float:
-        return abs(b - a) / extent * pixels * 2
+    # hypot rounds as Python's complex abs does; NumPy's complex abs differs
+    # in the last bit
+    def points(step: np.ndarray) -> np.ndarray:
+        return np.hypot(step.real, step.imag) / extent * pixels * 2
 
     most = 2 * math.hypot(spec.width + 2, spec.height + 2)
     pad = complex(width / spec.width, height / spec.height)
     pts = np.asarray(polylines)
-    starts, ends, counts = [], [], []
-    for a, b in zip(pts[:, :-1].ravel(), pts[:, 1:].ravel()):
-        n = points(a, b)
-        if n > most:
-            inside = _clip_to_box(a, b, lo - pad, hi + pad)
-            if inside is None:
-                continue
-            a, b = a + (b - a) * inside[0], a + (b - a) * inside[1]
-            n = min(points(a, b), most)
-        starts.append(a)
-        ends.append(b)
-        counts.append(max(2, int(n)))
-    if counts:
-        t, seg = _unit_steps(np.array(counts))
-        start = np.array(starts)[seg]
-        z = start + (np.array(ends)[seg] - start) * t
-    else:
-        z = pts
+    a, b = pts[:, :-1].ravel(), pts[:, 1:].ravel()
+    long = points(b - a) > most
+    t0, t1 = _clip_to_box(a[long], b[long], lo - pad, hi + pad)
+    hit = t0 <= t1
+    keep = ~long
+    keep[long] = hit
+    # copies, so moving the clipped ends leaves the caller's points as they are
+    a, b, long = a[keep], b[keep], long[keep]
+    step = b[long] - a[long]
+    a[long], b[long] = a[long] + step * t0[hit], a[long] + step * t1[hit]
+    t, seg = _unit_steps(np.maximum(2, np.minimum(points(b - a), most).astype(int)))
+    # the polylines' own points add a pixel only for a polyline of one point:
+    # every other point on the box is the end of a segment, densified to it
+    z = np.concatenate([pts.ravel(), a[seg] + (b - a)[seg] * t])
     i = np.rint((z.real - lo.real) / width * (spec.width - 1))
     j = np.rint((hi.imag - z.imag) / height * (spec.height - 1))
     # tested as floats: a point far off the box has no integer pixel index
@@ -216,20 +215,22 @@ def _unit_steps(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return t, seg
 
 
-def _clip_to_box(a: complex, b: complex, lo: complex, hi: complex):
-    """The parameters (t0, t1) of the part of a + (b - a) t, 0 <= t <= 1,
-    inside the box from ``lo`` to ``hi``, or None if the segment misses it
-    (the Liang-Barsky clip)."""
-    t0, t1 = 0.0, 1.0
+# a zero step divides by zero, and its own slab test replaces the quotients
+@np.errstate(divide="ignore", invalid="ignore")
+def _clip_to_box(a: np.ndarray, b: np.ndarray, lo: complex,
+                 hi: complex) -> Tuple[np.ndarray, np.ndarray]:
+    """The parameters t0, t1 of the part of each a + (b - a) t, 0 <= t <= 1,
+    inside the box from ``lo`` to ``hi``, t0 > t1 where the segment misses
+    it (the Liang-Barsky clip).  A zero step along an axis keeps the segment
+    inside that axis's slab throughout or nowhere."""
+    t0, t1 = np.zeros(len(a)), np.ones(len(a))
     for step, low, high in ((b.real - a.real, lo.real - a.real, hi.real - a.real),
                             (b.imag - a.imag, lo.imag - a.imag, hi.imag - a.imag)):
-        if step == 0.0:
-            if not low <= 0.0 <= high:
-                return None
-            continue
-        enter, leave = sorted((low / step, high / step))
-        t0, t1 = max(t0, enter), min(t1, leave)
-    return (t0, t1) if t0 <= t1 else None
+        held = (step == 0.0) & (low <= 0.0) & (0.0 <= high)
+        enter, leave = low / step, high / step
+        t0 = np.where(held, t0, np.maximum(t0, np.minimum(enter, leave)))
+        t1 = np.where(held, t1, np.minimum(t1, np.maximum(enter, leave)))
+    return t0, t1
 
 
 @contextmanager

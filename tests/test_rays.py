@@ -423,8 +423,8 @@ def reference_clip(outside, inside, center, radius):
 
 
 def reference_rho_lengths(points, landings, metric, radii):
-    return np.array([[reference_rho_length(polyline, base, metric, r)
-                      for polyline, base in zip(points, landings)] for r in radii])
+    return np.array([[reference_rho_length(polyline, base, metric, r) for r in radii]
+                     for polyline, base in zip(points, landings)])
 
 
 @pytest.mark.parametrize("c", [-2 + 0j, 1j], ids=["c=-2", "c=i"])
@@ -434,7 +434,7 @@ def test_rho_lengths_match_one_ray_and_radius_at_a_time(c):
     metric = SingularMetric(em.build_postcritical_cloud(em.critical_orbit(fmap, 2000)[0]), 2)
     points, landings = trace_rays(fmap, FORTY_EIGHT, 50)
     got = rho_lengths(points, landings, metric, RHO_LENGTH_RADII)
-    assert got.shape == (len(RHO_LENGTH_RADII), 48)
+    assert got.shape == (48, len(RHO_LENGTH_RADII))
     assert np.isfinite(got).all()
     assert np.array_equal(got, reference_rho_lengths(points, landings, metric, RHO_LENGTH_RADII))
 
@@ -448,12 +448,12 @@ def test_rho_lengths_nan_where_no_ray_point_lies_in_the_disk():
     landings[0] -= 0.3j
     landings[1] = math.nan
     got = rho_lengths(points, landings, metric, RHO_LENGTH_RADII)
-    assert np.isfinite(got[0, 0]) and np.isnan(got[1:, 0]).all()
-    assert np.isnan(got[:, 1]).all()
-    assert np.isfinite(got[:, 2]).all()
+    assert np.isfinite(got[0, 0]) and np.isnan(got[0, 1:]).all()
+    assert np.isnan(got[1]).all()
+    assert np.isfinite(got[2]).all()
     # the other rays keep the bits they have without the NaN landing's row
     kept = rho_lengths(points[[0, 2]], landings[[0, 2]], metric, RHO_LENGTH_RADII)
-    assert got[:, [0, 2]].tobytes() == kept.tobytes()
+    assert got[[0, 2]].tobytes() == kept.tobytes()
     want = reference_rho_lengths(points[[0, 2]], landings[[0, 2]], metric, RHO_LENGTH_RADII)
     assert np.array_equal(kept, want, equal_nan=True)
     moved = points[0], landings[0]
@@ -463,7 +463,7 @@ def test_rho_lengths_nan_where_no_ray_point_lies_in_the_disk():
     # no ray, no radius, or neither
     for rays, radii in [(0, RHO_LENGTH_RADII), (3, []), (0, [])]:
         empty = rho_lengths(points[:rays], landings[:rays], metric, radii)
-        assert empty.shape == (len(radii), rays) and empty.dtype == float
+        assert empty.shape == (rays, len(radii)) and empty.dtype == float
 
 
 def test_rho_length_matches_direct_quadrature():
@@ -496,7 +496,7 @@ def test_rho_length_finite_at_singular_landing():
 
 def test_rho_length_decreases_with_radius():
     vals = rho_lengths(*trace_rays(cheb(), [0.0], 40), cheb_metric(), [0.2, 0.1, 0.05, 0.025])
-    assert all(b < a for a, b in zip(vals[:, 0], vals[1:, 0]))
+    assert all(b < a for a, b in zip(vals[0], vals[0, 1:]))
 
 
 def test_rho_length_scaling_exponent():
@@ -504,7 +504,7 @@ def test_rho_length_scaling_exponent():
     # or faster; the fitted exponent must not fall below 1 - alpha by much
     metric = cheb_metric(Variant.SIGMA)
     radii = np.array([0.2, 0.1, 0.05, 0.025, 0.0125])
-    vals = rho_lengths(*trace_rays(cheb(), [0.0], 50), metric, radii)[:, 0]
+    vals = rho_lengths(*trace_rays(cheb(), [0.0], 50), metric, radii)[0]
     slope = np.polyfit(np.log(radii), np.log(vals), 1)[0]
     assert slope >= (1.0 - metric.alpha) - 0.1
 

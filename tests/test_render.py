@@ -172,6 +172,49 @@ def test_unit_steps_are_each_counts_linspace():
     assert np.array_equal(seg, np.repeat(np.arange(len(counts)), counts))
 
 
+def reference_clip_to_box(a, b, lo, hi):
+    """The parameters (t0, t1) of the part of a + (b - a) t, 0 <= t <= 1,
+    inside the box from ``lo`` to ``hi``, or None if the segment misses it:
+    the Liang-Barsky clip of one segment."""
+    t0, t1 = 0.0, 1.0
+    for step, low, high in ((b.real - a.real, lo.real - a.real, hi.real - a.real),
+                            (b.imag - a.imag, lo.imag - a.imag, hi.imag - a.imag)):
+        if step == 0.0:
+            if not low <= 0.0 <= high:
+                return None
+            continue
+        enter, leave = sorted((low / step, high / step))
+        t0, t1 = max(t0, enter), min(t1, leave)
+    return (t0, t1) if t0 <= t1 else None
+
+
+def test_clip_to_box_equals_one_segment_at_a_time():
+    lo, hi = -1 - 1j, 1 + 2j
+    segments = [
+        (-3 + 0j, 3 + 0j), (-3 + 3j, 3 + 3j),      # zero imaginary step, inside and outside
+        (0.5 - 3j, 0.5 + 3j), (3 - 3j, 3 + 3j),    # zero real step, inside and outside
+        (0.2 + 0.3j, 0.2 + 0.3j), (5 + 5j, 5 + 5j),  # zero length, on and off the box
+        (-1 - 1j, -1 - 1j), (1 + 0.5j, 1 + 0.5j),  # zero length, at a corner and on a side
+        (-3 + 0j, 1 + 4j), (-2 - 2j, 2 + 3j),      # through the corner -1+2i; across the box
+        (-3 - 3j, 3 + 3j), (0.5 + 0.5j, 4 + 4j),   # crossing; from inside out
+        (2 - 3j, 4 + 3j), (-3 + 0.5j, -2 + 5j),    # misses
+        (-1 - 3j, -1 + 3j), (-3 + 2j, 3 + 2j),     # along a side
+    ]
+    rng = np.random.default_rng(5)
+    ends = [tuple(complex(*xy) for xy in rng.uniform(-4, 4, (2, 2))) for _ in range(200)]
+    a, b = np.array(segments + ends).T
+    t0, t1 = _clip_to_box(a, b, lo, hi)
+    for k, (start, end) in enumerate(zip(a, b)):
+        want = reference_clip_to_box(start, end, lo, hi)
+        if want is None:
+            assert t0[k] > t1[k], (start, end)
+        else:
+            assert (t0[k], t1[k]) == want, (start, end)
+    hits = [reference_clip_to_box(start, end, lo, hi) is not None for start, end in zip(a, b)]
+    assert hits[:len(segments)] == [True, False, True, False, True, False, True, True,
+                                    True, True, True, True, False, False, True, True]
+
+
 def per_segment_overlay(rgb, spec, polyline):
     """The overlay with one np.linspace a segment: the form whose pixels the
     one-pass densification keeps."""
@@ -191,7 +234,7 @@ def per_segment_overlay(rgb, spec, polyline):
     for a, b in zip(pts[:-1], pts[1:]):
         n = points(a, b)
         if n > most:
-            inside = _clip_to_box(a, b, lo - pad, hi + pad)
+            inside = reference_clip_to_box(a, b, lo - pad, hi + pad)
             if inside is None:
                 continue
             a, b = a + (b - a) * inside[0], a + (b - a) * inside[1]
@@ -218,8 +261,11 @@ def test_overlay_equals_per_segment_linspace(seed):
     want = np.zeros((spec.height, spec.width, 3), dtype=np.uint8)
     got = want.copy()
     per_segment_overlay(want, spec, polyline)
-    overlay_polyline(got, spec, [polyline])
+    # the one row is a view of the polyline, whose points the overlay leaves
+    before = polyline.copy()
+    overlay_polyline(got, spec, polyline[None])
     assert np.array_equal(got, want)
+    assert polyline.tobytes() == before.tobytes()
     # a polyline of one point marks its pixel, with no segment to densify
     per_segment_overlay(want, spec, [centre])
     overlay_polyline(got, spec, [[centre]])
